@@ -18,7 +18,12 @@ from . import documents, equivalence, fixtures, translate
 from .aspic import SAF
 from .config import Limits, load_limits
 from .core import SEMANTICS, AbstractAF, extensions, serialize_af
-from .errors import RESOURCE_ERRORS, UargError, UnsupportedDirectionError
+from .errors import (
+    RESOURCE_ERRORS,
+    InputError,
+    UargError,
+    UnsupportedDirectionError,
+)
 from .incomplete import (
     ArgIAF,
     DepArgIAF,
@@ -26,9 +31,6 @@ from .incomplete import (
     synthesize_dependencies,
 )
 from .isaf import PremISAF, RulISAF, completion_set_of
-
-_LIMIT_OPTIONS = ("max_uncertain", "max_arguments", "max_depth",
-                  "max_equiv_args", "max_search_args", "threads")
 
 
 def _limits(ctx: click.Context) -> Limits:
@@ -40,13 +42,26 @@ def _fail(error: UargError) -> None:
     sys.exit(3 if isinstance(error, RESOURCE_ERRORS) else 2)
 
 
+def _fixture(name: str) -> fixtures.Fixture:
+    try:
+        return fixtures.REGISTRY[name]
+    except KeyError:
+        raise InputError(f"unknown fixture {name!r}; see `uarg fixtures "
+                         f"list`") from None
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise InputError(f"cannot read {str(path)!r}: {reason}") from None
+
+
 def _read_input(spec: str, kind: str | None):
     if spec.startswith("fixture:"):
         name = spec[len("fixture:"):]
-        try:
-            entry = fixtures.REGISTRY[name]
-        except KeyError:
-            raise click.UsageError(f"unknown fixture {name!r}") from None
+        entry = _fixture(name)
         value = entry.build()
         if kind is not None and entry.kind != kind:
             raise click.UsageError(
@@ -54,22 +69,18 @@ def _read_input(spec: str, kind: str | None):
         return value
     if kind is None:
         raise click.UsageError("--kind is required for file inputs")
-    text = Path(spec).read_text(encoding="utf-8")
-    return documents.load_framework(text, kind)
+    return documents.load_framework(_read_text(Path(spec)), kind)
 
 
 def _fixture_kind(spec: str) -> str | None:
     if spec.startswith("fixture:"):
-        return fixtures.REGISTRY[spec[len("fixture:"):]].kind
+        return _fixture(spec[len("fixture:"):]).kind
     return None
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="Config file with key=value lines.")
-@click.option("--threads", type=int, default=None,
-              help="Worker threads (0 = auto; reserved, evaluation is "
-                   "currently sequential).")
 @click.option("--max-uncertain", type=int, default=None)
 @click.option("--max-arguments", type=int, default=None)
 @click.option("--max-depth", type=int, default=None)
@@ -96,8 +107,8 @@ def main(ctx, config_path, **overrides):
 @click.pass_context
 def completions(ctx, input_spec, kind, count, out):
     """Enumerate the completion set of a framework."""
-    kind = kind or _fixture_kind(input_spec)
     try:
+        kind = kind or _fixture_kind(input_spec)
         framework = _read_input(input_spec, kind)
         completion_set = completion_set_of(framework, _limits(ctx))
     except UargError as error:
@@ -184,10 +195,9 @@ def _read_completion_set(path_spec: str):
         from .incomplete import CompletionSet
         from .core import parse_af
 
-        afs = [parse_af(p.read_text(encoding="utf-8"))
-               for p in sorted(path.glob("*.apx"))]
+        afs = [parse_af(_read_text(p)) for p in sorted(path.glob("*.apx"))]
         return CompletionSet(afs)
-    return documents.parse_completion_set(path.read_text(encoding="utf-8"))
+    return documents.parse_completion_set(_read_text(path))
 
 
 @main.command()
@@ -222,8 +232,8 @@ def equiv(ctx, left, right, identity_only):
 @click.pass_context
 def semantics(ctx, input_spec, sigma):
     """List the extensions of an abstract framework under a semantics."""
-    kind = _fixture_kind(input_spec) or "af"
     try:
+        kind = _fixture_kind(input_spec) or "af"
         framework = _read_input(input_spec, kind)
         if not isinstance(framework, AbstractAF):
             raise click.UsageError("semantics expects an abstract framework")
@@ -246,8 +256,8 @@ def semantics(ctx, input_spec, sigma):
 def synth_deps(ctx, input_spec, target, minimize):
     """Synthesize dependencies so the framework's completions become exactly
     the target set; prints the resulting dependency-extended document."""
-    kind = _fixture_kind(input_spec) or "arg-iaf"
     try:
+        kind = _fixture_kind(input_spec) or "arg-iaf"
         framework = _read_input(input_spec, kind)
         if isinstance(framework, DepArgIAF):
             framework = framework.base
@@ -291,8 +301,8 @@ def _to_dot(framework) -> str:
 @click.pass_context
 def export_dot(ctx, input_spec, kind):
     """Emit a DOT graph; uncertain arguments are rendered dashed."""
-    kind = kind or _fixture_kind(input_spec) or "af"
     try:
+        kind = kind or _fixture_kind(input_spec) or "af"
         framework = _read_input(input_spec, kind)
     except UargError as error:
         _fail(error)
@@ -323,9 +333,9 @@ def _fixture_document(value) -> str:
 @click.option("--out", type=click.Path(), default=None)
 def fixtures_emit(name, out):
     try:
-        entry = fixtures.REGISTRY[name]
-    except KeyError:
-        raise click.UsageError(f"unknown fixture {name!r}") from None
+        entry = _fixture(name)
+    except UargError as error:
+        _fail(error)
     value = entry.build()
     if entry.kind == "completion-set-pair":
         left, right = value

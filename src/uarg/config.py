@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import ParseError
+from .errors import InvalidLimitError, ParseError
 
 ENV_PREFIX = "UARG_"
 
@@ -21,7 +21,12 @@ class Limits:
     max_depth: int = 50          # structured argument height
     max_equiv_args: int = 16     # union size for equivalence search
     max_search_args: int = 6     # argument count for exhaustive framework search
-    threads: int = 0             # 0 = auto
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise InvalidLimitError(f"{f.name} must be >= 0, got {value}")
 
 
 DEFAULT_LIMITS = Limits()
@@ -58,11 +63,15 @@ def load_limits(config_path: str | None = None,
         with open(config_path, encoding="utf-8") as fh:
             limits = replace(limits, **parse_config_text(fh.read()))
     env = os.environ if env is None else env
-    env_values = {
-        key: int(env[ENV_PREFIX + key.upper()])
-        for key in _INT_KEYS
-        if ENV_PREFIX + key.upper() in env
-    }
+    env_values = {}
+    for key in sorted(_INT_KEYS):
+        name = ENV_PREFIX + key.upper()
+        if name in env:
+            try:
+                env_values[key] = int(env[name])
+            except ValueError:
+                raise InvalidLimitError(
+                    f"invalid integer for {name}: {env[name]!r}") from None
     if env_values:
         limits = replace(limits, **env_values)
     if overrides:

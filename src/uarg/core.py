@@ -150,8 +150,10 @@ def extensions(af: AbstractAF, sigma: str,
                limits: Limits = DEFAULT_LIMITS) -> tuple[frozenset[str], ...]:
     """All sigma-extensions, canonically ordered.
 
-    Computed by subset enumeration with conflict-free pruning; fine at desk
-    scale (the format targets frameworks of at most ~20 arguments).
+    Admissible, complete and stable sets come from a backtracking search
+    that never extends a set by an argument in conflict with it, so the cost
+    follows the number of conflict-free sets rather than 2^n; grounded is a
+    fixpoint and preferred the maximal complete sets.
     """
     if sigma not in SEMANTICS:
         raise ValueError(f"unknown semantics {sigma!r}; pick one of {SEMANTICS}")

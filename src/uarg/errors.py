@@ -76,6 +76,15 @@ class UnsupportedDirectionError(UargError):
     code = "UNSUPPORTED_DIRECTION"
 
 
+class InputError(UargError):
+    # An input file that cannot be read, or an unknown fixture name.
+    code = "INPUT_ERROR"
+
+
+class InvalidLimitError(UargError):
+    code = "INVALID_LIMIT"
+
+
 #: Errors that signal a blown resource bound rather than bad input.
 RESOURCE_ERRORS = (
     UncertaintyBoundExceededError,

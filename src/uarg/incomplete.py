@@ -320,6 +320,7 @@ def parse_iaf(text: str) -> DepArgIAF:
     uncertain: set[str] = set()
     atts: list[tuple[int, str, str]] = []
     dep_lines: list[tuple[int, str, str]] = []
+    clash_at: tuple[int, int] | None = None  # first line re-declaring an arg
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
@@ -338,7 +339,11 @@ def parse_iaf(text: str) -> DepArgIAF:
         if kind in ("arg", "?arg"):
             if not is_valid_token_body(body):
                 raise ParseError(f"invalid identifier {body!r}", lineno, column)
-            (uncertain if kind == "?arg" else fixed).add(body)
+            same, other = ((uncertain, fixed) if kind == "?arg"
+                           else (fixed, uncertain))
+            if body in other and clash_at is None:
+                clash_at = (lineno, column)
+            same.add(body)
         elif kind == "att":
             parts = [p.strip() for p in body.split(",")]
             if len(parts) != 2 or not all(map(is_valid_token_body, parts)):
@@ -349,11 +354,10 @@ def parse_iaf(text: str) -> DepArgIAF:
             dep_lines.append((lineno, kind, body))
 
     declared = fixed | uncertain
-    clash = fixed & uncertain
-    if clash:
+    if clash_at:
         raise ParseError(
-            f"arguments declared both fixed and uncertain: {sorted(clash)}",
-            min(no for no, *_ in atts) if atts else 1, 1)
+            "arguments declared both fixed and uncertain: "
+            f"{sorted(fixed & uncertain)}", *clash_at)
     defeats = set()
     for lineno, s, t in atts:
         if s not in declared or t not in declared:

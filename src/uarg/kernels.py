@@ -1,52 +1,88 @@
-"""Kernel backend selection.
+"""Bitmask kernels.
 
-The compiled extension is preferred when importable; UARG_PURE_PYTHON=1
-forces the fallback.  Both backends return identical, ascending mask lists,
-so everything downstream is backend-agnostic.
+Subsets of an n-element universe are integers with bit i standing for
+element i.  These loops are the hot spots of semantics enumeration and
+completion filtering.  Both return ascending mask lists.
 """
 
 from __future__ import annotations
 
-import os
+MODE_ADMISSIBLE = 1
+MODE_COMPLETE = 2
+MODE_STABLE = 3
 
-from . import _kernels_py
-
-MODE_CONFLICT_FREE = _kernels_py.MODE_CONFLICT_FREE
-MODE_ADMISSIBLE = _kernels_py.MODE_ADMISSIBLE
-MODE_COMPLETE = _kernels_py.MODE_COMPLETE
-MODE_STABLE = _kernels_py.MODE_STABLE
-
-DEP_IMPLY = _kernels_py.DEP_IMPLY
-DEP_OR = _kernels_py.DEP_OR
-DEP_NAND = _kernels_py.DEP_NAND
-
-_COMPILED_WIDTH = 62  # compiled kernels use 64-bit masks
-
-if os.environ.get("UARG_PURE_PYTHON"):
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
+DEP_IMPLY = 0
+DEP_OR = 1
+DEP_NAND = 2
 
 
 def backend_name() -> str:
-    return BACKEND
+    return "python"
 
 
 def semantics_masks(n: int, attackers: list[int], targets: list[int],
                     mode: int) -> list[int]:
-    if n > _COMPILED_WIDTH:
-        return _kernels_py.semantics_masks(n, attackers, targets, mode)
-    return _impl.semantics_masks(n, attackers, targets, mode)
+    """All subset masks satisfying the selected extension condition.
+
+    attackers[i] / targets[i]: masks of defeaters of i / of arguments
+    defeated by i.  Backtracking decides the arguments from the highest bit
+    down, excluding before including, and only includes an argument that
+    neither attacks nor is attacked by the set so far; every leaf is thus a
+    conflict-free set, and leaves come out in ascending order.  The stack
+    holds (undecided count, mask, arguments the mask attacks, arguments
+    attacking the mask).
+    """
+    full = (1 << n) - 1
+    out = []
+    stack = [(n, 0, 0, 0)]
+    while stack:
+        i, mask, attacked, threats = stack.pop()
+        if i:
+            i -= 1
+            bit = 1 << i
+            if not (attackers[i] | targets[i]) & (mask | bit):
+                stack.append((i, mask | bit, attacked | targets[i],
+                              threats | attackers[i]))
+            stack.append((i, mask, attacked, threats))
+        elif mode == MODE_STABLE:
+            if (mask | attacked) == full:
+                out.append(mask)
+        elif not threats & ~attacked:  # admissible: every threat is answered
+            if mode == MODE_ADMISSIBLE or _closed(full & ~mask, attackers,
+                                                  attacked):
+                out.append(mask)
+    return out
+
+
+def _closed(outside: int, attackers: list[int], attacked: int) -> bool:
+    """Whether no argument of ``outside`` is defended by the set whose
+    attacks are ``attacked`` (the fixpoint half of completeness)."""
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        if not attackers[low.bit_length() - 1] & ~attacked:
+            return False
+    return True
 
 
 def dependency_masks(n: int, deps: list[tuple[int, int, int]]) -> list[int]:
-    if n > _COMPILED_WIDTH:
-        return _kernels_py.dependency_masks(n, deps)
-    return _impl.dependency_masks(n, deps)
+    """All subset masks satisfying every dependency.
+
+    Each dependency is (kind, xmask, ymask); ymask is 0 except for
+    DEP_IMPLY.  Results are ascending.
+    """
+    out = []
+    for mask in range(1 << n):
+        for kind, xmask, ymask in deps:
+            if kind == DEP_IMPLY:
+                if (mask & xmask) == xmask and not (mask & ymask):
+                    break
+            elif kind == DEP_OR:
+                if not (mask & xmask):
+                    break
+            else:  # DEP_NAND
+                if (mask & xmask) == xmask:
+                    break
+        else:
+            out.append(mask)
+    return out

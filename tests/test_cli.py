@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import uarg
 from uarg.cli import main
 
 EX1_IAF_TEXT = "arg(a).\n?arg(b).\n?arg(c).\natt(b,a).\natt(c,a).\n"
@@ -234,3 +240,35 @@ class TestConfigLayers:
         result = run("--max-uncertain", "1", "completions", "fixture:example1",
                      "--count")
         assert result.exit_code == 3
+
+
+class TestErrorContract:
+    """Bad input exits 2 with one ``CODE: message`` line and no traceback.
+    Runs the CLI in a subprocess so an escaping exception would show."""
+
+    @pytest.mark.parametrize("argv, env, code", [
+        (["equiv", "{missing}", "{missing}"], {}, "INPUT_ERROR"),
+        (["semantics", "{missing}", "--sigma", "grounded"], {},
+         "INPUT_ERROR"),
+        (["completions", "fixture:nope"], {}, "INPUT_ERROR"),
+        (["completions", "fixture:example1"], {"UARG_MAX_UNCERTAIN": "abc"},
+         "INVALID_LIMIT"),
+        (["--max-uncertain", "-1", "completions", "fixture:example1"], {},
+         "INVALID_LIMIT"),
+        (["--config", "{cfg}", "completions", "fixture:example1"], {},
+         "PARSE_ERROR"),
+    ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
+            "env-not-int", "negative-limit", "config-threads"])
+    def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
+        cfg = tmp_path / "uarg.cfg"
+        cfg.write_text("threads = 2\n", encoding="utf-8")
+        argv = [a.format(missing=tmp_path / "missing", cfg=cfg) for a in argv]
+        src = str(Path(uarg.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "uarg.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src, **env},
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{code}: "), lines

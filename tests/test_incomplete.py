@@ -179,7 +179,9 @@ class TestDependencyFiltering:
 
         index = {a: i for i, a in enumerate(names)}
         masks = kernels.dependency_masks(len(names), _encode_deps(deps, index))
-        assert len(wide) == len(masks)
+        assert wide == CompletionSet(
+            AbstractAF([a for a in names if m >> index[a] & 1])
+            for m in masks)
 
     def test_horn_cap_raises(self):
         names = [f"u{i}" for i in range(16)]
