@@ -64,11 +64,10 @@ def _read_input(spec: str, kind: str | None):
         entry = _fixture(name)
         value = entry.build()
         if kind is not None and entry.kind != kind:
-            raise click.UsageError(
-                f"fixture {name} has kind {entry.kind}, not {kind}")
+            raise InputError(f"fixture {name} has kind {entry.kind}, not {kind}")
         return value
     if kind is None:
-        raise click.UsageError("--kind is required for file inputs")
+        raise InputError("--kind is required for file inputs")
     return documents.load_framework(_read_text(Path(spec)), kind)
 
 
@@ -236,7 +235,7 @@ def semantics(ctx, input_spec, sigma):
         kind = _fixture_kind(input_spec) or "af"
         framework = _read_input(input_spec, kind)
         if not isinstance(framework, AbstractAF):
-            raise click.UsageError("semantics expects an abstract framework")
+            raise InputError("semantics expects an abstract framework")
         exts = extensions(framework, sigma, _limits(ctx))
     except UargError as error:
         _fail(error)
@@ -262,7 +261,7 @@ def synth_deps(ctx, input_spec, target, minimize):
         if isinstance(framework, DepArgIAF):
             framework = framework.base
         if not isinstance(framework, ArgIAF):
-            raise click.UsageError("synth-deps expects an arg-iaf input")
+            raise InputError("synth-deps expects an arg-iaf input")
         target_set = _read_completion_set(target)
         deps = synthesize_dependencies(framework, target_set,
                                        minimize=minimize, limits=_limits(ctx))

@@ -77,7 +77,8 @@ class UnsupportedDirectionError(UargError):
 
 
 class InputError(UargError):
-    # An input file that cannot be read, or an unknown fixture name.
+    # An input file that cannot be read, an unknown fixture name, or an
+    # input of the wrong framework kind.
     code = "INPUT_ERROR"
 
 

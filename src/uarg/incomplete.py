@@ -17,11 +17,13 @@ from typing import Iterable, Iterator
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF, check_argument_id, restrict
+from .core import AbstractAF, check_argument_id, is_valid_argument_id, restrict
 from .errors import (
+    ParseError,
     TargetNotRepresentableError,
     TargetNotSubsetError,
     UncertaintyBoundExceededError,
+    UndeclaredArgumentError,
 )
 
 # Subset filtering switches from plain enumeration to closure-based
@@ -202,25 +204,37 @@ def _check_uncertain_bound(count: int, limits: Limits) -> None:
     if count > limits.max_uncertain:
         raise UncertaintyBoundExceededError(
             f"{count} uncertain elements exceed the bound "
-            f"{limits.max_uncertain} (2^{count} subsets)")
+            f"{limits.max_uncertain} (2^{count} subsets); raise it with "
+            "--max-uncertain or UARG_MAX_UNCERTAIN")
 
 
-def _subset(order: list[str], mask: int) -> list[str]:
-    return [order[i] for i in range(len(order)) if mask >> i & 1]
+def _induced_completions(full_af: AbstractAF, load: dict[str, int],
+                         masks: Iterable[int]) -> CompletionSet:
+    """One restriction of ``full_af`` per mask: argument a is kept under
+    mask m iff ``load[a] & ~m == 0``.  Masks keeping the same arguments
+    share one graph."""
+    graphs: dict[tuple[str, ...], AbstractAF] = {}
+    for mask in masks:
+        kept = tuple(a for a in full_af.args if not load[a] & ~mask)
+        if kept not in graphs:
+            graphs[kept] = restrict(full_af, kept)
+    return CompletionSet(graphs.values())
+
+
+def _own_bits(iaf: ArgIAF) -> dict[str, int]:
+    # An uncertain argument carries its own bit, a fixed one carries none.
+    load = dict.fromkeys(iaf.fixed_args, 0)
+    load.update((a, 1 << i) for i, a in enumerate(iaf.uncertain_args))
+    return load
 
 
 def completions_arg_iaf(iaf: ArgIAF,
                         limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
     """All 2^|uncertain| completions; distinct subsets give distinct
     argument sets, so the count is exact."""
-    order = list(iaf.uncertain_args)
-    _check_uncertain_bound(len(order), limits)
-    full = iaf.full_af()
-    fixed = set(iaf.fixed_args)
-    out = []
-    for mask in range(1 << len(order)):
-        out.append(restrict(full, fixed | set(_subset(order, mask))))
-    return CompletionSet(out)
+    n = len(iaf.uncertain_args)
+    _check_uncertain_bound(n, limits)
+    return _induced_completions(iaf.full_af(), _own_bits(iaf), range(1 << n))
 
 
 def is_implicative(diaf: DepArgIAF) -> bool:
@@ -301,10 +315,7 @@ def completions_dep(diaf: DepArgIAF,
     else:
         _check_uncertain_bound(n, limits)
         masks = kernels.dependency_masks(n, encoded)
-    full = base.full_af()
-    fixed = set(base.fixed_args)
-    return CompletionSet(restrict(full, fixed | set(_subset(order, mask)))
-                         for mask in masks)
+    return _induced_completions(base.full_af(), _own_bits(base), masks)
 
 
 def parse_iaf(text: str) -> DepArgIAF:
@@ -314,8 +325,6 @@ def parse_iaf(text: str) -> DepArgIAF:
     imply([..],[..]). / or([..]). / nand([..]). dependency lines; list
     items are comma-separated identifiers.
     """
-    from .errors import ParseError, UndeclaredArgumentError
-
     fixed: set[str] = set()
     uncertain: set[str] = set()
     atts: list[tuple[int, str, str]] = []
@@ -337,7 +346,7 @@ def parse_iaf(text: str) -> DepArgIAF:
                              lineno, column)
         body = stripped[len(prefix):-2]
         if kind in ("arg", "?arg"):
-            if not is_valid_token_body(body):
+            if not is_valid_argument_id(body):
                 raise ParseError(f"invalid identifier {body!r}", lineno, column)
             same, other = ((uncertain, fixed) if kind == "?arg"
                            else (fixed, uncertain))
@@ -346,7 +355,7 @@ def parse_iaf(text: str) -> DepArgIAF:
             same.add(body)
         elif kind == "att":
             parts = [p.strip() for p in body.split(",")]
-            if len(parts) != 2 or not all(map(is_valid_token_body, parts)):
+            if len(parts) != 2 or not all(map(is_valid_argument_id, parts)):
                 raise ParseError(f"malformed att(...) line: {stripped!r}",
                                  lineno, column)
             atts.append((lineno, parts[0], parts[1]))
@@ -391,15 +400,7 @@ def parse_iaf(text: str) -> DepArgIAF:
         raise UndeclaredArgumentError(str(exc)) from None
 
 
-def is_valid_token_body(token: str) -> bool:
-    from .core import is_valid_argument_id
-
-    return is_valid_argument_id(token)
-
-
 def _parse_bracket_lists(body: str, kind: str, lineno: int) -> list[list[str]]:
-    from .errors import ParseError
-
     if not body.startswith("[") or not body.endswith("]"):
         raise ParseError(f"{kind} arguments must be bracketed lists: {body!r}",
                          lineno, 1)
@@ -409,7 +410,7 @@ def _parse_bracket_lists(body: str, kind: str, lineno: int) -> list[list[str]]:
     lists = []
     for part in parts:
         items = [p.strip() for p in part.split(",")]
-        if not all(map(is_valid_token_body, items)):
+        if not all(map(is_valid_argument_id, items)):
             raise ParseError(f"invalid identifier in list: {part!r}", lineno, 1)
         lists.append(items)
     return lists

@@ -5,12 +5,15 @@ rules uncertain; a premise-incomplete framework does the opposite.  Each
 subset of the uncertain part induces a completion (a plain structured
 framework); lifting every completion to its abstract defeat graph and
 deduplicating yields the completion set all expressivity comparisons run on.
+That set is built without regenerating any completion: each is the maximal
+completion's defeat graph restricted to the arguments whose uncertain load
+the subset contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Container, Iterable
 
 from .aspic import (
     SAF,
@@ -19,7 +22,6 @@ from .aspic import (
     StructuredArgument,
     _argument_of_theory,
     associated_af,
-    defeats,
     generate_arguments,
     validate_theory,
 )
@@ -29,9 +31,14 @@ from .errors import (
     ArgumentNotOfTheoryError,
     InvalidTheoryError,
     PreferenceUnknownArgumentError,
-    UncertaintyBoundExceededError,
 )
-from .incomplete import ArgIAF, CompletionSet, DepArgIAF
+from .incomplete import (
+    ArgIAF,
+    CompletionSet,
+    DepArgIAF,
+    _check_uncertain_bound,
+    _induced_completions,
+)
 
 
 @dataclass(frozen=True)
@@ -84,41 +91,40 @@ class PremISAF:
         return self.uncertain_axioms | self.uncertain_premises
 
 
-def _check_bound(count: int, limits: Limits) -> None:
-    if count > limits.max_uncertain:
-        raise UncertaintyBoundExceededError(
-            f"{count} uncertain elements exceed the bound {limits.max_uncertain}")
-
-
-def _restrict_preferences(preferences: frozenset[tuple[str, str]],
-                          arguments: tuple[StructuredArgument, ...],
-                          ) -> frozenset[tuple[str, str]]:
-    texts = {arg.text for arg in arguments}
-    return frozenset((a, b) for a, b in preferences
-                     if a in texts and b in texts)
-
-
-def _validate_base(theory: ArgumentationTheory,
-                   preferences: frozenset[tuple[str, str]],
-                   arguments: tuple[StructuredArgument, ...]) -> None:
-    texts = {arg.text for arg in arguments}
+def _check_preference_domain(preferences: Iterable[tuple[str, str]],
+                             known: Container[str]) -> None:
     for a, b in preferences:
-        if a not in texts or b not in texts:
-            missing = a if a not in texts else b
+        if a not in known or b not in known:
+            missing = a if a not in known else b
             raise PreferenceUnknownArgumentError(
                 f"declared preference names an argument outside the maximal "
                 f"completion: {missing!r}")
 
 
-def saf_max(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS,
-            validate: bool = True) -> SAF:
+def _completion(x: RulISAF | PremISAF, theory: ArgumentationTheory,
+                limits: Limits) -> tuple[SAF, tuple[StructuredArgument, ...]]:
+    """The completion of x with this theory, preferences restricted to its
+    generated arguments, and those arguments."""
+    arguments = generate_arguments(theory, limits, validate=False)
+    texts = {arg.text for arg in arguments}
+    preferences = frozenset((a, b) for a, b in x.preferences
+                            if a in texts and b in texts)
+    return SAF(theory, preferences), arguments
+
+
+def _maximal(x: RulISAF | PremISAF, limits: Limits,
+             ) -> tuple[SAF, tuple[StructuredArgument, ...]]:
+    """Validated maximal completion: every declared preference must name
+    one of its arguments."""
+    validate_theory(x.theory)
+    saf, arguments = _completion(x, x.theory, limits)
+    _check_preference_domain(x.preferences, {arg.text for arg in arguments})
+    return saf, arguments
+
+
+def saf_max(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
     """Maximal completion: all uncertain rules/premises accepted."""
-    if validate:
-        validate_theory(x.theory)
-    arguments = generate_arguments(x.theory, limits, validate=False)
-    if validate:
-        _validate_base(x.theory, x.preferences, arguments)
-    return SAF(x.theory, _restrict_preferences(x.preferences, arguments))
+    return _maximal(x, limits)[0]
 
 
 def _completion_theory(x: RulISAF | PremISAF, chosen: frozenset,
@@ -141,25 +147,36 @@ def _uncertain_elements(x: RulISAF | PremISAF) -> list:
     return sorted(x.uncertain_knowledge)
 
 
+def _load(x: RulISAF | PremISAF, argument: StructuredArgument) -> frozenset:
+    """The uncertain rules or premises the argument uses."""
+    if isinstance(x, RulISAF):
+        return argument.rules_used & x.uncertain_rules
+    return argument.premises & x.uncertain_knowledge
+
+
+def _maximal_graph(x: RulISAF | PremISAF, limits: Limits,
+                   ) -> tuple[AbstractAF, dict[str, int]]:
+    """Defeat graph of the maximal completion, and each argument's load: a
+    mask over the sorted uncertain elements it uses.  Preferences compare
+    only an attacker and a locus, so restricting this graph to the
+    arguments whose load lies in m yields the completion for m."""
+    saf, arguments = _maximal(x, limits)
+    bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
+    load = {arg.text: sum(bit[e] for e in _load(x, arg)) for arg in arguments}
+    return associated_af(saf, arguments, limits, validate=False), load
+
+
 def _completion_items(x: RulISAF | PremISAF, limits: Limits,
-                      validate: bool = True,
                       ) -> list[tuple[SAF, tuple[StructuredArgument, ...]]]:
     """One (completion, generated arguments) pair per uncertainty subset,
-    in subset-mask order."""
-    if validate:
-        validate_theory(x.theory)
-        args_max = generate_arguments(x.theory, limits, validate=False)
-        _validate_base(x.theory, x.preferences, args_max)
+    in subset-mask order, each regenerated from its own theory."""
+    _maximal(x, limits)  # validation only
     elements = _uncertain_elements(x)
-    _check_bound(len(elements), limits)
+    _check_uncertain_bound(len(elements), limits)
     items = []
     for mask in range(1 << len(elements)):
-        chosen = frozenset(elements[i] for i in range(len(elements))
-                           if mask >> i & 1)
-        theory = _completion_theory(x, chosen)
-        arguments = generate_arguments(theory, limits, validate=False)
-        saf = SAF(theory, _restrict_preferences(x.preferences, arguments))
-        items.append((saf, arguments))
+        chosen = frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+        items.append(_completion(x, _completion_theory(x, chosen), limits))
     return items
 
 
@@ -179,32 +196,39 @@ def premise_completions(p: PremISAF,
 def saf_fixed(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
     """Minimal completion: all uncertainty discarded."""
     validate_theory(x.theory)
-    theory = _completion_theory(x, frozenset())
-    arguments = generate_arguments(theory, limits, validate=False)
-    return SAF(theory, _restrict_preferences(x.preferences, arguments))
+    return _completion(x, _completion_theory(x, frozenset()), limits)[0]
 
 
-def _abstract_completions(x: RulISAF | PremISAF, limits: Limits,
-                          ) -> list[AbstractAF]:
-    return [associated_af(saf, arguments, limits, validate=False)
-            for saf, arguments in _completion_items(x, limits)]
+def _induced(x: RulISAF | PremISAF, limits: Limits) -> CompletionSet:
+    full, load = _maximal_graph(x, limits)
+    k = len(_uncertain_elements(x))
+    _check_uncertain_bound(k, limits)
+    return _induced_completions(full, load, range(1 << k))
 
 
 def completions_rul(r: RulISAF, limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
     """Abstract completion set; distinct rule subsets may induce the same
     graph, so the set can be smaller than 2^|uncertain rules|."""
-    return CompletionSet(_abstract_completions(r, limits))
+    return _induced(r, limits)
 
 
 def completions_prem(p: PremISAF,
                      limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
-    return CompletionSet(_abstract_completions(p, limits))
+    return _induced(p, limits)
 
 
-def _as_argument_group(x) -> tuple[StructuredArgument, ...]:
-    if isinstance(x, StructuredArgument):
-        return (x,)
-    return tuple(x)
+def _group_load(x: RulISAF | PremISAF,
+                group: StructuredArgument | Iterable[StructuredArgument],
+                ) -> frozenset:
+    arguments = (group,) if isinstance(group, StructuredArgument) else group
+    out: set = set()
+    for argument in arguments:
+        if not _argument_of_theory(x.theory, argument):
+            raise ArgumentNotOfTheoryError(
+                f"argument {argument.text} is not generated by the maximal "
+                "completion")
+        out.update(_load(x, argument))
+    return frozenset(out)
 
 
 def uncertain_rules_of(r: RulISAF,
@@ -212,28 +236,14 @@ def uncertain_rules_of(r: RulISAF,
                        ) -> frozenset[Rule]:
     """Uncertain rules occurring in the argument (or in any argument of the
     group)."""
-    out: set[Rule] = set()
-    for argument in _as_argument_group(x):
-        if not _argument_of_theory(r.theory, argument):
-            raise ArgumentNotOfTheoryError(
-                f"argument {argument.text} is not generated by the maximal "
-                "completion")
-        out.update(argument.rules_used & r.uncertain_rules)
-    return frozenset(out)
+    return _group_load(r, x)
 
 
 def uncertain_premises_of(p: PremISAF,
                           x: StructuredArgument | Iterable[StructuredArgument],
                           ) -> frozenset[str]:
     """Uncertain knowledge-base formulas among the argument's premises."""
-    out: set[str] = set()
-    for argument in _as_argument_group(x):
-        if not _argument_of_theory(p.theory, argument):
-            raise ArgumentNotOfTheoryError(
-                f"argument {argument.text} is not generated by the maximal "
-                "completion")
-        out.update(argument.premises & p.uncertain_knowledge)
-    return frozenset(out)
+    return _group_load(p, x)
 
 
 def is_tidy(p: PremISAF) -> bool:
@@ -250,7 +260,8 @@ def defeat_coherence_check(x: RulISAF | PremISAF,
     This always holds for valid frameworks; the operation exists as an
     executable oracle for that claim.
     """
-    afs = _abstract_completions(x, limits)
+    afs = [associated_af(saf, arguments, limits, validate=False)
+           for saf, arguments in _completion_items(x, limits)]
     for i, left in enumerate(afs):
         left_args = left.arg_set
         for right in afs[i + 1:]:

@@ -24,9 +24,21 @@ from .aspic import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF
-from .errors import InvalidTheoryError, UncertaintyBoundExceededError
-from .incomplete import ArgIAF, CompletionSet, DepArgIAF, ImplyDisj
-from .isaf import PremISAF, RulISAF, is_tidy, saf_max
+from .errors import InvalidTheoryError
+from .incomplete import (
+    ArgIAF,
+    CompletionSet,
+    DepArgIAF,
+    ImplyDisj,
+    _check_uncertain_bound,
+)
+from .isaf import (
+    PremISAF,
+    RulISAF,
+    _check_preference_domain,
+    _maximal_graph,
+    is_tidy,
+)
 
 PRIME_SUFFIX = "'"
 
@@ -157,19 +169,17 @@ def arg_iaf_to_prem_isaf(iaf: ArgIAF) -> tuple[PremISAF, Witness]:
     return target, witness
 
 
-def _minimal_covers(needed: frozenset, profiles: list[tuple[str, frozenset]],
+def _minimal_covers(needed: int, profiles: list[tuple[str, int]],
                     ) -> list[frozenset[str]]:
-    """All subset-minimal argument sets whose combined profiles cover
+    """All subset-minimal argument sets whose combined load masks cover
     ``needed``.  Arguments with the same needed-restricted profile are
-    interchangeable, so covers are enumerated over profile classes (as
-    bitmasks over the needed elements) and expanded over representatives."""
+    interchangeable, so covers are enumerated over profile classes and
+    expanded over representatives."""
     from itertools import product
 
-    bit = {element: 1 << i for i, element in enumerate(needed)}
-    full = (1 << len(needed)) - 1
     groups: dict[int, list[str]] = {}
     for name, profile in profiles:
-        mask = sum(bit[e] for e in profile & needed)
+        mask = profile & needed
         if mask:
             groups.setdefault(mask, []).append(name)
     masks = sorted(groups)
@@ -193,7 +203,7 @@ def _minimal_covers(needed: frozenset, profiles: list[tuple[str, frozenset]],
             if mask & pivot and mask not in chosen:
                 search(uncovered & ~mask, chosen + (mask,))
 
-    search(full, ())
+    search(needed, ())
     covers: set[frozenset[str]] = set()
     for classes in found:
         pools = [groups[mask] for mask in sorted(classes)]
@@ -202,8 +212,7 @@ def _minimal_covers(needed: frozenset, profiles: list[tuple[str, frozenset]],
     return sorted(covers, key=sorted)
 
 
-def _implicative_dependencies(uncertain_ids: list[str],
-                              load: dict[str, frozenset],
+def _implicative_dependencies(uncertain_ids: list[str], load: dict[str, int],
                               full: bool) -> list[ImplyDisj]:
     """Dependencies forcing each uncertain argument whenever a set of
     arguments jointly carrying all of its uncertain load is present."""
@@ -215,8 +224,10 @@ def _implicative_dependencies(uncertain_ids: list[str],
             others = uncertain_ids
             for size in range(1, len(others) + 1):
                 for combo in combinations(others, size):
-                    union = frozenset().union(*(load[y] for y in combo))
-                    if load[x] <= union:
+                    union = 0
+                    for y in combo:
+                        union |= load[y]
+                    if not load[x] & ~union:
                         deps.append(ImplyDisj(combo, (x,)))
         return deps
     for x in uncertain_ids:
@@ -226,28 +237,16 @@ def _implicative_dependencies(uncertain_ids: list[str],
     return deps
 
 
-def _structured_to_imp_arg_iaf(x: RulISAF | PremISAF, load_of,
-                               limits: Limits,
+def _structured_to_imp_arg_iaf(x: RulISAF | PremISAF, limits: Limits,
                                full_delta: bool) -> tuple[DepArgIAF, Witness]:
-    validate_theory(x.theory)
-    args_max = generate_arguments(x.theory, limits, validate=False)
-    saf = saf_max(x, limits, validate=True)
-    from .aspic import defeats as saf_defeats
-
-    defeat_pairs = saf_defeats(saf, args_max, limits, validate=False)
-    load = {arg.text: frozenset(load_of(arg)) for arg in args_max}
-    fixed_ids = sorted(t for t, l in load.items() if not l)
-    uncertain_ids = sorted(t for t, l in load.items() if l)
-    if full_delta and len(uncertain_ids) > limits.max_uncertain:
-        raise UncertaintyBoundExceededError(
-            f"full dependency generation over {len(uncertain_ids)} uncertain "
-            f"arguments exceeds the bound {limits.max_uncertain}")
-    base = ArgIAF(fixed_ids, uncertain_ids,
-                  [(a.text, b.text) for a, b in defeat_pairs])
+    full_af, load = _maximal_graph(x, limits)
+    fixed_ids = [a for a in full_af.args if not load[a]]
+    uncertain_ids = [a for a in full_af.args if load[a]]
+    if full_delta:
+        _check_uncertain_bound(len(uncertain_ids), limits)
+    base = ArgIAF(fixed_ids, uncertain_ids, full_af.defeats)
     deps = _implicative_dependencies(uncertain_ids, load, full_delta)
-    target = DepArgIAF(base, deps)
-    witness = Witness.identity(load)
-    return target, witness
+    return DepArgIAF(base, deps), Witness.identity(full_af.args)
 
 
 def rul_isaf_to_imp_arg_iaf(r: RulISAF, limits: Limits = DEFAULT_LIMITS,
@@ -261,31 +260,18 @@ def rul_isaf_to_imp_arg_iaf(r: RulISAF, limits: Limits = DEFAULT_LIMITS,
     supersets are semantically entailed.  full_delta=True materializes every
     covering antecedent for oracle comparison.
     """
-    return _structured_to_imp_arg_iaf(
-        r, lambda arg: arg.rules_used & r.uncertain_rules, limits, full_delta)
+    return _structured_to_imp_arg_iaf(r, limits, full_delta)
 
 
 def prem_isaf_to_imp_arg_iaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
                              full_delta: bool = False,
                              ) -> tuple[DepArgIAF, Witness]:
     """Same construction with uncertain premises as the uncertain load."""
-    return _structured_to_imp_arg_iaf(
-        p, lambda arg: arg.premises & p.uncertain_knowledge, limits, full_delta)
+    return _structured_to_imp_arg_iaf(p, limits, full_delta)
 
 
 def _prime(formula: str) -> str:
     return formula + PRIME_SUFFIX
-
-
-def _check_preference_domain(preferences, tau: dict[str, str]) -> None:
-    from .errors import PreferenceUnknownArgumentError
-
-    for a, b in preferences:
-        if a not in tau or b not in tau:
-            missing = a if a not in tau else b
-            raise PreferenceUnknownArgumentError(
-                f"declared preference names an argument outside the maximal "
-                f"completion: {missing!r}")
 
 
 def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,

@@ -257,8 +257,16 @@ class TestErrorContract:
          "INVALID_LIMIT"),
         (["--config", "{cfg}", "completions", "fixture:example1"], {},
          "PARSE_ERROR"),
+        (["completions", "fixture:example1", "--kind", "af"], {},
+         "INPUT_ERROR"),
+        (["completions", "{cfg}"], {}, "INPUT_ERROR"),
+        (["semantics", "fixture:example1", "--sigma", "grounded"], {},
+         "INPUT_ERROR"),
+        (["synth-deps", "fixture:example4", "{missing}"], {}, "INPUT_ERROR"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
-            "env-not-int", "negative-limit", "config-threads"])
+            "env-not-int", "negative-limit", "config-threads",
+            "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
+            "synth-deps-not-arg-iaf"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")

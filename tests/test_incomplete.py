@@ -65,7 +65,9 @@ class TestCompletions:
 
     def test_uncertainty_bound(self):
         iaf = ArgIAF([], [f"u{i}" for i in range(5)], [])
-        with pytest.raises(UncertaintyBoundExceededError):
+        with pytest.raises(UncertaintyBoundExceededError,
+                           match=": 5 uncertain .*--max-uncertain or "
+                                 "UARG_MAX_UNCERTAIN$"):
             completions_arg_iaf(iaf, Limits(max_uncertain=4))
 
     def test_fixed_and_uncertain_disjoint(self):

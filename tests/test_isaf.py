@@ -5,6 +5,8 @@ import pytest
 
 from uarg import (
     DEFEASIBLE,
+    SAF,
+    CompletionSet,
     PremISAF,
     Rule,
     RulISAF,
@@ -27,7 +29,7 @@ from uarg.errors import (
     MixedUncertaintyError,
     UncertaintyBoundExceededError,
 )
-from uarg import Limits
+from uarg import Limits, associated_af
 from uarg.documents import load_theory_document, build_rul_isaf
 
 from framework_gen import random_prem_isaf, random_rul_isaf
@@ -60,6 +62,8 @@ class TestRuleCompletions:
         t10 = fixtures.get("thm10_rul")
         assert len(rule_completions(t10)) == 8
         assert len(completions_rul(t10)) == 5
+        assert completions_rul(t10) == CompletionSet(
+            associated_af(saf) for saf in rule_completions(t10))
 
     def test_naming_restricted_to_surviving_rules(self):
         ex4 = fixtures.get("example4")
@@ -72,7 +76,9 @@ class TestRuleCompletions:
 
     def test_bound(self):
         t10 = fixtures.get("thm10_rul")
-        with pytest.raises(UncertaintyBoundExceededError):
+        with pytest.raises(UncertaintyBoundExceededError,
+                           match=": 3 uncertain .*--max-uncertain or "
+                                 "UARG_MAX_UNCERTAIN$"):
             completions_rul(t10, Limits(max_uncertain=2))
 
 
@@ -126,16 +132,13 @@ class TestDistinguishedCompletions:
         assert saf_max(ex5).theory.knowledge_base == {"p", "u", "s", "w"}
 
     def test_extreme_completions_belong_to_completion_set(self):
-        from uarg import associated_af
-
         rng = random.Random(37)
         for _ in range(10):
             for isaf in (random_rul_isaf(rng), random_prem_isaf(rng)):
                 afs = (completions_rul(isaf) if hasattr(isaf, "uncertain_rules")
                        else completions_prem(isaf))
                 assert associated_af(saf_fixed(isaf), validate=False) in afs
-                assert associated_af(saf_max(isaf, validate=False),
-                                     validate=False) in afs
+                assert associated_af(saf_max(isaf), validate=False) in afs
 
 
 class TestUncertainLoad:
@@ -199,6 +202,31 @@ class TestDefeatCoherence:
         for _ in range(40):
             assert defeat_coherence_check(random_rul_isaf(rng))
             assert defeat_coherence_check(random_prem_isaf(rng))
+
+
+class TestRestrictionMatchesRegeneration:
+    """completions_rul/completions_prem restrict the maximal completion's
+    defeat graph; the oracle regenerates every completion from its own
+    theory and lifts it."""
+
+    @pytest.mark.parametrize("side", ["rul", "prem"])
+    def test_random(self, side):
+        make, complete, oracle = {
+            "rul": (random_rul_isaf, completions_rul, rule_completions),
+            "prem": (random_prem_isaf, completions_prem, premise_completions),
+        }[side]
+        rng = random.Random(59)
+        preferences_matter = named = 0
+        for _ in range(150):
+            isaf = make(rng, max_uncertain=4)
+            assert complete(isaf) == CompletionSet(
+                associated_af(saf) for saf in oracle(isaf)), isaf
+            named += bool(isaf.theory.naming)
+            preferences_matter += (associated_af(saf_max(isaf))
+                                   != associated_af(SAF(isaf.theory)))
+        # the sample must hold named rules, and preferences that remove
+        # defeats from the maximal graph
+        assert named and preferences_matter
 
 
 def _forced_everywhere(afs, group_texts, arg_text):
