@@ -53,6 +53,18 @@ class AbstractAF:
         object.__setattr__(self, "args", tuple(sorted(arg_set)))
         object.__setattr__(self, "defeats", tuple(sorted(defeat_set)))
 
+    @classmethod
+    def _canonical(cls, args: tuple[str, ...],
+                   defeats: tuple[tuple[str, str], ...]) -> "AbstractAF":
+        """Framework from tuples that are already canonical: valid
+        identifiers, sorted and duplicate-free, every defeat inside
+        ``args``.  Nothing is checked, so only graphs derived from a
+        validated framework are built this way."""
+        af = object.__new__(cls)
+        object.__setattr__(af, "args", args)
+        object.__setattr__(af, "defeats", defeats)
+        return af
+
     @property
     def arg_set(self) -> frozenset[str]:
         return frozenset(self.args)
@@ -70,12 +82,12 @@ class AbstractAF:
 
 def restrict(af: AbstractAF, keep: Iterable[str]) -> AbstractAF:
     """Sub-framework induced by ``af.args & keep``; extra names in keep are
-    ignored."""
+    ignored.  Both tuples are sub-sequences of af's, so they stay
+    canonical."""
     keep = set(keep)
-    kept = [a for a in af.args if a in keep]
-    kept_set = set(kept)
-    return AbstractAF(kept, [(s, t) for s, t in af.defeats
-                             if s in kept_set and t in kept_set])
+    return AbstractAF._canonical(
+        tuple(a for a in af.args if a in keep),
+        tuple((s, t) for s, t in af.defeats if s in keep and t in keep))
 
 
 def af_equal(x: AbstractAF, y: AbstractAF) -> bool:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF, check_argument_id, is_valid_argument_id, restrict
+from .core import AbstractAF, check_argument_id, is_valid_argument_id
 from .errors import (
     ParseError,
     TargetNotRepresentableError,
@@ -64,7 +64,7 @@ class ArgIAF:
         return tuple(sorted(set(self.fixed_args) | set(self.uncertain_args)))
 
     def full_af(self) -> AbstractAF:
-        return AbstractAF(self.all_args, self.defeats)
+        return AbstractAF._canonical(self.all_args, self.defeats)
 
 
 class Dependency:
@@ -211,13 +211,16 @@ def _check_uncertain_bound(count: int, limits: Limits) -> None:
 def _induced_completions(full_af: AbstractAF, load: dict[str, int],
                          masks: Iterable[int]) -> CompletionSet:
     """One restriction of ``full_af`` per mask: argument a is kept under
-    mask m iff ``load[a] & ~m == 0``.  Masks keeping the same arguments
-    share one graph."""
+    mask m iff ``load[a] & ~m == 0``, and a defeat iff both its endpoints
+    are.  Masks keeping the same arguments share one graph."""
+    args = [(a, load[a]) for a in full_af.args]
+    defeats = [(d, load[d[0]] | load[d[1]]) for d in full_af.defeats]
     graphs: dict[tuple[str, ...], AbstractAF] = {}
     for mask in masks:
-        kept = tuple(a for a in full_af.args if not load[a] & ~mask)
+        kept = tuple(a for a, need in args if not need & ~mask)
         if kept not in graphs:
-            graphs[kept] = restrict(full_af, kept)
+            graphs[kept] = AbstractAF._canonical(
+                kept, tuple(d for d, need in defeats if not need & ~mask))
     return CompletionSet(graphs.values())
 
 
@@ -260,12 +263,13 @@ def _encode_deps(deps: Iterable[Dependency],
 
 
 def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
-                       cap: int) -> list[int]:
+                       max_uncertain: int) -> list[int]:
     """Closure-based enumeration of satisfying subsets when all dependencies
     are implications with singleton consequents (definite Horn clauses).
     Output-sensitive: cost scales with the number of satisfying subsets, not
-    with 2^n."""
+    with 2^n.  At most 2^max_uncertain subsets are enumerated."""
     rules = [(x, y) for _, x, y in deps]
+    cap = 1 << max_uncertain
 
     def close(mask: int) -> int:
         changed = True
@@ -292,7 +296,9 @@ def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
                 seen.add(closed)
                 if len(seen) > cap:
                     raise UncertaintyBoundExceededError(
-                        f"more than {cap} dependency-satisfying subsets")
+                        f"more than 2^{max_uncertain} = {cap} dependency-"
+                        f"satisfying subsets (bound {max_uncertain}); raise "
+                        "it with --max-uncertain or UARG_MAX_UNCERTAIN")
                 stack.append(closed)
     return sorted(seen)
 
@@ -311,7 +317,7 @@ def completions_dep(diaf: DepArgIAF,
     if n > _HORN_THRESHOLD and is_implicative(diaf):
         # Wide implicative frameworks (the translation targets) stay
         # tractable through closure enumeration instead of 2^n scans.
-        masks = _horn_closed_masks(n, encoded, 1 << limits.max_uncertain)
+        masks = _horn_closed_masks(n, encoded, limits.max_uncertain)
     else:
         _check_uncertain_bound(n, limits)
         masks = kernels.dependency_masks(n, encoded)

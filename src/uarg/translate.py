@@ -23,7 +23,7 @@ from .aspic import (
     validate_theory,
 )
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF
+from .core import AbstractAF, check_argument_id
 from .errors import InvalidTheoryError
 from .incomplete import (
     ArgIAF,
@@ -90,13 +90,23 @@ class Witness:
         second = then.mapping
         return Witness({src: second[mid] for src, mid in self.pairs})
 
-    def apply_af(self, af: AbstractAF) -> AbstractAF:
+    def _relabel(self, afs: Iterable[AbstractAF]) -> list[AbstractAF]:
+        """Images of ``afs``.  The image of each argument in use is checked
+        once; one outside the domain raises KeyError.  A non-injective
+        witness merges arguments and defeats."""
         m = self.mapping
-        return AbstractAF((m[a] for a in af.args),
-                          ((m[s], m[t]) for s, t in af.defeats))
+        for name in sorted({a for af in afs for a in af.args}):
+            check_argument_id(m[name])
+        return [AbstractAF._canonical(
+                    tuple(sorted({m[a] for a in af.args})),
+                    tuple(sorted({(m[s], m[t]) for s, t in af.defeats})))
+                for af in afs]
+
+    def apply_af(self, af: AbstractAF) -> AbstractAF:
+        return self._relabel((af,))[0]
 
     def apply(self, completions: CompletionSet) -> CompletionSet:
-        return CompletionSet(self.apply_af(af) for af in completions)
+        return CompletionSet(self._relabel(completions))
 
     def to_json(self) -> dict:
         return {"map": [list(pair) for pair in self.pairs]}
@@ -285,13 +295,20 @@ def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
     empty-bodied rule, and both derivations must keep a rule to attach to.
     Already-tidy frameworks come back unchanged with an identity witness.
     """
+    tidied, witness, _ = _tidy(p, limits)
+    return tidied, witness
+
+
+def _tidy(p: PremISAF, limits: Limits,
+          ) -> tuple[PremISAF, Witness, tuple[StructuredArgument, ...]]:
+    """tidy, plus the arguments of the tidied framework's theory."""
     validate_theory(p.theory)
     theory = p.theory
     args_max = generate_arguments(theory, limits, validate=False)
     premiseless_heads = {rule.head for rule in theory.rules if not rule.body}
     rep = theory.knowledge_base & premiseless_heads
     if not rep:
-        return p, Witness.identity(arg.text for arg in args_max)
+        return p, Witness.identity(arg.text for arg in args_max), args_max
 
     primed_language = {_prime(phi) for phi in theory.formulas}
     clash = primed_language & theory.formulas
@@ -378,7 +395,7 @@ def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
                       uncertain_premises=p.uncertain_premises,
                       preferences=frozenset(preferences))
     assert is_tidy(result)
-    return result, Witness(tau)
+    return result, Witness(tau), new_args_max
 
 
 def prem_isaf_to_rul_isaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
@@ -387,7 +404,7 @@ def prem_isaf_to_rul_isaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
     defeasible rules.  The framework is tidied first, which is exactly what
     keeps the rewrite injective (a formula may not already be derivable by a
     premiseless rule)."""
-    tidied, first = tidy(p, limits)
+    tidied, first, args_max = _tidy(p, limits)
     theory = tidied.theory
     new_strict = {Rule((), phi, STRICT) for phi in tidied.uncertain_axioms}
     new_defeasible = {Rule((), phi, DEFEASIBLE)
@@ -427,7 +444,6 @@ def prem_isaf_to_rul_isaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
         rewrite_cache[argument.text] = out
         return out
 
-    args_max = generate_arguments(theory, limits, validate=False)
     tau = {arg.text: rewrite(arg).text for arg in args_max}
     _check_preference_domain(tidied.preferences, tau)
     preferences = frozenset((tau[a], tau[b]) for a, b in tidied.preferences)

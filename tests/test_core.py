@@ -49,6 +49,14 @@ class TestRestrict:
             bigger = keep | {n for n in names if rng.random() < 0.5}
             assert restrict(restrict(af, keep), keep) == restrict(af, keep)
             assert restrict(af, keep) == restrict(restrict(af, bigger), keep)
+            # the unchecked result is the framework the validating
+            # constructor builds from the same arguments and defeats
+            checked = AbstractAF(
+                [n for n in reversed(names) if n in keep],
+                [(s, t) for s, t in reversed(defeats)
+                 if s in keep and t in keep])
+            assert restrict(af, keep) == checked
+            assert hash(restrict(af, keep)) == hash(checked)
 
 
 class TestEquality:

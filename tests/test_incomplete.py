@@ -189,7 +189,9 @@ class TestDependencyFiltering:
         names = [f"u{i}" for i in range(16)]
         iaf = ArgIAF([], names, [])
         deps = [ImplyDisj([names[0]], [names[1]])]
-        with pytest.raises(UncertaintyBoundExceededError):
+        with pytest.raises(UncertaintyBoundExceededError,
+                           match=r"2\^10 = 1024 .*--max-uncertain or "
+                                 "UARG_MAX_UNCERTAIN"):
             completions_dep(DepArgIAF(iaf, deps), Limits(max_uncertain=10))
 
 

@@ -5,7 +5,9 @@ import pytest
 from uarg import (
     DEFEASIBLE,
     STRICT,
+    AbstractAF,
     ArgIAF,
+    CompletionSet,
     PremISAF,
     Rule,
     Witness,
@@ -24,6 +26,7 @@ from uarg import (
     rul_isaf_to_imp_arg_iaf,
     tidy,
 )
+from uarg import translate
 from uarg.incomplete import DepArgIAF, ImplyDisj
 
 from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
@@ -52,6 +55,44 @@ class TestWitness:
     def test_json_round_trip(self):
         w = Witness({"a": "x"})
         assert Witness.from_json(w.to_json()) == w
+
+    def test_apply_matches_validating_construction(self):
+        # apply builds each image without the per-graph checks; the images
+        # must be the frameworks the validating constructor builds, also
+        # when a witness merges two arguments
+        rng = random.Random(61)
+        names = ["a", "b", "c", "d", "e"]
+        merged = 0
+        for _ in range(60):
+            members = []
+            for _ in range(rng.randint(0, 4)):
+                kept = [n for n in names if rng.random() < 0.7]
+                members.append(AbstractAF(kept, [
+                    (s, t) for s in kept for t in kept if rng.random() < 0.3]))
+            source = CompletionSet(members)
+            images = [f"x{i}" for i in range(len(names))]
+            rng.shuffle(images)
+            if rng.random() < 0.4:
+                images[rng.randrange(5)] = images[rng.randrange(5)]
+            w = Witness(zip(names, images))
+            merged += not w.is_bijective
+            m = w.mapping
+            expected = CompletionSet(
+                AbstractAF([m[a] for a in af.args],
+                           [(m[s], m[t]) for s, t in af.defeats])
+                for af in source)
+            got = w.apply(source)
+            assert got == expected
+            assert [hash(af) for af in got] == [hash(af) for af in expected]
+            assert all(w.apply_af(af) in expected for af in source)
+        assert merged >= 10
+
+    def test_apply_rejects_invalid_image_and_missing_source(self):
+        source = CompletionSet([AbstractAF(["a"])])
+        with pytest.raises(ValueError, match="invalid argument identifier"):
+            Witness({"a": "x y"}).apply(source)
+        with pytest.raises(KeyError):
+            Witness({"b": "x"}).apply(source)
 
 
 class TestArgIafToRulIsaf:
@@ -217,6 +258,24 @@ class TestTidy:
         assert is_tidy(target)
         assert len(generate_arguments(target.theory)) == n_source == 8
         assert certify(source, target, witness)
+
+    def test_arguments_generated_once_per_theory(self, monkeypatch):
+        # prem_isaf_to_rul_isaf reuses the arguments tidy generated: one
+        # theory for a tidy input, the source and the tidied one otherwise
+        calls = []
+
+        def counting(theory, *args, **kwargs):
+            calls.append(theory)
+            return generate_arguments(theory, *args, **kwargs)
+
+        monkeypatch.setattr(translate, "generate_arguments", counting)
+        prem_isaf_to_rul_isaf(fixtures.get("thm7_prem"))
+        assert len(calls) == 1
+        calls.clear()
+        theory = make_theory(rules=[Rule([], "p", DEFEASIBLE)],
+                             premises=["p"], close_negation=True)
+        prem_isaf_to_rul_isaf(PremISAF(theory))
+        assert len(calls) == 2
 
     def test_undercut_survives_tidying(self):
         named = Rule(["p"], "q", DEFEASIBLE)
