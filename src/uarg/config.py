@@ -20,7 +20,7 @@ class Limits:
     max_arguments: int = 10_000  # generated structured arguments
     max_depth: int = 50          # structured argument height
     max_equiv_args: int = 16     # union size for equivalence search
-    max_search_args: int = 6     # argument count for exhaustive framework search
+    max_search_args: int = 6     # framework size for negative certification
 
     def __post_init__(self):
         for f in fields(self):

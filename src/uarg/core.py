@@ -204,6 +204,12 @@ def _match_line(line: str, lineno: int,
             if not m:
                 raise ParseError(f"malformed {kind}(...) line: {stripped!r}",
                                  lineno, column)
+            for name in m.groups():
+                # the pattern leaves out (),. and whitespace; printable
+                # makes the name a valid identifier
+                if not name.isprintable():
+                    raise ParseError(f"invalid identifier {name!r}",
+                                     lineno, column)
             return kind, m.groups()
     raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
 

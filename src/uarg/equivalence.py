@@ -3,17 +3,20 @@ identifiers that maps one set of frameworks exactly onto another.
 
 The decision runs a complete backtracking search over bijections, pruned by
 occurrence signatures (for each argument, the multiset of per-framework
-shapes it occurs in, refined by defeat degrees).  Negative certification for
-small framework spaces is exhaustive with isomorphism-aware pruning.
+shapes it occurs in, refined by defeat degrees).  Each source member keeps
+a bitmask of the target members still consistent with the partial
+bijection; assigning a name narrows the masks, and an empty one prunes.
+Negative certification against argument-incomplete frameworks needs no
+search over frameworks: completion sets are closed under renaming, so a
+target has an equivalent framework iff the one framework that could
+produce it under its own names does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF
 from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import ArgIAF, CompletionSet, completions_arg_iaf
 from .translate import Witness
@@ -70,6 +73,21 @@ def _signatures(completions: CompletionSet) -> dict[str, tuple]:
     return {a: tuple(sorted(entries)) for a, entries in sigs.items()}
 
 
+def _member_masks(completions: CompletionSet) -> tuple[
+        dict[str, int], dict[tuple[str, str], int]]:
+    """For each argument and each defeat, the members holding it, as a
+    bitmask over member positions."""
+    has: dict[str, int] = {}
+    defeats: dict[tuple[str, str], int] = {}
+    for i, af in enumerate(completions):
+        bit = 1 << i
+        for a in af.args:
+            has[a] = has.get(a, 0) | bit
+        for d in af.defeats:
+            defeats[d] = defeats.get(d, 0) | bit
+    return has, defeats
+
+
 def equivalent(source: CompletionSet, target: CompletionSet,
                limits: Limits = DEFAULT_LIMITS,
                identity_only: bool = False) -> EquivalenceResult:
@@ -82,7 +100,9 @@ def equivalent(source: CompletionSet, target: CompletionSet,
     tgt_union = target.argument_union()
     if max(len(src_union), len(tgt_union)) > limits.max_equiv_args:
         raise SearchBoundExceededError(
-            f"argument union exceeds max_equiv_args={limits.max_equiv_args}")
+            f"argument union of {max(len(src_union), len(tgt_union))} "
+            f"exceeds max_equiv_args={limits.max_equiv_args}; raise it with "
+            "--max-equiv-args or UARG_MAX_EQUIV_ARGS")
     if len(source) != len(target) or len(src_union) != len(tgt_union):
         return EquivalenceResult(NOT_EQUIVALENT, None)
     shapes = sorted((len(af.args), len(af.defeats)) for af in source)
@@ -110,35 +130,56 @@ def equivalent(source: CompletionSet, target: CompletionSet,
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
     order = sorted(src_union, key=lambda a: (src_sig[a], a))
-    target_afs = list(target)
-    assignment: dict[str, str] = {}
+    src_has, src_def = _member_masks(source)
+    tgt_has, tgt_def = _member_masks(target)
+    full = (1 << len(target)) - 1
+    tgt_shape: dict[tuple[int, int], int] = {}
+    for j, af in enumerate(target):
+        shape = (len(af.args), len(af.defeats))
+        tgt_shape[shape] = tgt_shape.get(shape, 0) | 1 << j
+    assigned: list[tuple[str, str]] = []
     used: set[str] = set()
     stats = {"nodes": 0, "prunes": 0}
 
-    def partial_consistent() -> bool:
-        assigned = set(assignment)
-        mapped = set(assignment.values())
-        for af in source:
-            pres = [a for a in af.args if a in assigned]
-            img = {assignment[a] for a in pres}
-            img_edges = {(assignment[s], assignment[t]) for s, t in af.defeats
-                         if s in assigned and t in assigned}
-            shape = (len(af.args), len(af.defeats))
-            for caf in target_afs:
-                if (len(caf.args), len(caf.defeats)) != shape:
-                    continue
-                if caf.arg_set & mapped != img:
-                    continue
-                if {(s, t) for s, t in caf.defeats
-                        if s in mapped and t in mapped} == img_edges:
-                    break
+    def narrow(masks: list[int], name: str,
+               candidate: str) -> list[int] | None:
+        """Each source member's mask of consistent target members once
+        name -> candidate joins the assignment, or None if one empties.
+        Consistency is a conjunction over assigned names and pairs of
+        them, so only the conjuncts that mention name are new: membership
+        of name, and the defeats between name and the names assigned so
+        far (itself included)."""
+        has_t = tgt_has[candidate]
+        lacks_t = full ^ has_t
+        pairs = [((name, name), (candidate, candidate))]
+        for a, b in assigned:
+            pairs.append(((name, a), (candidate, b)))
+            pairs.append(((a, name), (b, candidate)))
+        checks = []
+        for src_pair, tgt_pair in pairs:
+            s = src_def.get(src_pair, 0)
+            t = tgt_def.get(tgt_pair, 0)
+            if s or t:
+                checks.append((s, t, full ^ t))
+        has_s = src_has[name]
+        out = []
+        for i, mask in enumerate(masks):
+            if has_s >> i & 1:
+                mask &= has_t
+                for s, t, lacks in checks:
+                    mask &= t if s >> i & 1 else lacks
             else:
-                return False
-        return True
+                # no defeat of name here, and no target member left in
+                # the mask holds candidate, so none of its defeats either
+                mask &= lacks_t
+            if not mask:
+                return None
+            out.append(mask)
+        return out
 
-    def search(pos: int) -> Witness | None:
+    def search(pos: int, masks: list[int]) -> Witness | None:
         if pos == len(order):
-            witness = Witness(assignment)
+            witness = Witness(assigned)
             if witness.apply(source) == target:
                 return witness
             stats["prunes"] += 1
@@ -148,19 +189,21 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             if candidate in used:
                 continue
             stats["nodes"] += 1
-            assignment[name] = candidate
-            used.add(candidate)
-            if partial_consistent():
-                found = search(pos + 1)
-                if found is not None:
-                    return found
-            else:
+            narrowed = narrow(masks, name, candidate)
+            if narrowed is None:
                 stats["prunes"] += 1
-            del assignment[name]
+                continue
+            assigned.append((name, candidate))
+            used.add(candidate)
+            found = search(pos + 1, narrowed)
+            if found is not None:
+                return found
+            assigned.pop()
             used.discard(candidate)
         return None
 
-    witness = search(0)
+    witness = search(0, [tgt_shape[(len(af.args), len(af.defeats))]
+                         for af in source])
     if witness is None:
         return EquivalenceResult(NOT_EQUIVALENT, None,
                                  stats["nodes"], stats["prunes"])
@@ -174,47 +217,34 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
     arguments (any fixed/uncertain split, any defeat relation, modulo
     renaming) has a completion set equivalent to the target.
 
-    Sound necessary conditions prune the space hard: a plain framework has
-    exactly 2^k distinct completions, its maximal completion contains every
-    argument, and every other completion is an induced restriction of it.
-    Surviving candidates are enumerated as relabelings of the maximal
-    member and checked with the full equivalence search.
+    Completion sets of argument-incomplete frameworks are closed under
+    renaming, so the target has an equivalent one iff it is one itself,
+    under its own names.  Only one framework can produce it: its fixed
+    arguments are in every member, its uncertain ones are the rest of the
+    union, and its defeats are those of the one member that holds the
+    whole union.  That candidate is built and compared with the target
+    under the identity mapping.
     """
     if max_args > limits.max_search_args:
         raise SearchBoundExceededError(
             f"max_args={max_args} exceeds max_search_args="
-            f"{limits.max_search_args}")
+            f"{limits.max_search_args}; raise it with --max-search-args "
+            "or UARG_MAX_SEARCH_ARGS")
     if len(target) == 0:
         return True  # completion sets are never empty
-    union = sorted(target.argument_union())
-    n = len(union)
-    if n > max_args:
+    union = target.argument_union()
+    if len(union) > max_args:
         return True
-    count = len(target)
-    if count & (count - 1):
-        return True  # completion counts of plain frameworks are powers of two
-    k = count.bit_length() - 1
-    if k > n:
+    fixed = union.intersection(*(af.args for af in target))
+    uncertain = union - fixed
+    if len(target) != 1 << len(uncertain):
+        return True  # distinct subsets of uncertain arguments, one each
+    full_members = [af for af in target if len(af.args) == len(union)]
+    if len(full_members) != 1:
         return True
-    max_members = [af for af in target if len(af.args) == n]
-    if len(max_members) != 1:
-        return True
-    max_member = max_members[0]
-
-    seen: set[tuple] = set()
-    for perm in permutations(range(n)):
-        relabel = {max_member.args[i]: union[perm[i]] for i in range(n)}
-        defeats = tuple(sorted((relabel[s], relabel[t])
-                               for s, t in max_member.defeats))
-        if defeats in seen:
-            continue
-        seen.add(defeats)
-        for uncertain in combinations(union, k):
-            candidate = ArgIAF(set(union) - set(uncertain), uncertain, defeats)
-            completions = completions_arg_iaf(candidate, limits)
-            if equivalent(completions, target, limits).equivalent:
-                return False
-    return True
+    candidate = ArgIAF(fixed, uncertain, full_members[0].defeats)
+    return not equivalent(completions_arg_iaf(candidate, limits), target,
+                          limits, identity_only=True).equivalent
 
 
 def equivalence_properties_check(s: CompletionSet, t: CompletionSet,

@@ -2,12 +2,30 @@
 
 Everything here is definition-literal and set-based, deliberately avoiding
 the package's bitmask kernels and search machinery so the two routes stay
-independent checks of each other.
+independent checks of each other.  The two exceptions are kept slow paths:
+``recheck_equivalent`` shares the search order of ``uarg.equivalent`` (its
+signatures), so that it can check the search counters too, and
+``enumerated_no_equivalent_arg_iaf`` calls ``uarg.equivalent``.
 """
 
 from itertools import chain, combinations, permutations
 
-from uarg import AbstractAF, satisfies
+from uarg import (
+    DEFAULT_LIMITS,
+    AbstractAF,
+    ArgIAF,
+    Witness,
+    completions_arg_iaf,
+    equivalent,
+    satisfies,
+)
+from uarg.equivalence import (
+    EQUIVALENT,
+    NOT_EQUIVALENT,
+    EquivalenceResult,
+    _signatures,
+)
+from uarg.errors import SearchBoundExceededError
 
 
 def powerset(items):
@@ -107,3 +125,132 @@ def brute_force_equivalent(source, target) -> dict | None:
         if mapped == as_pairs(target):
             return mapping
     return None
+
+
+def recheck_equivalent(source, target, limits=DEFAULT_LIMITS):
+    """The equivalence search that re-checks every source member against
+    every target member at each node, from scratch.  Same order, same
+    signatures and same counting as ``uarg.equivalent``, so verdict,
+    witness, nodes and prunes must all agree with it."""
+    src_union = source.argument_union()
+    tgt_union = target.argument_union()
+    if max(len(src_union), len(tgt_union)) > limits.max_equiv_args:
+        raise SearchBoundExceededError(
+            f"argument union exceeds max_equiv_args={limits.max_equiv_args}")
+    if len(source) != len(target) or len(src_union) != len(tgt_union):
+        return EquivalenceResult(NOT_EQUIVALENT, None)
+    shapes = sorted((len(af.args), len(af.defeats)) for af in source)
+    if shapes != sorted((len(af.args), len(af.defeats)) for af in target):
+        return EquivalenceResult(NOT_EQUIVALENT, None)
+
+    src_sig = _signatures(source)
+    tgt_sig = _signatures(target)
+    tgt_by_sig: dict[tuple, list[str]] = {}
+    for name in sorted(tgt_union):
+        tgt_by_sig.setdefault(tgt_sig[name], []).append(name)
+    src_by_sig: dict[tuple, list[str]] = {}
+    for name in sorted(src_union):
+        src_by_sig.setdefault(src_sig[name], []).append(name)
+    if {sig: len(v) for sig, v in src_by_sig.items()} != \
+            {sig: len(v) for sig, v in tgt_by_sig.items()}:
+        return EquivalenceResult(NOT_EQUIVALENT, None)
+
+    order = sorted(src_union, key=lambda a: (src_sig[a], a))
+    target_afs = list(target)
+    assignment: dict[str, str] = {}
+    used: set[str] = set()
+    stats = {"nodes": 0, "prunes": 0}
+
+    def partial_consistent() -> bool:
+        assigned = set(assignment)
+        mapped = set(assignment.values())
+        for af in source:
+            pres = [a for a in af.args if a in assigned]
+            img = {assignment[a] for a in pres}
+            img_edges = {(assignment[s], assignment[t]) for s, t in af.defeats
+                         if s in assigned and t in assigned}
+            shape = (len(af.args), len(af.defeats))
+            for caf in target_afs:
+                if (len(caf.args), len(caf.defeats)) != shape:
+                    continue
+                if caf.arg_set & mapped != img:
+                    continue
+                if {(s, t) for s, t in caf.defeats
+                        if s in mapped and t in mapped} == img_edges:
+                    break
+            else:
+                return False
+        return True
+
+    def search(pos: int) -> Witness | None:
+        if pos == len(order):
+            witness = Witness(assignment)
+            if witness.apply(source) == target:
+                return witness
+            stats["prunes"] += 1
+            return None
+        name = order[pos]
+        for candidate in tgt_by_sig.get(src_sig[name], ()):
+            if candidate in used:
+                continue
+            stats["nodes"] += 1
+            assignment[name] = candidate
+            used.add(candidate)
+            if partial_consistent():
+                found = search(pos + 1)
+                if found is not None:
+                    return found
+            else:
+                stats["prunes"] += 1
+            del assignment[name]
+            used.discard(candidate)
+        return None
+
+    witness = search(0)
+    if witness is None:
+        return EquivalenceResult(NOT_EQUIVALENT, None,
+                                 stats["nodes"], stats["prunes"])
+    return EquivalenceResult(EQUIVALENT, witness,
+                             stats["nodes"], stats["prunes"])
+
+
+def enumerated_no_equivalent_arg_iaf(target, max_args,
+                                     limits=DEFAULT_LIMITS) -> bool:
+    """Negative certification by enumeration: every relabelling of the
+    target's one full member onto the target's names, with every choice
+    of uncertain arguments, is checked with the equivalence search."""
+    if max_args > limits.max_search_args:
+        raise SearchBoundExceededError(
+            f"max_args={max_args} exceeds max_search_args="
+            f"{limits.max_search_args}")
+    if len(target) == 0:
+        return True  # completion sets are never empty
+    union = sorted(target.argument_union())
+    n = len(union)
+    if n > max_args:
+        return True
+    count = len(target)
+    if count & (count - 1):
+        return True  # completion counts of plain frameworks are powers of two
+    k = count.bit_length() - 1
+    if k > n:
+        return True
+    max_members = [af for af in target if len(af.args) == n]
+    if len(max_members) != 1:
+        return True
+    max_member = max_members[0]
+
+    seen: set[tuple] = set()
+    for perm in permutations(range(n)):
+        relabel = {max_member.args[i]: union[perm[i]] for i in range(n)}
+        defeats = tuple(sorted((relabel[s], relabel[t])
+                               for s, t in max_member.defeats))
+        if defeats in seen:
+            continue
+        seen.add(defeats)
+        for uncertain in combinations(union, k):
+            candidate = ArgIAF(set(union) - set(uncertain), uncertain, defeats)
+            completions = completions_arg_iaf(candidate, limits)
+            if equivalent(completions, target, limits).equivalent:
+                return False
+    return True

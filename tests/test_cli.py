@@ -243,8 +243,9 @@ class TestConfigLayers:
 
 
 class TestErrorContract:
-    """Bad input exits 2 with one ``CODE: message`` line and no traceback.
-    Runs the CLI in a subprocess so an escaping exception would show."""
+    """Bad input exits 2, an exceeded bound 3, each with one
+    ``CODE: message`` line and no traceback.  Runs the CLI in a subprocess
+    so an escaping exception would show."""
 
     @pytest.mark.parametrize("argv, env, code", [
         (["equiv", "{missing}", "{missing}"], {}, "INPUT_ERROR"),
@@ -263,20 +264,38 @@ class TestErrorContract:
         (["semantics", "fixture:example1", "--sigma", "grounded"], {},
          "INPUT_ERROR"),
         (["synth-deps", "fixture:example4", "{missing}"], {}, "INPUT_ERROR"),
+        (["equiv", "{bad}", "{bad}"], {}, "PARSE_ERROR"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
-            "synth-deps-not-arg-iaf"])
+            "synth-deps-not-arg-iaf", "equiv-unprintable-identifier"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
-        argv = [a.format(missing=tmp_path / "missing", cfg=cfg) for a in argv]
+        bad = tmp_path / "bad.afs"
+        bad.write_text("arg(a\x01).\n---\n", encoding="utf-8")
+        argv = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad)
+                for a in argv]
+        self.assert_one_line(argv, env, 2, code)
+
+    def test_exit_three_on_search_bound(self, tmp_path):
+        doc = tmp_path / "two.afs"
+        doc.write_text("arg(a).\narg(b).\n---\n", encoding="utf-8")
+        line = self.assert_one_line(
+            ["--max-equiv-args", "1", "equiv", str(doc), str(doc)], {}, 3,
+            "SEARCH_BOUND_EXCEEDED")
+        assert "union of 2" in line and "--max-equiv-args" in line \
+            and "UARG_MAX_EQUIV_ARGS" in line
+
+    @staticmethod
+    def assert_one_line(argv, env, exit_code, code):
         src = str(Path(uarg.__file__).resolve().parent.parent)
         result = subprocess.run(
             [sys.executable, "-m", "uarg.cli", *argv],
             env={**os.environ, "PYTHONPATH": src, **env},
             capture_output=True, text=True, timeout=60)
-        assert result.returncode == 2, result.stderr
+        assert result.returncode == exit_code, result.stderr
         assert "Traceback" not in result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"{code}: "), lines
+        return lines[0]

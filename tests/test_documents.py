@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uarg import AbstractAF, CompletionSet, fixtures
+from uarg.core import is_valid_argument_id
 from uarg.documents import (
     build_prem_isaf,
     build_rul_isaf,
@@ -15,7 +18,34 @@ from uarg.documents import (
     serialize_framework,
     theory_document_of,
 )
-from uarg.errors import InvalidTheoryError, ParseError
+from uarg.errors import InvalidTheoryError, ParseError, UargError
+
+# Lines and fragments of the completion-set format, so that generated
+# text reaches the identifier and declaration checks, not only
+# "unrecognized line".
+_LINES = st.tuples(
+    st.sampled_from(["arg(", "att(", "att(a,", " arg(", "%", "---"]),
+    st.text(max_size=4),
+    st.sampled_from([").", ",a).", ")", "", ". "]),
+    st.sampled_from(["\n", "\r\n", "\x85", ""])).map("".join)
+_TEXT = st.lists(st.one_of(_LINES, st.text(max_size=8)), max_size=12) \
+    .map("".join)
+
+
+@st.composite
+def completion_sets(draw):
+    names = draw(st.lists(
+        st.text(min_size=1, max_size=4).filter(is_valid_argument_id),
+        max_size=5, unique=True))
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        args = draw(st.lists(st.sampled_from(names), unique=True)) \
+            if names else []
+        pairs = [(s, t) for s in args for t in args]
+        defeats = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+            if pairs else []
+        members.append(AbstractAF(args, defeats))
+    return CompletionSet(members)
 
 
 class TestTheoryJson:
@@ -88,6 +118,27 @@ class TestCompletionSetDocuments:
         text = "arg(a).\n---\narg(b)."
         cs = parse_completion_set(text)
         assert cs == CompletionSet([AbstractAF(["a"]), AbstractAF(["b"])])
+
+
+class TestCompletionSetFuzz:
+    @given(_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_only_uarg_errors_escape(self, text):
+        try:
+            parsed = parse_completion_set(text)
+        except UargError:
+            return
+        assert parse_completion_set(serialize_completion_set(parsed)) == parsed
+
+    @given(completion_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_inverts_serialize(self, cs):
+        assert parse_completion_set(serialize_completion_set(cs)) == cs
+
+    def test_invalid_identifier_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid identifier") as info:
+            parse_completion_set("arg(a).\n  arg(b\x00).\n---\narg(c).")
+        assert (info.value.line, info.value.column) == (2, 3)
 
 
 class TestFrameworkLoading:

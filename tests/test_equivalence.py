@@ -19,7 +19,45 @@ from uarg import (
 from uarg.errors import DomainMismatchError, SearchBoundExceededError
 
 from framework_gen import random_arg_iaf
-from oracles import brute_force_equivalent
+from oracles import (
+    brute_force_equivalent,
+    enumerated_no_equivalent_arg_iaf,
+    recheck_equivalent,
+)
+
+
+def toggled(rng, af):
+    """The member with one defeat between its arguments toggled."""
+    edge = (rng.choice(af.args), rng.choice(af.args))
+    return AbstractAF(af.args, set(af.defeats) ^ {edge})
+
+
+def toggle_defeat(rng, completions):
+    """The set with one defeat toggled in one non-empty member."""
+    members = list(completions)
+    i = rng.choice([i for i, af in enumerate(members) if af.args])
+    members[i] = toggled(rng, members[i])
+    return CompletionSet(members)
+
+
+def swap_defeats(rng, completions):
+    """The set with (a,b),(c,d) replaced by (a,d),(c,b) in one member, so
+    every argument keeps its degrees there; None if no member allows it."""
+    members = list(completions)
+    for i in rng.sample(range(len(members)), len(members)):
+        af = members[i]
+        edges = [e for e in af.defeats if e[0] != e[1]]
+        swaps = [(e, f) for e in edges for f in edges
+                 if e < f and len({*e, *f}) == 4
+                 and (e[0], f[1]) not in af.defeats
+                 and (f[0], e[1]) not in af.defeats]
+        if swaps:
+            (a, b), (c, d) = rng.choice(swaps)
+            defeats = set(af.defeats) - {(a, b), (c, d)} | {(a, d), (c, b)}
+            members[i] = AbstractAF(af.args, defeats)
+            return CompletionSet(members)
+    return None
+
 
 THM10_WITNESS = Witness({
     "[]=d>p_b": "b",
@@ -144,8 +182,60 @@ class TestEquivalent:
 
     def test_search_bound(self):
         s = CompletionSet([AbstractAF([f"a{i}" for i in range(6)])])
-        with pytest.raises(SearchBoundExceededError):
+        with pytest.raises(SearchBoundExceededError,
+                           match="union of 6 exceeds max_equiv_args=5; "
+                                 "raise it with --max-equiv-args or "
+                                 "UARG_MAX_EQUIV_ARGS"):
             equivalent(s, s, Limits(max_equiv_args=5))
+
+    def test_matches_full_recheck_search(self):
+        # Relabelled pairs and degree-preserving near misses of three kinds
+        # of sets: completion sets, arbitrary framework sets, and sets of
+        # equally shaped members over one argument set (where only the
+        # per-member defeats, self-defeats included, tell members apart).
+        # The narrowed masks must give the same verdict, witness, nodes
+        # and prunes as re-checking every member pair at every node.
+        rng = random.Random(107)
+        found = refuted = prunes = 0
+        for trial in range(400):
+            n = rng.randint(3, 8)
+            names = [f"v{i}" for i in range(n)]
+            if trial % 4 == 0:
+                uncertain = rng.sample(names, rng.randint(1, min(n, 4)))
+                defeats = [(a, b) for a in names for b in names
+                           if rng.random() < 0.3]
+                source = completions_arg_iaf(
+                    ArgIAF(set(names) - set(uncertain), uncertain, defeats))
+            elif trial % 4 == 1:
+                source = CompletionSet(
+                    AbstractAF(kept, [(a, b) for a in kept for b in kept
+                                      if rng.random() < 0.3])
+                    for kept in (rng.sample(names, rng.randint(1, n))
+                                 for _ in range(rng.randint(2, 12))))
+            else:
+                names = names[:rng.randint(2, 5)]
+                pairs = [(a, b) for a in names for b in names]
+                k = rng.randint(1, len(names))
+                source = CompletionSet(
+                    AbstractAF(names, rng.sample(pairs, k))
+                    for _ in range(rng.randint(2, 6)))
+            names = sorted(source.argument_union())
+            n = len(names)
+            fresh = [f"w{i}" for i in range(n)]
+            rng.shuffle(fresh)
+            target = Witness(dict(zip(names, fresh))).apply(source)
+            if rng.random() < 0.5:
+                target = swap_defeats(rng, target) or \
+                    toggle_defeat(rng, target)
+            got = equivalent(source, target)
+            want = recheck_equivalent(source, target)
+            assert (got.verdict, got.witness, got.nodes, got.prunes) == \
+                (want.verdict, want.witness, want.nodes, want.prunes)
+            found += got.equivalent
+            refuted += not got.equivalent and got.nodes > 0
+            prunes += got.prunes
+        # refutations by the search itself, not by the signature filter
+        assert found >= 10 and refuted >= 10 and prunes > 0
 
     def test_identity_only_mode(self):
         s = completion_set_of(fixtures.get("example1"))
@@ -198,8 +288,50 @@ class TestNoEquivalentArgIaf:
 
     def test_bound_check(self):
         t3 = completion_set_of(fixtures.get("thm3_rul"))
-        with pytest.raises(SearchBoundExceededError):
+        with pytest.raises(SearchBoundExceededError,
+                           match="max_args=7 exceeds max_search_args=6; "
+                                 "raise it with --max-search-args or "
+                                 "UARG_MAX_SEARCH_ARGS"):
             no_equivalent_arg_iaf(t3, 7)
+
+    def test_matches_enumeration_oracle(self):
+        # Each target as-is, with one defeat toggled, with one member
+        # dropped, and with a non-full member replaced by a toggled copy of
+        # the full one; the last two reach the count and full-member exits.
+        rng = random.Random(109)
+        exits = {"union": 0, "count": 0, "full": 0}
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            base = completions_arg_iaf(random_arg_iaf(rng, max_args=4))
+            members = list(base)
+            variants = [base]
+            if any(af.args for af in members):
+                variants.append(toggle_defeat(rng, base))
+            if len(members) > 2:
+                variants.append(CompletionSet(members[:1] + members[2:]))
+                full = max(members, key=lambda af: len(af.args))
+                partial = rng.choice([af for af in members if af != full])
+                variants.append(CompletionSet(
+                    toggled(rng, full) if af == partial else af
+                    for af in members))
+            for target in variants:
+                union = target.argument_union()
+                fixed = union.intersection(*(af.args for af in target))
+                n_full = sum(len(af.args) == len(union) for af in target)
+                for max_args in (3, 4, 5):
+                    got = no_equivalent_arg_iaf(target, max_args)
+                    assert got == enumerated_no_equivalent_arg_iaf(
+                        target, max_args)
+                    verdicts[got] += 1
+                    if len(union) > max_args:
+                        exits["union"] += 1
+                    elif len(target) & (len(target) - 1):
+                        exits["count"] += 1
+                    elif len(target) == 1 << len(union - fixed) \
+                            and n_full == 2:
+                        exits["full"] += 1
+        assert all(exits.values()), exits
+        assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
 class TestPropertiesCheck:
