@@ -83,7 +83,8 @@ class Rule:
 @dataclass(frozen=True, eq=True)
 class ArgumentationTheory:
     """Language, contrariness, rules, rule naming, and the split knowledge
-    base (axioms are not underminable; ordinary premises are)."""
+    base (axioms are not underminable; ordinary premises are).  Validated
+    when built, also by ``dataclasses.replace``."""
 
     formulas: frozenset[str]
     contraries: frozenset[tuple[str, str]]  # (phi, psi): phi in contrary-set of psi
@@ -91,6 +92,9 @@ class ArgumentationTheory:
     naming: Mapping[Rule, str]
     axioms: frozenset[str]
     premises: frozenset[str]
+
+    def __post_init__(self):
+        validate_theory(self)
 
     @property
     def knowledge_base(self) -> frozenset[str]:
@@ -131,7 +135,7 @@ def make_theory(contraries: Iterable[tuple[str, str]] = (),
             referenced.add(negate(phi))
             contraries.add((phi, negate(phi)))
             contraries.add((negate(phi), phi))
-    theory = ArgumentationTheory(
+    return ArgumentationTheory(
         formulas=frozenset(referenced),
         contraries=frozenset(contraries),
         rules=rules,
@@ -139,14 +143,13 @@ def make_theory(contraries: Iterable[tuple[str, str]] = (),
         axioms=frozenset(axioms),
         premises=frozenset(premises),
     )
-    validate_theory(theory)
-    return theory
 
 
 def validate_theory(theory: ArgumentationTheory) -> None:
-    for phi in theory.formulas:
-        if not is_valid_formula(phi):
-            raise InvalidTheoryError(f"invalid formula token: {phi!r}")
+    """Raise InvalidTheoryError, naming the smallest offending formula."""
+    bad = [phi for phi in theory.formulas if not is_valid_formula(phi)]
+    if bad:
+        raise InvalidTheoryError(f"invalid formula token: {min(bad)!r}")
     overlap = theory.axioms & theory.premises
     if overlap:
         raise InvalidTheoryError(
@@ -169,12 +172,12 @@ def validate_theory(theory: ArgumentationTheory) -> None:
         raise InvalidTheoryError(
             f"formulas referenced but not in the language: {sorted(stray)}")
     pairs = theory.contraries
-    for phi in theory.formulas:
-        if not any((phi, psi) in pairs and (psi, phi) in pairs
-                   for psi in theory.formulas):
-            raise InvalidTheoryError(
-                f"formula {phi!r} has no contradictory; add contrary pairs "
-                "or enable close_negation")
+    lacking = theory.formulas.difference(
+        phi for phi, psi in pairs if (psi, phi) in pairs)
+    if lacking:
+        raise InvalidTheoryError(
+            f"formula {min(lacking)!r} has no contradictory; add contrary "
+            "pairs or enable close_negation")
 
 
 class StructuredArgument:
@@ -282,15 +285,13 @@ def is_simple(argument: StructuredArgument) -> bool:
 
 def generate_arguments(theory: ArgumentationTheory,
                        limits: Limits = DEFAULT_LIMITS,
-                       validate: bool = True) -> tuple[StructuredArgument, ...]:
+                       ) -> tuple[StructuredArgument, ...]:
     """Least fixpoint of the formation clauses, sorted by serialization.
 
     Inference nodes take exactly one sub-argument per body formula.  Hitting
     max_arguments or max_depth raises: a silently truncated argument set
     would corrupt every completion-level result downstream.
     """
-    if validate:
-        validate_theory(theory)
     known: dict[str, StructuredArgument] = {}
     by_conc: dict[str, list[StructuredArgument]] = {}
 
@@ -299,13 +300,15 @@ def generate_arguments(theory: ArgumentationTheory,
             return False
         if arg.height > limits.max_depth:
             raise GenerationLimitExceededError(
-                f"argument height exceeds max_depth={limits.max_depth}; the "
-                "rule set admits unboundedly deep arguments")
+                f"argument height exceeds max_depth={limits.max_depth}: the "
+                "rule set admits unboundedly deep arguments; raise it with "
+                "--max-depth or UARG_MAX_DEPTH")
         known[arg.text] = arg
         by_conc.setdefault(arg.conc, []).append(arg)
         if len(known) > limits.max_arguments:
             raise GenerationLimitExceededError(
-                f"more than max_arguments={limits.max_arguments} arguments")
+                f"more than max_arguments={limits.max_arguments} arguments; "
+                "raise it with --max-arguments or UARG_MAX_ARGUMENTS")
         return True
 
     new_round: list[StructuredArgument] = []
@@ -411,13 +414,13 @@ class SAF:
 
 
 def defeats(saf: SAF, arguments: tuple[StructuredArgument, ...] | None = None,
-            limits: Limits = DEFAULT_LIMITS, validate: bool = True,
+            limits: Limits = DEFAULT_LIMITS,
             ) -> frozenset[tuple[StructuredArgument, StructuredArgument]]:
     """Defeat pairs: undercuts always defeat; undermining and rebutting
     defeat unless the attacker is strictly less preferred than the locus."""
     theory = saf.theory
     if arguments is None:
-        arguments = generate_arguments(theory, limits, validate=validate)
+        arguments = generate_arguments(theory, limits)
     texts = {arg.text for arg in arguments}
     for a, b in saf.preferences:
         if a not in texts or b not in texts:
@@ -452,13 +455,13 @@ def defeats(saf: SAF, arguments: tuple[StructuredArgument, ...] | None = None,
 
 def associated_af(saf: SAF,
                   arguments: tuple[StructuredArgument, ...] | None = None,
-                  limits: Limits = DEFAULT_LIMITS, validate: bool = True):
+                  limits: Limits = DEFAULT_LIMITS):
     """Abstract framework over canonical serializations of the generated
     arguments, with the defeat relation as edges."""
     from .core import AbstractAF
 
     if arguments is None:
-        arguments = generate_arguments(saf.theory, limits, validate=validate)
-    pairs = defeats(saf, arguments, limits, validate=False)
+        arguments = generate_arguments(saf.theory, limits)
+    pairs = defeats(saf, arguments, limits)
     return AbstractAF((arg.text for arg in arguments),
                       ((a.text, b.text) for a, b in pairs))

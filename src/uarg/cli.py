@@ -16,7 +16,7 @@ import click
 
 from . import documents, equivalence, fixtures, translate
 from .aspic import SAF
-from .config import Limits, load_limits
+from .config import Limits, load_limits, read_text
 from .core import SEMANTICS, AbstractAF, extensions, serialize_af
 from .errors import (
     RESOURCE_ERRORS,
@@ -50,14 +50,6 @@ def _fixture(name: str) -> fixtures.Fixture:
                          f"list`") from None
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        reason = getattr(error, "strerror", None) or error
-        raise InputError(f"cannot read {str(path)!r}: {reason}") from None
-
-
 def _read_input(spec: str, kind: str | None):
     if spec.startswith("fixture:"):
         name = spec[len("fixture:"):]
@@ -68,7 +60,7 @@ def _read_input(spec: str, kind: str | None):
         return value
     if kind is None:
         raise InputError("--kind is required for file inputs")
-    return documents.load_framework(_read_text(Path(spec)), kind)
+    return documents.load_framework(read_text(spec), kind)
 
 
 def _fixture_kind(spec: str) -> str | None:
@@ -194,9 +186,9 @@ def _read_completion_set(path_spec: str):
         from .incomplete import CompletionSet
         from .core import parse_af
 
-        afs = [parse_af(_read_text(p)) for p in sorted(path.glob("*.apx"))]
+        afs = [parse_af(read_text(p)) for p in sorted(path.glob("*.apx"))]
         return CompletionSet(afs)
-    return documents.parse_completion_set(_read_text(path))
+    return documents.parse_completion_set(read_text(path))
 
 
 @main.command()

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
-from .errors import InvalidLimitError, ParseError
+from .errors import InputError, InvalidLimitError, ParseError
 
 ENV_PREFIX = "UARG_"
 
@@ -32,6 +33,15 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 _INT_KEYS = {f.name for f in fields(Limits)}
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """A file's UTF-8 text; a file that cannot be read is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise InputError(f"cannot read {str(path)!r}: {reason}") from None
 
 
 def parse_config_text(text: str) -> dict[str, int]:
@@ -60,8 +70,8 @@ def load_limits(config_path: str | None = None,
                 env: dict[str, str] | None = None) -> Limits:
     limits = DEFAULT_LIMITS
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            limits = replace(limits, **parse_config_text(fh.read()))
+        limits = replace(limits,
+                         **parse_config_text(read_text(config_path)))
     env = os.environ if env is None else env
     env_values = {}
     for key in sorted(_INT_KEYS):

@@ -214,13 +214,14 @@ def _match_line(line: str, lineno: int,
     raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
 
 
-def parse_af(text: str) -> AbstractAF:
-    """Parse the AF text format: arg(x). / att(x,y). lines, % comments."""
+def parse_af(text: str, *, first_line: int = 1) -> AbstractAF:
+    """Parse the AF text format: arg(x). / att(x,y). lines, % comments.
+    Errors number the text's lines from first_line."""
     args: set[str] = set()
     defeats: set[tuple[str, str]] = set()
     patterns = {"arg": _ARG_LINE, "att": _ATT_LINE}
     pending: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
         stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue

@@ -64,10 +64,25 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidTheoryError(message)
 
 
+def _list(obj: Any, where: str) -> list:
+    _require(isinstance(obj, list), f"{where} must be a list")
+    return obj
+
+
 def _str_list(obj: Any, where: str) -> list[str]:
-    _require(isinstance(obj, list) and all(isinstance(x, str) for x in obj),
+    _require(all(isinstance(x, str) for x in _list(obj, where)),
              f"{where} must be a list of strings")
     return list(obj)
+
+
+def _pairs(obj: Any, where: str, shape: str) -> list[tuple[str, str]]:
+    out = []
+    for pair in _list(obj, where):
+        _require(isinstance(pair, list) and len(pair) == 2
+                 and all(isinstance(x, str) for x in pair),
+                 f"{where} entries must be {shape} pairs of strings")
+        out.append((pair[0], pair[1]))
+    return out
 
 
 def load_theory_document(source: str | dict,
@@ -78,18 +93,21 @@ def load_theory_document(source: str | dict,
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno,
                              exc.colno) from None
+        except (ValueError, RecursionError) as exc:
+            # an integer literal too long to convert, or nesting too deep
+            raise ParseError(f"invalid JSON: {exc}", 1, 1) from None
     else:
         obj = source
     _require(isinstance(obj, dict), "theory document must be a JSON object")
 
     doc = TheoryDocument()
-    doc.close_negation = bool(obj.get("close_negation", False))
+    doc.close_negation = obj.get("close_negation", False)
+    _require(isinstance(doc.close_negation, bool),
+             "close_negation must be true or false")
     doc.formulas = _str_list(obj.get("formulas", []), "formulas")
-    for pair in obj.get("contraries", []):
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 "contraries entries must be [phi, psi] pairs")
-        doc.contraries.append((pair[0], pair[1]))
-    for entry in obj.get("rules", []):
+    doc.contraries = _pairs(obj.get("contraries", []), "contraries",
+                            "[phi, psi]")
+    for entry in _list(obj.get("rules", []), "rules"):
         _require(isinstance(entry, dict), "rules entries must be objects")
         kind = entry.get("kind", DEFEASIBLE)
         _require(kind in (STRICT, DEFEASIBLE),
@@ -97,12 +115,16 @@ def load_theory_document(source: str | dict,
         status = entry.get("status", "fixed")
         _require(status in ("fixed", "uncertain"),
                  f"rule status must be fixed or uncertain: {status!r}")
+        head, name = entry.get("head"), entry.get("name")
+        _require(isinstance(head, str), "rule head must be a string")
+        _require(name is None or isinstance(name, str),
+                 "rule name must be a string")
         doc.rules.append(RuleSpec(
             body=_str_list(entry.get("body", []), "rule body"),
-            head=entry["head"],
+            head=head,
             kind=kind,
             status=status,
-            name=entry.get("name"),
+            name=name,
         ))
     kb = obj.get("kb", {})
     _require(isinstance(kb, dict), "kb must be an object")
@@ -113,10 +135,8 @@ def load_theory_document(source: str | dict,
                                    "kb.premises_fixed")
     doc.premises_uncertain = _str_list(kb.get("premises_uncertain", []),
                                        "kb.premises_uncertain")
-    for pair in obj.get("preferences", []):
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 "preferences entries must be [a, b] pairs")
-        doc.preferences.append((pair[0], pair[1]))
+    doc.preferences = _pairs(obj.get("preferences", []), "preferences",
+                             "[a, b]")
 
     mentioned = set(doc.formulas)
     mentioned.update(doc.axioms_fixed + doc.axioms_uncertain)
@@ -128,7 +148,7 @@ def load_theory_document(source: str | dict,
             mentioned.add(spec.name)
     for phi, psi in doc.contraries:
         mentioned.update((phi, psi))
-    for phi in mentioned:
+    for phi in sorted(mentioned):
         _require(is_valid_formula(phi), f"invalid formula token: {phi!r}")
         if not allow_primed:
             _require(PRIME_SUFFIX not in phi,
@@ -238,18 +258,22 @@ def theory_document_of(framework: SAF | RulISAF | PremISAF) -> dict:
 
 
 def parse_completion_set(text: str) -> CompletionSet:
-    sections: list[str] = []
+    """Errors give the line within the whole document."""
+    sections: list[tuple[int, str]] = []  # (first line, section text)
     current: list[str] = []
-    for line in text.splitlines():
+    first = 1
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip() == "---":
-            sections.append("\n".join(current))
+            sections.append((first, "\n".join(current)))
             current = []
+            first = lineno + 1
         else:
             current.append(line)
     tail = "\n".join(current)
     if tail.strip():
-        sections.append(tail)
-    return CompletionSet(parse_af(section) for section in sections)
+        sections.append((first, tail))
+    return CompletionSet(parse_af(section, first_line=first)
+                         for first, section in sections)
 
 
 def serialize_completion_set(completions: CompletionSet) -> str:

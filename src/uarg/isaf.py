@@ -23,7 +23,6 @@ from .aspic import (
     _argument_of_theory,
     associated_af,
     generate_arguments,
-    validate_theory,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF
@@ -105,7 +104,7 @@ def _completion(x: RulISAF | PremISAF, theory: ArgumentationTheory,
                 limits: Limits) -> tuple[SAF, tuple[StructuredArgument, ...]]:
     """The completion of x with this theory, preferences restricted to its
     generated arguments, and those arguments."""
-    arguments = generate_arguments(theory, limits, validate=False)
+    arguments = generate_arguments(theory, limits)
     texts = {arg.text for arg in arguments}
     preferences = frozenset((a, b) for a, b in x.preferences
                             if a in texts and b in texts)
@@ -114,9 +113,8 @@ def _completion(x: RulISAF | PremISAF, theory: ArgumentationTheory,
 
 def _maximal(x: RulISAF | PremISAF, limits: Limits,
              ) -> tuple[SAF, tuple[StructuredArgument, ...]]:
-    """Validated maximal completion: every declared preference must name
-    one of its arguments."""
-    validate_theory(x.theory)
+    """Maximal completion; every declared preference must name one of its
+    arguments."""
     saf, arguments = _completion(x, x.theory, limits)
     _check_preference_domain(x.preferences, {arg.text for arg in arguments})
     return saf, arguments
@@ -163,14 +161,14 @@ def _maximal_graph(x: RulISAF | PremISAF, limits: Limits,
     saf, arguments = _maximal(x, limits)
     bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
     load = {arg.text: sum(bit[e] for e in _load(x, arg)) for arg in arguments}
-    return associated_af(saf, arguments, limits, validate=False), load
+    return associated_af(saf, arguments, limits), load
 
 
 def _completion_items(x: RulISAF | PremISAF, limits: Limits,
                       ) -> list[tuple[SAF, tuple[StructuredArgument, ...]]]:
     """One (completion, generated arguments) pair per uncertainty subset,
     in subset-mask order, each regenerated from its own theory."""
-    _maximal(x, limits)  # validation only
+    _maximal(x, limits)  # preference domain and generation limits only
     elements = _uncertain_elements(x)
     _check_uncertain_bound(len(elements), limits)
     items = []
@@ -195,7 +193,6 @@ def premise_completions(p: PremISAF,
 
 def saf_fixed(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
     """Minimal completion: all uncertainty discarded."""
-    validate_theory(x.theory)
     return _completion(x, _completion_theory(x, frozenset()), limits)[0]
 
 
@@ -260,7 +257,7 @@ def defeat_coherence_check(x: RulISAF | PremISAF,
     This always holds for valid frameworks; the operation exists as an
     executable oracle for that claim.
     """
-    afs = [associated_af(saf, arguments, limits, validate=False)
+    afs = [associated_af(saf, arguments, limits)
            for saf, arguments in _completion_items(x, limits)]
     for i, left in enumerate(afs):
         left_args = left.arg_set

@@ -20,7 +20,6 @@ from .aspic import (
     generate_arguments,
     inference_argument,
     is_valid_formula,
-    validate_theory,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF, check_argument_id
@@ -302,9 +301,8 @@ def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
 def _tidy(p: PremISAF, limits: Limits,
           ) -> tuple[PremISAF, Witness, tuple[StructuredArgument, ...]]:
     """tidy, plus the arguments of the tidied framework's theory."""
-    validate_theory(p.theory)
     theory = p.theory
-    args_max = generate_arguments(theory, limits, validate=False)
+    args_max = generate_arguments(theory, limits)
     premiseless_heads = {rule.head for rule in theory.rules if not rule.body}
     rep = theory.knowledge_base & premiseless_heads
     if not rep:
@@ -382,7 +380,7 @@ def _tidy(p: PremISAF, limits: Limits,
 
     tau = {arg.text: rename(arg).text for arg in args_max}
     _check_preference_domain(p.preferences, tau)
-    new_args_max = generate_arguments(new_theory, limits, validate=True)
+    new_args_max = generate_arguments(new_theory, limits)
     new_texts = {arg.text for arg in new_args_max}
     preferences = set()
     for a, b in p.preferences:

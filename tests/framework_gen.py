@@ -82,7 +82,7 @@ def random_rul_isaf(rng: random.Random, max_atoms: int = 4, max_rules: int = 5,
     while True:
         try:
             theory = _random_theory(rng, max_atoms, max_rules)
-            args = generate_arguments(theory, GEN_LIMITS, validate=False)
+            args = generate_arguments(theory, GEN_LIMITS)
         except GenerationLimitExceededError:
             continue
         if not 1 <= len(args) <= max_args:
@@ -101,7 +101,7 @@ def random_prem_isaf(rng: random.Random, max_atoms: int = 4, max_rules: int = 4,
         try:
             theory = _random_theory(rng, max_atoms, max_rules,
                                     force_clash=force_clash)
-            args = generate_arguments(theory, GEN_LIMITS, validate=False)
+            args = generate_arguments(theory, GEN_LIMITS)
         except GenerationLimitExceededError:
             continue
         if not 1 <= len(args) <= max_args:

@@ -326,13 +326,13 @@ def test_c11_uncertain_load_characterizations():
             if i % 2 == 0:
                 isaf = random_rul_isaf(rng, max_uncertain=4)
                 afs = list(completions_rul(isaf))
-                arguments = generate_arguments(isaf.theory, validate=False)
+                arguments = generate_arguments(isaf.theory)
                 loads = {a.text: uncertain_rules_of(isaf, a)
                          for a in arguments}
             else:
                 isaf = random_prem_isaf(rng, max_uncertain=4)
                 afs = list(completions_prem(isaf))
-                arguments = generate_arguments(isaf.theory, validate=False)
+                arguments = generate_arguments(isaf.theory)
                 loads = {a.text: uncertain_premises_of(isaf, a)
                          for a in arguments}
             assert _characterization_holds(isaf, afs, loads, 3)

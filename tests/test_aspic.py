@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import uarg
 from uarg import (
     DEFEASIBLE,
     STRICT,
     SAF,
     AbstractAF,
+    ArgumentationTheory,
     Limits,
     Rule,
     associated_af,
@@ -62,6 +69,40 @@ class TestTheoryValidation:
                              premises=["p"], close_negation=True)
         assert theory.naming[r1] == theory.naming[r2] == "n"
 
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(InvalidTheoryError, match="no contradictory"):
+            ArgumentationTheory(
+                formulas=frozenset({"p"}), contraries=frozenset(),
+                rules=frozenset(), naming={}, axioms=frozenset(),
+                premises=frozenset({"p"}))
+
+    def test_replace_is_validated(self):
+        theory = make_theory(axioms=["a"], premises=["p"],
+                             close_negation=True)
+        with pytest.raises(InvalidTheoryError, match="both axiom"):
+            replace(theory, axioms=theory.premises)
+
+    def test_errors_name_the_smallest_formula(self):
+        with pytest.raises(InvalidTheoryError,
+                           match="invalid formula token: 'a b'"):
+            make_theory(formulas=["b c", "a b"], close_negation=True)
+        # which formula a set yields first depends on the hash seed
+        src = str(Path(uarg.__file__).resolve().parent.parent)
+        script = ("from uarg import make_theory\n"
+                  "try:\n"
+                  "    make_theory(premises=['s', 'r', 'q', 'p'])\n"
+                  "except Exception as error:\n"
+                  "    print(error)\n")
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": seed})
+            assert result.stdout.startswith(
+                "INVALID_THEORY: formula 'p' has no contradictory"), \
+                result.stdout + result.stderr
+
 
 class TestGeneration:
     def test_example3_has_eight_arguments(self):
@@ -85,14 +126,16 @@ class TestGeneration:
     def test_recursive_rule_hits_limit(self):
         theory = make_theory(rules=[Rule(["p"], "p", DEFEASIBLE)],
                              premises=["p"], close_negation=True)
-        with pytest.raises(GenerationLimitExceededError):
+        with pytest.raises(GenerationLimitExceededError,
+                           match="--max-depth or UARG_MAX_DEPTH"):
             generate_arguments(theory, Limits(max_depth=10))
 
     def test_count_limit(self):
         theory = make_theory(
             rules=[Rule([], f"p{i}", DEFEASIBLE) for i in range(5)],
             close_negation=True)
-        with pytest.raises(GenerationLimitExceededError):
+        with pytest.raises(GenerationLimitExceededError,
+                           match="--max-arguments or UARG_MAX_ARGUMENTS"):
             generate_arguments(theory, Limits(max_arguments=3))
 
     def test_one_sub_argument_per_body_formula(self):
@@ -112,7 +155,7 @@ class TestGeneration:
                 rules=isaf.fixed_rules, naming={}, axioms=isaf.theory.axioms,
                 premises=isaf.theory.premises, close_negation=True)
             args_small = set(generate_arguments(small))
-            args_big = set(generate_arguments(isaf.theory, validate=False))
+            args_big = set(generate_arguments(isaf.theory))
             assert args_small <= args_big
 
 
@@ -207,7 +250,7 @@ class TestDefeats:
             small = SAF(small_theory, prefs)
             big = SAF(isaf.theory, isaf.preferences)
             d_small = {(a.text, b.text) for a, b in defeats(small, small_args)}
-            big_args = generate_arguments(isaf.theory, validate=False)
+            big_args = generate_arguments(isaf.theory)
             d_big = {(a.text, b.text) for a, b in defeats(big, big_args)}
             restricted = {(a, b) for a, b in d_big
                           if a in texts and b in texts}

@@ -265,16 +265,32 @@ class TestErrorContract:
          "INPUT_ERROR"),
         (["synth-deps", "fixture:example4", "{missing}"], {}, "INPUT_ERROR"),
         (["equiv", "{bad}", "{bad}"], {}, "PARSE_ERROR"),
+        (["completions", "{headless}", "--kind", "saf"], {},
+         "INVALID_THEORY"),
+        (["completions", "{null_rules}", "--kind", "rul-isaf"], {},
+         "INVALID_THEORY"),
+        (["--config", "{dir}", "fixtures", "list"], {}, "INPUT_ERROR"),
+        (["--config", "{latin1}", "fixtures", "list"], {}, "INPUT_ERROR"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
-            "synth-deps-not-arg-iaf", "equiv-unprintable-identifier"])
+            "synth-deps-not-arg-iaf", "equiv-unprintable-identifier",
+            "theory-rule-without-head", "theory-null-rules",
+            "config-directory", "config-not-utf8"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
         bad = tmp_path / "bad.afs"
         bad.write_text("arg(a\x01).\n---\n", encoding="utf-8")
-        argv = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad)
+        headless = tmp_path / "headless.json"
+        headless.write_text('{"rules": [{"body": []}]}', encoding="utf-8")
+        null_rules = tmp_path / "null_rules.json"
+        null_rules.write_text('{"rules": null}', encoding="utf-8")
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("# d\xe9faut\nmax_depth = 3\n".encode("latin-1"))
+        argv = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
+                         headless=headless, null_rules=null_rules,
+                         dir=tmp_path, latin1=latin1)
                 for a in argv]
         self.assert_one_line(argv, env, 2, code)
 

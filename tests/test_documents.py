@@ -32,6 +32,38 @@ _TEXT = st.lists(st.one_of(_LINES, st.text(max_size=8)), max_size=12) \
     .map("".join)
 
 
+# JSON-shaped values for theory documents: each schema field is either of
+# roughly the right shape or an arbitrary JSON value.
+_FORMULA = st.sampled_from(["p", "~p", "q", "~q", "p'", "a b", ""])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | _FORMULA
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _or_json(shape):
+    return st.one_of(shape, _JSON)
+
+
+_FORMULAS = _or_json(st.lists(_or_json(_FORMULA), max_size=3))
+_PAIRS = _or_json(st.lists(_or_json(st.lists(_FORMULA, min_size=2,
+                                             max_size=2)), max_size=3))
+_RULE = st.fixed_dictionaries({}, optional={
+    "body": _FORMULAS, "head": _or_json(_FORMULA), "name": _or_json(_FORMULA),
+    "kind": _or_json(st.sampled_from(["strict", "defeasible"])),
+    "status": _or_json(st.sampled_from(["fixed", "uncertain"]))})
+_KB = st.fixed_dictionaries({}, optional={
+    key: _FORMULAS for key in ("axioms_fixed", "axioms_uncertain",
+                               "premises_fixed", "premises_uncertain")})
+_THEORY_DOCUMENT = _or_json(st.fixed_dictionaries({}, optional={
+    "formulas": _FORMULAS, "contraries": _PAIRS, "preferences": _PAIRS,
+    "close_negation": _or_json(st.booleans()), "kb": _or_json(_KB),
+    "rules": _or_json(st.lists(_or_json(_RULE), max_size=3))}))
+
+
 @st.composite
 def completion_sets(draw):
     names = draw(st.lists(
@@ -90,6 +122,28 @@ class TestTheoryJson:
         with pytest.raises(InvalidTheoryError):
             load_theory_document({"kb": {"premises_fixed": ["a b"]}})
 
+    @pytest.mark.parametrize("document", [
+        {"rules": [{"body": []}]},
+        {"rules": [{"body": [], "head": 5}]},
+        {"rules": [{"head": "p", "name": ["n"]}]},
+        {"contraries": 5},
+        {"contraries": [[1, "p"]]},
+        {"rules": None},
+        {"preferences": {"a": "b"}},
+        {"close_negation": "false"},
+    ], ids=["no-head", "int-head", "list-name", "int-contraries",
+            "int-pair-member", "null-rules", "object-preferences",
+            "string-close-negation"])
+    def test_malformed_fields_are_theory_errors(self, document):
+        with pytest.raises(InvalidTheoryError):
+            load_theory_document(document)
+
+    def test_unconvertible_json_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            load_theory_document("[" * 100_000)
+        with pytest.raises(ParseError):
+            load_theory_document("1" * 5_000)
+
     def test_serialization_is_deterministic(self):
         ex4 = fixtures.get("example4")
         assert serialize_framework(ex4) == serialize_framework(ex4)
@@ -139,6 +193,22 @@ class TestCompletionSetFuzz:
         with pytest.raises(ParseError, match="invalid identifier") as info:
             parse_completion_set("arg(a).\n  arg(b\x00).\n---\narg(c).")
         assert (info.value.line, info.value.column) == (2, 3)
+        # lines count through the whole document, not within a section
+        with pytest.raises(ParseError, match="invalid identifier") as info:
+            parse_completion_set("arg(a).\n---\n% b\n  arg(b\x00).\n")
+        assert (info.value.line, info.value.column) == (4, 3)
+
+
+class TestTheoryDocumentFuzz:
+    @given(_THEORY_DOCUMENT, st.sampled_from(["saf", "rul-isaf", "prem-isaf"]))
+    @settings(max_examples=500, deadline=None)
+    def test_only_uarg_errors_escape(self, document, kind):
+        try:
+            framework = load_framework(json.dumps(document), kind)
+        except UargError:
+            return
+        assert load_framework(serialize_framework(framework), kind) \
+            == framework
 
 
 class TestFrameworkLoading:

@@ -36,7 +36,7 @@ from framework_gen import random_prem_isaf, random_rul_isaf
 
 
 def text_index(theory):
-    return {a.text: a for a in generate_arguments(theory, validate=False)}
+    return {a.text: a for a in generate_arguments(theory)}
 
 
 class TestRuleCompletions:
@@ -137,8 +137,8 @@ class TestDistinguishedCompletions:
             for isaf in (random_rul_isaf(rng), random_prem_isaf(rng)):
                 afs = (completions_rul(isaf) if hasattr(isaf, "uncertain_rules")
                        else completions_prem(isaf))
-                assert associated_af(saf_fixed(isaf), validate=False) in afs
-                assert associated_af(saf_max(isaf), validate=False) in afs
+                assert associated_af(saf_fixed(isaf)) in afs
+                assert associated_af(saf_max(isaf)) in afs
 
 
 class TestUncertainLoad:
@@ -244,7 +244,7 @@ class TestCompletionCharacterization:
         rng = random.Random(43)
         for _ in range(20):
             isaf = random_rul_isaf(rng, max_uncertain=3)
-            args = generate_arguments(isaf.theory, validate=False)
+            args = generate_arguments(isaf.theory)
             afs = list(completions_rul(isaf))
             loads = {a.text: uncertain_rules_of(isaf, a) for a in args}
             names = sorted(loads)
@@ -260,7 +260,7 @@ class TestCompletionCharacterization:
         rng = random.Random(47)
         for _ in range(20):
             isaf = random_prem_isaf(rng, max_uncertain=3)
-            args = generate_arguments(isaf.theory, validate=False)
+            args = generate_arguments(isaf.theory)
             afs = list(completions_prem(isaf))
             loads = {a.text: uncertain_premises_of(isaf, a) for a in args}
             names = sorted(loads)

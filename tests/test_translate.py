@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from uarg import (
     check_witness,
     completion_set_of,
     completions_dep,
+    completions_rul,
     fixtures,
     generate_arguments,
     is_implicative,
@@ -26,7 +28,7 @@ from uarg import (
     rul_isaf_to_imp_arg_iaf,
     tidy,
 )
-from uarg import translate
+from uarg import aspic, translate
 from uarg.incomplete import DepArgIAF, ImplyDisj
 
 from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
@@ -119,6 +121,27 @@ class TestArgIafToRulIsaf:
             iaf = random_arg_iaf(rng)
             target, witness = arg_iaf_to_rul_isaf(iaf)
             assert certify(iaf, target, witness)
+
+    def test_theory_validated_once_per_encoding(self, monkeypatch):
+        # make_theory builds the encoded theory, which validates it; the
+        # completion set of that framework validates nothing again
+        calls = []
+        original = aspic.validate_theory
+
+        def counting(theory):
+            calls.append(theory)
+            return original(theory)
+
+        # patch every binding: a module importing the name would bypass a
+        # patch of aspic alone
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("uarg") and \
+                    getattr(module, "validate_theory", None) is original:
+                monkeypatch.setattr(module, "validate_theory", counting)
+        target, _ = arg_iaf_to_rul_isaf(fixtures.get("example1"))
+        assert len(calls) == 1
+        assert len(completions_rul(target)) == 4
+        assert calls == [target.theory]
 
 
 class TestArgIafToPremIsaf:
