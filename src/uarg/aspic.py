@@ -38,7 +38,7 @@ _FORBIDDEN_FORMULA_CHARS = set("(),.[];")
 
 
 def is_valid_formula(token: str) -> bool:
-    if not token or not token.isprintable():
+    if not isinstance(token, str) or not token or not token.isprintable():
         return False
     return not any(ch.isspace() or ch in _FORBIDDEN_FORMULA_CHARS
                    for ch in token)
@@ -48,6 +48,14 @@ def check_formula(token: str) -> str:
     if not is_valid_formula(token):
         raise ValueError(f"invalid formula token: {token!r}")
     return token
+
+
+def _formula_order(phi: object) -> tuple[bool, str]:
+    """Sort key for possibly malformed formulas: strings in their own order,
+    then anything else by its text, so that naming the least offending
+    formula never compares a str with another type and does not depend on
+    the hash seed."""
+    return not isinstance(phi, str), str(phi)
 
 
 def negate(token: str) -> str:
@@ -64,7 +72,13 @@ class Rule:
     def __init__(self, body: Iterable[str], head: str, kind: str):
         if kind not in (STRICT, DEFEASIBLE):
             raise ValueError(f"rule kind must be strict or defeasible: {kind!r}")
-        object.__setattr__(self, "body", frozenset(body))
+        body = frozenset(body)
+        stray = [phi for phi in (head, *body) if not isinstance(phi, str)]
+        if stray:
+            raise InvalidTheoryError(
+                f"rule formulas must be strings: "
+                f"{min(stray, key=_formula_order)!r}")
+        object.__setattr__(self, "body", body)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "kind", kind)
 
@@ -131,7 +145,8 @@ def make_theory(contraries: Iterable[tuple[str, str]] = (),
     for phi, psi in contraries:
         referenced.update((phi, psi))
     if close_negation:
-        for phi in list(referenced):
+        # a non-string formula has no negation; validation names it below
+        for phi in [phi for phi in referenced if isinstance(phi, str)]:
             referenced.add(negate(phi))
             contraries.add((phi, negate(phi)))
             contraries.add((negate(phi), phi))
@@ -149,12 +164,13 @@ def validate_theory(theory: ArgumentationTheory) -> None:
     """Raise InvalidTheoryError, naming the smallest offending formula."""
     bad = [phi for phi in theory.formulas if not is_valid_formula(phi)]
     if bad:
-        raise InvalidTheoryError(f"invalid formula token: {min(bad)!r}")
+        raise InvalidTheoryError(
+            f"invalid formula token: {min(bad, key=_formula_order)!r}")
     overlap = theory.axioms & theory.premises
     if overlap:
         raise InvalidTheoryError(
             f"formulas cannot be both axiom and ordinary premise: "
-            f"{sorted(overlap)}")
+            f"{sorted(overlap, key=_formula_order)}")
     referenced = set(theory.axioms) | set(theory.premises)
     for rule in theory.rules:
         referenced.add(rule.head)
@@ -170,7 +186,8 @@ def validate_theory(theory: ArgumentationTheory) -> None:
     stray = referenced - theory.formulas
     if stray:
         raise InvalidTheoryError(
-            f"formulas referenced but not in the language: {sorted(stray)}")
+            "formulas referenced but not in the language: "
+            f"{sorted(stray, key=_formula_order)}")
     pairs = theory.contraries
     lacking = theory.formulas.difference(
         phi for phi, psi in pairs if (psi, phi) in pairs)

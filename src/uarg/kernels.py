@@ -2,7 +2,12 @@
 
 Subsets of an n-element universe are integers with bit i standing for
 element i.  These loops are the hot spots of semantics enumeration and
-completion filtering.  Both return ascending mask lists.
+completion filtering.  Both are backtracking searches that decide the bits
+from the highest down, excluding before including, so both return
+ascending mask lists.  Each cuts a branch as soon as the bits it has
+decided break a condition: ``semantics_masks`` only ever extends
+conflict-free sets, and ``dependency_masks`` checks each dependency once,
+when its lowest bit is decided.
 """
 
 from __future__ import annotations
@@ -69,20 +74,48 @@ def dependency_masks(n: int, deps: list[tuple[int, int, int]]) -> list[int]:
     """All subset masks satisfying every dependency.
 
     Each dependency is (kind, xmask, ymask); ymask is 0 except for
-    DEP_IMPLY.  Results are ascending.
+    DEP_IMPLY.  Every kind is the clause "not (pos <= mask and no bit of
+    neg in mask)": IMPLY has pos = xmask and neg = ymask, OR has pos = 0
+    and neg = xmask, NAND has pos = xmask and neg = 0.  Backtracking
+    decides the bits from the highest down, excluding before including, so
+    results are ascending.  A clause is checked once, on the branch that
+    decides its lowest bit, and only on the side of that bit it can
+    falsify; a subtree below the lowest such bit holds no clause and is
+    emitted as one range.
     """
+    excluded: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    included: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for kind, xmask, ymask in deps:
+        pos, neg = ((xmask, ymask) if kind == DEP_IMPLY
+                    else (0, xmask) if kind == DEP_OR else (xmask, 0))
+        if pos & neg:
+            continue  # a tautology: no mask can falsify it
+        care = pos | neg
+        if not care:
+            return []  # the empty clause: every mask falsifies it
+        low = care & -care
+        i = low.bit_length() - 1
+        (included if pos & low else excluded)[i].append((care, pos))
+    free = 0  # bits below the lowest clause: no clause decides them
+    while free < n and not excluded[free] and not included[free]:
+        free += 1
     out = []
-    for mask in range(1 << n):
-        for kind, xmask, ymask in deps:
-            if kind == DEP_IMPLY:
-                if (mask & xmask) == xmask and not (mask & ymask):
-                    break
-            elif kind == DEP_OR:
-                if not (mask & xmask):
-                    break
-            else:  # DEP_NAND
-                if (mask & xmask) == xmask:
-                    break
+    stack = [(n, 0)]
+    while stack:
+        i, mask = stack.pop()
+        if i <= free:
+            out.extend(range(mask, mask + (1 << i)))
+            continue
+        i -= 1
+        grown = mask | 1 << i
+        for care, pos in included[i]:
+            if grown & care == pos:
+                break
         else:
-            out.append(mask)
+            stack.append((i, grown))
+        for care, pos in excluded[i]:
+            if mask & care == pos:
+                break
+        else:
+            stack.append((i, mask))
     return out

@@ -2,10 +2,13 @@
 
 Everything here is definition-literal and set-based, deliberately avoiding
 the package's bitmask kernels and search machinery so the two routes stay
-independent checks of each other.  The two exceptions are kept slow paths:
+independent checks of each other.  The exceptions are kept slow paths:
 ``recheck_equivalent`` shares the search order of ``uarg.equivalent`` (its
-signatures), so that it can check the search counters too, and
-``enumerated_no_equivalent_arg_iaf`` calls ``uarg.equivalent``.
+signatures), so that it can check the search counters too,
+``enumerated_no_equivalent_arg_iaf`` calls ``uarg.equivalent``, and
+``scanned_dependency_masks`` and ``fixpoint_horn_closed_masks`` take the
+encoded dependencies of ``uarg.kernels.dependency_masks`` and
+``uarg.incomplete._horn_closed_masks`` and return the same mask lists.
 """
 
 from itertools import chain, combinations, permutations
@@ -25,7 +28,11 @@ from uarg.equivalence import (
     EquivalenceResult,
     _signatures,
 )
-from uarg.errors import SearchBoundExceededError
+from uarg.errors import (
+    SearchBoundExceededError,
+    UncertaintyBoundExceededError,
+)
+from uarg.kernels import DEP_IMPLY, DEP_OR
 
 
 def powerset(items):
@@ -254,3 +261,65 @@ def enumerated_no_equivalent_arg_iaf(target, max_args,
             if equivalent(completions, target, limits).equivalent:
                 return False
     return True
+
+
+def scanned_dependency_masks(n: int, deps: list[tuple[int, int, int]]
+                             ) -> list[int]:
+    """Every one of the 2^n masks tested against every dependency, in
+    ascending order; deps are encoded as for uarg.kernels.dependency_masks."""
+    out = []
+    for mask in range(1 << n):
+        for kind, xmask, ymask in deps:
+            if kind == DEP_IMPLY:
+                if (mask & xmask) == xmask and not (mask & ymask):
+                    break
+            elif kind == DEP_OR:
+                if not (mask & xmask):
+                    break
+            else:  # DEP_NAND
+                if (mask & xmask) == xmask:
+                    break
+        else:
+            out.append(mask)
+    return out
+
+
+def fixpoint_horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
+                               max_uncertain: int) -> list[int]:
+    """Closed sets of definite Horn rules by re-closing, from scratch with
+    full passes over the rules, every closed set plus every free bit; a
+    seen set removes repeats.  At most 2^max_uncertain subsets are
+    enumerated."""
+    rules = [(x, y) for _, x, y in deps]
+    cap = 1 << max_uncertain
+
+    def close(mask: int) -> int:
+        changed = True
+        while changed:
+            changed = False
+            for xmask, ymask in rules:
+                if mask & xmask == xmask and mask & ymask != ymask:
+                    mask |= ymask
+                    changed = True
+        return mask
+
+    start = close(0)
+    seen = {start}
+    stack = [start]
+    full = (1 << n) - 1
+    while stack:
+        mask = stack.pop()
+        free = full & ~mask
+        while free:
+            low = free & -free
+            free ^= low
+            closed = close(mask | low)
+            if closed not in seen:
+                seen.add(closed)
+                if len(seen) > cap:
+                    raise UncertaintyBoundExceededError(
+                        f"more than 2^{max_uncertain} = {cap} dependency-"
+                        f"satisfying subsets (bound {max_uncertain}); raise "
+                        "it with --max-uncertain or UARG_MAX_UNCERTAIN")
+                stack.append(closed)
+    return sorted(seen)

@@ -82,6 +82,31 @@ class TestTheoryValidation:
         with pytest.raises(InvalidTheoryError, match="both axiom"):
             replace(theory, axioms=theory.premises)
 
+    @pytest.mark.parametrize("close_negation", [False, True])
+    def test_non_string_formula(self, close_negation):
+        with pytest.raises(InvalidTheoryError,
+                           match="invalid formula token: 5$"):
+            make_theory(premises=[5], close_negation=close_negation)
+        # strings sort before other types, whatever the hash seed
+        with pytest.raises(InvalidTheoryError,
+                           match="invalid formula token: 'a b'$"):
+            make_theory(premises=[5, "a b", None],
+                        close_negation=close_negation)
+
+    def test_non_string_formula_in_direct_construction(self):
+        with pytest.raises(InvalidTheoryError, match=r"\[5, None\]$"):
+            ArgumentationTheory(
+                formulas=frozenset({"p", "~p"}),
+                contraries=frozenset({("p", "~p"), ("~p", "p")}),
+                rules=frozenset(), naming={}, axioms=frozenset({None, 5}),
+                premises=frozenset({"p"}))
+
+    @pytest.mark.parametrize("body, head", [(["a"], 7), ([7, "b"], "a")])
+    def test_rule_formulas_are_strings(self, body, head):
+        with pytest.raises(InvalidTheoryError,
+                           match="rule formulas must be strings: 7$"):
+            Rule(body, head, STRICT)
+
     def test_errors_name_the_smallest_formula(self):
         with pytest.raises(InvalidTheoryError,
                            match="invalid formula token: 'a b'"):

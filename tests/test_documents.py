@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uarg import AbstractAF, CompletionSet, fixtures
+from uarg import (
+    AbstractAF,
+    CompletionSet,
+    fixtures,
+    parse_af,
+    parse_iaf,
+    serialize_af,
+    serialize_iaf,
+)
 from uarg.core import is_valid_argument_id
 from uarg.documents import (
     build_prem_isaf,
@@ -30,6 +38,29 @@ _LINES = st.tuples(
     st.sampled_from(["\n", "\r\n", "\x85", ""])).map("".join)
 _TEXT = st.lists(st.one_of(_LINES, st.text(max_size=8)), max_size=12) \
     .map("".join)
+
+# Whole lines of the AF and IAF formats over a few identifiers, some with
+# brackets, so that generated documents often parse and reach the
+# declaration, clash and dependency checks; arbitrary text stands in for
+# an identifier or a line now and then.
+_NAME = st.sampled_from(["a", "b", "c", "~a", "a]", "[b", "[]=d>q"])
+_ID = st.one_of(_NAME, _NAME, _NAME, st.text(max_size=3))
+_ID_LIST = st.lists(_ID, min_size=1, max_size=3).map(
+    lambda ids: "[" + ",".join(ids) + "]")
+_FORMAT_LINE = st.one_of(
+    st.builds("arg({}).".format, _ID),
+    st.builds("?arg({}).".format, _NAME),
+    st.builds("?arg({}).".format, _ID),
+    st.builds("att({},{}{}).".format, _ID, st.sampled_from(["", " "]), _ID),
+    st.builds("imply({},{}).".format, _ID_LIST, _ID_LIST),
+    st.builds("or({}).".format, _ID_LIST),
+    st.builds("nand({}).".format, _ID_LIST),
+    st.builds("%{}".format, st.text(max_size=4)),
+    st.text(max_size=6))
+_FORMAT_TEXT = st.lists(
+    st.tuples(st.sampled_from(["", " ", "\t"]), _FORMAT_LINE,
+              st.sampled_from(["\n", "\r\n", "\x85", " \n", ""]))
+    .map("".join), max_size=8).map("".join)
 
 
 # JSON-shaped values for theory documents: each schema field is either of
@@ -197,6 +228,19 @@ class TestCompletionSetFuzz:
         with pytest.raises(ParseError, match="invalid identifier") as info:
             parse_completion_set("arg(a).\n---\n% b\n  arg(b\x00).\n")
         assert (info.value.line, info.value.column) == (4, 3)
+
+
+class TestFrameworkTextFuzz:
+    @given(_FORMAT_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_only_uarg_errors_escape(self, text):
+        for parse, serialize in ((parse_af, serialize_af),
+                                 (parse_iaf, serialize_iaf)):
+            try:
+                parsed = parse(text)
+            except UargError:
+                continue
+            assert parse(serialize(parsed)) == parsed
 
 
 class TestTheoryDocumentFuzz:

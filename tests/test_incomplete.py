@@ -25,9 +25,17 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
+from uarg.incomplete import _horn_closed_masks
+from uarg.kernels import DEP_IMPLY
 
 from framework_gen import random_arg_iaf
-from oracles import as_pairs, naive_completions, naive_dep_completions, powerset
+from oracles import (
+    as_pairs,
+    fixpoint_horn_closed_masks,
+    naive_completions,
+    naive_dep_completions,
+    powerset,
+)
 
 EX1 = ArgIAF(["a"], ["b", "c"], [("b", "a"), ("c", "a")])
 
@@ -193,6 +201,33 @@ class TestDependencyFiltering:
                            match=r"2\^10 = 1024 .*--max-uncertain or "
                                  "UARG_MAX_UNCERTAIN"):
             completions_dep(DepArgIAF(iaf, deps), Limits(max_uncertain=10))
+
+    def test_horn_closure_against_fixpoint_enumeration(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            n = rng.randint(1, 18)
+            deps = []
+            for _ in range(rng.randint(n, 3 * n)):
+                body = rng.sample(range(n), rng.randint(1, min(n, 3)))
+                deps.append((DEP_IMPLY, sum(1 << i for i in body),
+                             1 << rng.randrange(n)))
+            assert _horn_closed_masks(n, deps, 20) == \
+                fixpoint_horn_closed_masks(n, deps, 20), (n, deps)
+
+    @pytest.mark.parametrize("enumerate_closed", [
+        _horn_closed_masks, fixpoint_horn_closed_masks])
+    def test_horn_cap_boundary(self, enumerate_closed):
+        # k free bits have 2^k closed sets; a (k+1)-th bit that implies
+        # all the others adds exactly one, the full set.
+        k = 4
+        assert len(enumerate_closed(k, [], k)) == 1 << k
+        deps = [(DEP_IMPLY, 1 << k, 1 << i) for i in range(k)]
+        assert len(enumerate_closed(k + 1, deps, k + 1)) == (1 << k) + 1
+        with pytest.raises(UncertaintyBoundExceededError,
+                           match=r"more than 2\^4 = 16 dependency-satisfying "
+                                 r"subsets \(bound 4\); raise it with "
+                                 "--max-uncertain or UARG_MAX_UNCERTAIN$"):
+            enumerate_closed(k + 1, deps, k)
 
 
 class TestSynthesis:

@@ -6,7 +6,7 @@ import time
 from uarg import AbstractAF, extensions, kernels
 from uarg.core import SEMANTICS
 
-from oracles import naive_extensions
+from oracles import naive_extensions, scanned_dependency_masks
 
 NAMES = "abcdefgh"
 MODES = (kernels.MODE_ADMISSIBLE, kernels.MODE_COMPLETE, kernels.MODE_STABLE)
@@ -29,6 +29,17 @@ def random_masks(rng, n, density=0.3):
     return attackers, targets
 
 
+def random_clause(rng, n):
+    """One encoded dependency over bits 0..n-1; an IMPLY may have several
+    consequents and may overlap its antecedent."""
+    def some_bits():
+        return sum(1 << i for i in rng.sample(range(n),
+                                              rng.randint(1, min(n, 4))))
+
+    kind = rng.choice((kernels.DEP_IMPLY, kernels.DEP_OR, kernels.DEP_NAND))
+    return kind, some_bits(), some_bits() if kind == kernels.DEP_IMPLY else 0
+
+
 class TestKernelCorrectness:
     def test_against_definition_literal_oracle(self):
         # density 0 gives attack-free frameworks, the enumerator's widest
@@ -49,6 +60,28 @@ class TestKernelCorrectness:
             for mode in MODES:
                 masks = kernels.semantics_masks(n, attackers, targets, mode)
                 assert masks == sorted(set(masks))
+
+    def test_dependency_masks_against_scan(self):
+        rng = random.Random(131)
+        for trial in range(400):
+            n = trial % 13
+            deps = ([random_clause(rng, n) for _ in range(rng.randint(0, 6))]
+                    if n else [])
+            assert kernels.dependency_masks(n, deps) == \
+                scanned_dependency_masks(n, deps), (n, deps)
+        # a clause over no bits is false under every mask
+        for n in (0, 3):
+            assert kernels.dependency_masks(n, [(kernels.DEP_OR, 0, 0)]) == \
+                scanned_dependency_masks(n, [(kernels.DEP_OR, 0, 0)]) == []
+
+    def test_dependency_clause_on_bit_zero_only(self):
+        # decided at the last level of the search, just above the leaves
+        for n in range(1, 6):
+            for deps in ([(kernels.DEP_OR, 1, 0)], [(kernels.DEP_NAND, 1, 0)],
+                         [(kernels.DEP_IMPLY, 1, 1)],
+                         [(kernels.DEP_IMPLY, 1 << n - 1, 1)]):
+                assert kernels.dependency_masks(n, deps) == \
+                    scanned_dependency_masks(n, deps), (n, deps)
 
     def test_wide_self_attacking_framework(self):
         # 2^1500 subsets, but only the empty one is conflict-free; the
