@@ -17,15 +17,18 @@ import click
 from . import documents, equivalence, fixtures, translate
 from .aspic import SAF
 from .config import Limits, load_limits, read_text
-from .core import SEMANTICS, AbstractAF, extensions, serialize_af
+from .core import SEMANTICS, AbstractAF, extensions, parse_af, serialize_af
 from .errors import (
     RESOURCE_ERRORS,
     InputError,
+    ParseError,
     UargError,
+    UndeclaredArgumentError,
     UnsupportedDirectionError,
 )
 from .incomplete import (
     ArgIAF,
+    CompletionSet,
     DepArgIAF,
     serialize_iaf,
     synthesize_dependencies,
@@ -183,10 +186,15 @@ def translate_cmd(ctx, input_spec, from_kind, to_kind, verify, full_delta,
 def _read_completion_set(path_spec: str):
     path = Path(path_spec)
     if path.is_dir():
-        from .incomplete import CompletionSet
-        from .core import parse_af
-
-        afs = [parse_af(read_text(p)) for p in sorted(path.glob("*.apx"))]
+        afs = []
+        for member in sorted(path.glob("*.apx")):
+            text = read_text(member)
+            try:
+                afs.append(parse_af(text))
+            except (ParseError, UndeclaredArgumentError) as error:
+                # the line number alone does not say which file it is in
+                error.message = f"{str(member)!r}: {error.message}"
+                raise
         return CompletionSet(afs)
     return documents.parse_completion_set(read_text(path))
 

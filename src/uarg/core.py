@@ -61,8 +61,9 @@ class AbstractAF:
         ``args``.  Nothing is checked, so only graphs derived from a
         validated framework are built this way."""
         af = object.__new__(cls)
-        object.__setattr__(af, "args", args)
-        object.__setattr__(af, "defeats", defeats)
+        fields = af.__dict__  # frozen: bypass the dataclass __setattr__
+        fields["args"] = args
+        fields["defeats"] = defeats
         return af
 
     @property

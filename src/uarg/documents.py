@@ -276,10 +276,27 @@ def parse_completion_set(text: str) -> CompletionSet:
                          for first, section in sections)
 
 
+class _Lines(dict):
+    """Text line per key, formatted on its first lookup."""
+
+    def __init__(self, template: str):
+        super().__init__()
+        self.format = template.format
+
+    def __missing__(self, key):
+        line = self[key] = self.format(key)
+        return line
+
+
 def serialize_completion_set(completions: CompletionSet) -> str:
-    parts = []
+    """Each member's ``serialize_af`` text followed by a ``---`` line;
+    every distinct arg(..) and att(..) line is formatted once per call."""
+    arg_line = _Lines("arg({}).\n").__getitem__
+    att_line = _Lines("att({0[0]},{0[1]}).\n").__getitem__
+    parts: list[str] = []
     for af in completions:
-        parts.append(serialize_af(af))
+        parts += map(arg_line, af.args)
+        parts += map(att_line, af.defeats)
         parts.append("---\n")
     return "".join(parts)
 

@@ -13,6 +13,7 @@ and the induced defeats.  Dependencies filter which subsets are admissible:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -169,7 +170,17 @@ class CompletionSet:
     def __init__(self, members: Iterable[AbstractAF] = ()):
         unique = {(af.args, af.defeats): af for af in members}
         self._members = tuple(unique[key] for key in sorted(unique))
-        self._index = frozenset(unique)
+        self._index: frozenset | None = None
+
+    @classmethod
+    def _sorted(cls, members: Iterable[AbstractAF]) -> "CompletionSet":
+        """Set from members that are already canonical: distinct and in
+        ascending ``(args, defeats)`` order.  Nothing is checked, so only
+        sets derived from one validated framework are built this way."""
+        out = object.__new__(cls)
+        out._members = tuple(members)
+        out._index = None
+        return out
 
     @property
     def members(self) -> tuple[AbstractAF, ...]:
@@ -188,7 +199,12 @@ class CompletionSet:
         return len(self._members)
 
     def __contains__(self, af: object) -> bool:
-        return isinstance(af, AbstractAF) and (af.args, af.defeats) in self._index
+        if not isinstance(af, AbstractAF):
+            return False
+        if self._index is None:  # built on the first lookup
+            self._index = frozenset((m.args, m.defeats)
+                                    for m in self._members)
+        return (af.args, af.defeats) in self._index
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CompletionSet) and self._members == other._members
@@ -212,16 +228,46 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
                          masks: Iterable[int]) -> CompletionSet:
     """One restriction of ``full_af`` per mask: argument a is kept under
     mask m iff ``load[a] & ~m == 0``, and a defeat iff both its endpoints
-    are.  Masks keeping the same arguments share one graph."""
-    args = [(a, load[a]) for a in full_af.args]
-    defeats = [(d, load[d[0]] | load[d[1]]) for d in full_af.defeats]
-    graphs: dict[tuple[str, ...], AbstractAF] = {}
+    are.  Defeats are induced, so masks keeping the same arguments share
+    one graph, distinct argument tuples are distinct members, and sorting
+    the argument tuples sorts the members.
+
+    A position mask holds one byte per position of ``args + defeats``, in
+    order, so its big-endian bytes are ``compress`` selectors.  ``drop[b]``
+    marks the positions whose load has bit b; a mask drops the union of
+    ``drop[b]`` over its clear bits.
+    """
+    args, defeats = full_af.args, full_af.defeats
+    width = len(args) + len(defeats)
+    drop: dict[int, int] = {}
+    bits = 0
+    position = 1 << 8 * width
+    for need in ([load[a] for a in args]
+                 + [load[s] | load[t] for s, t in defeats]):
+        position >>= 8
+        bits |= need
+        while need:
+            low = need & -need
+            need ^= low
+            drop[low] = drop.get(low, 0) | position
+    dropped: set[int] = set()
     for mask in masks:
-        kept = tuple(a for a, need in args if not need & ~mask)
-        if kept not in graphs:
-            graphs[kept] = AbstractAF._canonical(
-                kept, tuple(d for d, need in defeats if not need & ~mask))
-    return CompletionSet(graphs.values())
+        off = bits & ~mask
+        gone = 0
+        while off:
+            low = off & -off
+            off ^= low
+            gone |= drop[low]
+        dropped.add(gone)
+    every = int.from_bytes(b"\x01" * width, "big")
+    split = len(args)
+    graphs: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = {}
+    for gone in dropped:
+        keep = (every ^ gone).to_bytes(width, "big")
+        graphs[tuple(compress(args, keep))] = tuple(compress(defeats,
+                                                             keep[split:]))
+    return CompletionSet._sorted([AbstractAF._canonical(kept, graphs[kept])
+                                  for kept in sorted(graphs)])
 
 
 def _own_bits(iaf: ArgIAF) -> dict[str, int]:
@@ -245,21 +291,19 @@ def is_implicative(diaf: DepArgIAF) -> bool:
                for dep in diaf.deps)
 
 
+def _encode_dep(dep: Dependency, index: dict[str, int]) -> tuple[int, int, int]:
+    if isinstance(dep, ImplyDisj):
+        return (kernels.DEP_IMPLY, sum(1 << index[a] for a in dep.all_of),
+                sum(1 << index[a] for a in dep.any_of))
+    if isinstance(dep, Or):
+        return (kernels.DEP_OR, sum(1 << index[a] for a in dep.any_of), 0)
+    return (kernels.DEP_NAND, sum(1 << index[a] for a in dep.not_all_of), 0)
+
+
 def _encode_deps(deps: Iterable[Dependency],
                  index: dict[str, int]) -> list[tuple[int, int, int]]:
-    encoded = []
-    for dep in sorted(deps, key=lambda d: d.sort_key()):
-        if isinstance(dep, ImplyDisj):
-            xmask = sum(1 << index[a] for a in dep.all_of)
-            ymask = sum(1 << index[a] for a in dep.any_of)
-            encoded.append((kernels.DEP_IMPLY, xmask, ymask))
-        elif isinstance(dep, Or):
-            encoded.append((kernels.DEP_OR,
-                            sum(1 << index[a] for a in dep.any_of), 0))
-        else:
-            encoded.append((kernels.DEP_NAND,
-                            sum(1 << index[a] for a in dep.not_all_of), 0))
-    return encoded
+    return [_encode_dep(dep, index)
+            for dep in sorted(deps, key=lambda d: d.sort_key())]
 
 
 def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
@@ -320,24 +364,30 @@ def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
     return out
 
 
+def _satisfying_masks(n: int, encoded: list[tuple[int, int, int]],
+                      limits: Limits) -> list[int]:
+    """Ascending masks of the subsets of n uncertain arguments that satisfy
+    every encoded dependency."""
+    if n > _HORN_THRESHOLD and all(kind == kernels.DEP_IMPLY
+                                   and not ymask & (ymask - 1)
+                                   for kind, _, ymask in encoded):
+        # Wide implicative frameworks (the translation targets) stay
+        # tractable through closure enumeration instead of 2^n scans.
+        return _horn_closed_masks(n, encoded, limits.max_uncertain)
+    _check_uncertain_bound(n, limits)
+    return kernels.dependency_masks(n, encoded)
+
+
 def completions_dep(diaf: DepArgIAF,
                     limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
     """Completions of the base framework whose argument sets satisfy every
     dependency."""
     base = diaf.base
-    order = list(base.uncertain_args)
-    n = len(order)
-    index = {a: i for i, a in enumerate(order)}
+    index = {a: i for i, a in enumerate(base.uncertain_args)}
     encoded = _encode_deps(diaf.deps, index)
     if not encoded:
         return completions_arg_iaf(base, limits)
-    if n > _HORN_THRESHOLD and is_implicative(diaf):
-        # Wide implicative frameworks (the translation targets) stay
-        # tractable through closure enumeration instead of 2^n scans.
-        masks = _horn_closed_masks(n, encoded, limits.max_uncertain)
-    else:
-        _check_uncertain_bound(n, limits)
-        masks = kernels.dependency_masks(n, encoded)
+    masks = _satisfying_masks(len(index), encoded, limits)
     return _induced_completions(base.full_af(), _own_bits(base), masks)
 
 
@@ -498,10 +548,17 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
         else:
             deps.append(ImplyDisj(present, absent))
     if minimize:
+        # Distinct subsets give distinct completions, so a trial keeps the
+        # target iff its satisfying masks are the target's masks.
+        index = {a: i for i, a in enumerate(iaf.uncertain_args)}
+        target_masks = sorted(sum(1 << index[a] for a in af.args if a in index)
+                              for af in target)
         kept = sorted(deps, key=lambda d: d.sort_key())
+        encoded = {dep: _encode_dep(dep, index) for dep in kept}
         for dep in list(kept):
             trial = [d for d in kept if d != dep]
-            if completions_dep(DepArgIAF(iaf, trial), limits) == target:
+            if _satisfying_masks(len(index), [encoded[d] for d in trial],
+                                 limits) == target_masks:
                 kept = trial
         deps = kept
     return frozenset(deps)

@@ -8,7 +8,10 @@ signatures), so that it can check the search counters too,
 ``enumerated_no_equivalent_arg_iaf`` calls ``uarg.equivalent``, and
 ``scanned_dependency_masks`` and ``fixpoint_horn_closed_masks`` take the
 encoded dependencies of ``uarg.kernels.dependency_masks`` and
-``uarg.incomplete._horn_closed_masks`` and return the same mask lists.
+``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
+``dict_induced_completions`` takes the arguments of
+``uarg.incomplete._induced_completions`` and ``minimized_by_completions``
+calls ``uarg.completions_dep``.
 """
 
 from itertools import chain, combinations, permutations
@@ -17,8 +20,11 @@ from uarg import (
     DEFAULT_LIMITS,
     AbstractAF,
     ArgIAF,
+    CompletionSet,
+    DepArgIAF,
     Witness,
     completions_arg_iaf,
+    completions_dep,
     equivalent,
     satisfies,
 )
@@ -323,3 +329,32 @@ def fixpoint_horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
                         "it with --max-uncertain or UARG_MAX_UNCERTAIN")
                 stack.append(closed)
     return sorted(seen)
+
+
+def dict_induced_completions(full_af: AbstractAF, load: dict[str, int],
+                             masks) -> CompletionSet:
+    """One restriction of ``full_af`` per mask, each argument and defeat
+    filtered by load, deduplicated and sorted by the public
+    ``CompletionSet`` constructor on (args, defeats) pairs."""
+    args = [(a, load[a]) for a in full_af.args]
+    defeats = [(d, load[d[0]] | load[d[1]]) for d in full_af.defeats]
+    graphs: dict[tuple[str, ...], AbstractAF] = {}
+    for mask in masks:
+        kept = tuple(a for a, need in args if not need & ~mask)
+        if kept not in graphs:
+            graphs[kept] = AbstractAF._canonical(
+                kept, tuple(d for d, need in defeats if not need & ~mask))
+    return CompletionSet(graphs.values())
+
+
+def minimized_by_completions(iaf: ArgIAF, deps, target,
+                             limits=DEFAULT_LIMITS) -> frozenset:
+    """Greedy minimization in sort-key order: a dependency is dropped when
+    the framework without it still has exactly the target's completions,
+    built as a whole completion set for every trial."""
+    kept = sorted(deps, key=lambda d: d.sort_key())
+    for dep in list(kept):
+        trial = [d for d in kept if d != dep]
+        if completions_dep(DepArgIAF(iaf, trial), limits) == target:
+            kept = trial
+    return frozenset(kept)

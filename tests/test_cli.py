@@ -271,12 +271,17 @@ class TestErrorContract:
          "INVALID_THEORY"),
         (["--config", "{dir}", "fixtures", "list"], {}, "INPUT_ERROR"),
         (["--config", "{latin1}", "fixtures", "list"], {}, "INPUT_ERROR"),
+        (["equiv", "{unparsable_dir}", "{unparsable_dir}"], {},
+         "PARSE_ERROR"),
+        (["equiv", "{undeclared_dir}", "{undeclared_dir}"], {},
+         "UNDECLARED_ARGUMENT"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
             "synth-deps-not-arg-iaf", "equiv-unprintable-identifier",
             "theory-rule-without-head", "theory-null-rules",
-            "config-directory", "config-not-utf8"])
+            "config-directory", "config-not-utf8", "equiv-dir-unparsable",
+            "equiv-dir-undeclared-argument"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
@@ -288,11 +293,20 @@ class TestErrorContract:
         null_rules.write_text('{"rules": null}', encoding="utf-8")
         latin1 = tmp_path / "latin1.cfg"
         latin1.write_bytes("# d\xe9faut\nmax_depth = 3\n".encode("latin-1"))
-        argv = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
-                         headless=headless, null_rules=null_rules,
-                         dir=tmp_path, latin1=latin1)
-                for a in argv]
-        self.assert_one_line(argv, env, 2, code)
+        dirs = {}
+        for name, text in (("unparsable_dir", "arg(a).\nbogus\n"),
+                           ("undeclared_dir", "arg(a).\natt(a,b).\n")):
+            dirs[name] = tmp_path / name
+            dirs[name].mkdir()
+            (dirs[name] / "ok.apx").write_text("arg(a).\n", encoding="utf-8")
+            (dirs[name] / "x.apx").write_text(text, encoding="utf-8")
+        formatted = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
+                              headless=headless, null_rules=null_rules,
+                              dir=tmp_path, latin1=latin1, **dirs)
+                     for a in argv]
+        line = self.assert_one_line(formatted, env, 2, code)
+        if any(a.endswith("_dir}") for a in argv):  # names the bad file
+            assert "x.apx" in line and "ok.apx" not in line
 
     def test_exit_three_on_search_bound(self, tmp_path):
         doc = tmp_path / "two.afs"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from uarg import (
     AbstractAF,
     CompletionSet,
+    completions_arg_iaf,
     fixtures,
     parse_af,
     parse_iaf,
@@ -27,6 +29,8 @@ from uarg.documents import (
     theory_document_of,
 )
 from uarg.errors import InvalidTheoryError, ParseError, UargError
+
+from framework_gen import random_arg_iaf
 
 # Lines and fragments of the completion-set format, so that generated
 # text reaches the identifier and declaration checks, not only
@@ -198,6 +202,17 @@ class TestCompletionSetDocuments:
         text = serialize_completion_set(cs)
         assert text == "---\n"
         assert parse_completion_set(text) == cs
+
+    def test_bytes_are_member_texts_in_order(self):
+        rng = random.Random(5)
+        sets = [CompletionSet(), CompletionSet([AbstractAF()])]
+        sets += [completions_arg_iaf(random_arg_iaf(rng, max_args=5))
+                 for _ in range(40)]
+        assert any(not af.args for cs in sets[2:] for af in cs)
+        for cs in sets:
+            assert serialize_completion_set(cs) == "".join(
+                serialize_af(af) + "---\n" for af in cs)
+        assert serialize_completion_set(CompletionSet()) == ""
 
     def test_missing_trailing_separator_tolerated(self):
         text = "arg(a).\n---\narg(b)."

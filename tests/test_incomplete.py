@@ -25,13 +25,21 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
-from uarg.incomplete import _horn_closed_masks
+from uarg import incomplete, isaf
+from uarg.incomplete import _horn_closed_masks, _induced_completions, _own_bits
 from uarg.kernels import DEP_IMPLY
 
-from framework_gen import random_arg_iaf
+from framework_gen import (
+    GEN_LIMITS,
+    random_arg_iaf,
+    random_prem_isaf,
+    random_rul_isaf,
+)
 from oracles import (
     as_pairs,
+    dict_induced_completions,
     fixpoint_horn_closed_masks,
+    minimized_by_completions,
     naive_completions,
     naive_dep_completions,
     powerset,
@@ -81,6 +89,56 @@ class TestCompletions:
     def test_fixed_and_uncertain_disjoint(self):
         with pytest.raises(ValueError):
             ArgIAF(["a"], ["a"], [])
+
+
+def _restriction_cases():
+    """(full graph, load, masks) triples: structured frameworks with their
+    maximal graphs, and argument-incomplete ones with every mask, a sample
+    of masks in shuffled order, or the single mask 0."""
+    rng = random.Random(11)
+    cases = []
+    for i in range(40):
+        x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
+        full, load = isaf._maximal_graph(x, GEN_LIMITS)
+        k = len(isaf._uncertain_elements(x))
+        cases.append((full, load, range(1 << k)))
+    iafs = [random_arg_iaf(rng, max_args=6) for _ in range(40)]
+    iafs += [ArgIAF(["a", "b"], [], [("a", "b")]),  # nothing uncertain
+             ArgIAF([], ["a", "b"], [("a", "b"), ("b", "b")]),
+             ArgIAF()]
+    for iaf in iafs:
+        n = len(iaf.uncertain_args)
+        full, load = iaf.full_af(), _own_bits(iaf)
+        cases.append((full, load, range(1 << n)))
+        sample = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+        cases.append((full, load, sample))
+        cases.append((full, load, [0]))  # no uncertain argument kept
+    return cases
+
+
+class TestRestrictionOracle:
+    @pytest.mark.parametrize("full, load, masks", _restriction_cases())
+    def test_matches_dict_restriction(self, full, load, masks):
+        got = _induced_completions(full, load, masks)
+        expected = dict_induced_completions(full, load, masks)
+        assert got == expected
+        assert got.members == expected.members
+        assert hash(got) == hash(expected)
+        everything = dict_induced_completions(
+            full, load, range(1 << max(load.values(), default=0).bit_length()))
+        probes = [*everything, AbstractAF(["zz"]), AbstractAF(), "a"]
+        assert got._index is None  # built on the first lookup
+        truth = [p in expected.members for p in probes]  # tuple scan
+        for _ in range(2):
+            assert [p in got for p in probes] == \
+                [p in expected for p in probes] == truth
+        assert got._index is not None
+
+    def test_argument_free_member(self):
+        iaf = ArgIAF([], ["a", "b"], [("a", "b")])
+        cs = _induced_completions(iaf.full_af(), _own_bits(iaf), [0, 3])
+        assert cs.members == (AbstractAF(), AbstractAF(["a", "b"],
+                                                       [("a", "b")]))
 
 
 class TestSatisfies:
@@ -193,6 +251,29 @@ class TestDependencyFiltering:
             AbstractAF([a for a in names if m >> index[a] & 1])
             for m in masks)
 
+    def test_only_implicative_sets_take_the_horn_path(self, monkeypatch):
+        # With no width threshold every framework counts as wide, so the
+        # kinds of the dependencies alone pick closure or kernel: single
+        # consequents only, wider consequents only, or mixed kinds.
+        monkeypatch.setattr(incomplete, "_HORN_THRESHOLD", 0)
+        rng = random.Random(29)
+        for i in range(90):
+            iaf = random_arg_iaf(rng, max_args=5)
+            unc = list(iaf.uncertain_args)
+            if len(unc) < 2:
+                continue
+            deps = []
+            for _ in range(rng.randint(1, 3)):
+                xs = rng.sample(unc, rng.randint(1, len(unc)))
+                ys = rng.sample(unc, 1 if i % 3 == 0
+                                else rng.randint(2, len(unc)))
+                kind = "imply" if i % 3 < 2 else \
+                    rng.choice(("imply", "or", "nand"))
+                deps.append(ImplyDisj(xs, ys) if kind == "imply"
+                            else Or(xs) if kind == "or" else Nand(xs))
+            assert as_pairs(completions_dep(DepArgIAF(iaf, deps))) == \
+                naive_dep_completions(iaf.fixed_args, unc, iaf.defeats, deps)
+
     def test_horn_cap_raises(self):
         names = [f"u{i}" for i in range(16)]
         iaf = ArgIAF([], names, [])
@@ -276,6 +357,33 @@ class TestSynthesis:
         slim = synthesize_dependencies(iaf, target, minimize=True)
         assert completions_dep(DepArgIAF(iaf, slim)) == target
         assert len(slim) <= len(full)
+
+    @pytest.mark.parametrize("threshold", [None, 0], ids=["kernel", "horn"])
+    def test_minimize_matches_completion_set_oracle(self, monkeypatch,
+                                                    threshold):
+        if threshold is not None:  # implicative trials take the Horn path
+            monkeypatch.setattr(incomplete, "_HORN_THRESHOLD", threshold)
+        rng = random.Random(23)
+        kinds = set()
+        for n in range(7):
+            names = [f"u{i}" for i in range(n)]
+            fixed = ["f"] if rng.random() < 0.5 else []
+            defeats = [(s, t) for s in fixed + names for t in fixed + names
+                       if rng.random() < 0.3]
+            iaf = ArgIAF(fixed, names, defeats)
+            members = list(completions_arg_iaf(iaf))
+            targets = [members, members[:1], members[-1:]]
+            targets += [[m for m in members if rng.random() < 0.5]
+                        for _ in range(4)]
+            for chosen in targets:
+                if not chosen and n == 0:
+                    continue  # not representable
+                target = CompletionSet(chosen)
+                full = synthesize_dependencies(iaf, target)
+                kinds.update(type(dep) for dep in full)
+                assert synthesize_dependencies(iaf, target, minimize=True) \
+                    == minimized_by_completions(iaf, full, target)
+        assert kinds == {Or, Nand, ImplyDisj}
 
 
 class TestIafTextFormat:
