@@ -183,7 +183,11 @@ def translate_cmd(ctx, input_spec, from_kind, to_kind, verify, full_delta,
         _fail(error)
 
 
-def _read_completion_set(path_spec: str):
+def _read_completion_set(path_spec: str, allow_empty: bool = False):
+    """A completion set from a document, or from a directory of .apx files
+    (one member each).  A directory without one is bad input, and so is a
+    document without a member unless allow_empty: only a framework whose
+    dependencies no subset satisfies has no completion."""
     path = Path(path_spec)
     if path.is_dir():
         afs = []
@@ -195,8 +199,14 @@ def _read_completion_set(path_spec: str):
                 # the line number alone does not say which file it is in
                 error.message = f"{str(member)!r}: {error.message}"
                 raise
+        if not afs:
+            raise InputError(f"{path_spec!r} holds no .apx file")
         return CompletionSet(afs)
-    return documents.parse_completion_set(read_text(path))
+    completions = documents.parse_completion_set(read_text(path))
+    if not completions and not allow_empty:
+        raise InputError(f"{path_spec!r} holds no framework; equivalence "
+                         "compares non-empty completion sets")
+    return completions
 
 
 @main.command()
@@ -262,7 +272,7 @@ def synth_deps(ctx, input_spec, target, minimize):
             framework = framework.base
         if not isinstance(framework, ArgIAF):
             raise InputError("synth-deps expects an arg-iaf input")
-        target_set = _read_completion_set(target)
+        target_set = _read_completion_set(target, allow_empty=True)
         deps = synthesize_dependencies(framework, target_set,
                                        minimize=minimize, limits=_limits(ctx))
     except UargError as error:

@@ -3,9 +3,10 @@ identifiers that maps one set of frameworks exactly onto another.
 
 The decision runs a complete backtracking search over bijections, pruned by
 occurrence signatures (for each argument, the multiset of per-framework
-shapes it occurs in, refined by defeat degrees).  Each source member keeps
-a bitmask of the target members still consistent with the partial
-bijection; assigning a name narrows the masks, and an empty one prunes.
+shapes it occurs in, refined by defeat degrees, each occurrence coded as
+one integer).  Each source member keeps a bitmask of the target members
+still consistent with the partial bijection; assigning a name narrows the
+masks, and an empty one prunes.
 Negative certification against argument-incomplete frameworks needs no
 search over frameworks: completion sets are closed under renaming, so a
 target has an equivalent framework iff the one framework that could
@@ -14,6 +15,7 @@ produce it under its own names does.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
@@ -52,25 +54,36 @@ def check_witness(source: CompletionSet, target: CompletionSet,
     return witness.apply(source) == target
 
 
-def _signatures(completions: CompletionSet) -> dict[str, tuple]:
+def _signatures(completions: CompletionSet,
+                union_size: int) -> dict[str, tuple[int, ...]]:
     """Per-argument occurrence signature: for every framework containing the
     argument, the framework's size profile plus the argument's local defeat
-    degrees.  Invariant under renaming, so it soundly prunes bijections."""
-    sigs: dict[str, list] = {}
+    degrees.  Invariant under renaming, so it soundly prunes bijections.
+
+    Each occurrence is one mixed-radix integer, R = union_size + 1:
+
+        (((|args|*R^2 + |defeats|)*R + in-degree)*R + out-degree)*2
+            + self-defeat
+
+    Every digit is below its radix (degrees <= union_size, |defeats| <=
+    union_size^2), so the code is injective and orders occurrences as the
+    tuples of those five numbers would.  Signatures of two sets coded with
+    one union size therefore compare and group arguments as the tuples do.
+    """
+    radix = union_size + 1
+    in_step = 2 * radix
+    sigs: defaultdict[str, list[int]] = defaultdict(list)
     for af in completions:
-        shape = (len(af.args), len(af.defeats))
-        indeg: dict[str, int] = dict.fromkeys(af.args, 0)
-        outdeg: dict[str, int] = dict.fromkeys(af.args, 0)
-        selfdef: dict[str, int] = dict.fromkeys(af.args, 0)
+        code = dict.fromkeys(af.args, (len(af.args) * radix * radix
+                                       + len(af.defeats)) * in_step * radix)
         for s, t in af.defeats:
-            outdeg[s] += 1
-            indeg[t] += 1
+            code[s] += 2
+            code[t] += in_step
             if s == t:
-                selfdef[s] += 1
-        for a in af.args:
-            sigs.setdefault(a, []).append(
-                (shape, indeg[a], outdeg[a], selfdef[a]))
-    return {a: tuple(sorted(entries)) for a, entries in sigs.items()}
+                code[s] += 1
+        for a, c in code.items():
+            sigs[a].append(c)
+    return {a: tuple(sorted(codes)) for a, codes in sigs.items()}
 
 
 def _member_masks(completions: CompletionSet) -> tuple[
@@ -117,12 +130,12 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             return EquivalenceResult(EQUIVALENT, witness, nodes=1)
         return EquivalenceResult(NOT_EQUIVALENT, None, nodes=1)
 
-    src_sig = _signatures(source)
-    tgt_sig = _signatures(target)
-    tgt_by_sig: dict[tuple, list[str]] = {}
+    src_sig = _signatures(source, len(src_union))
+    tgt_sig = _signatures(target, len(src_union))  # unions of one size
+    tgt_by_sig: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(tgt_union):
         tgt_by_sig.setdefault(tgt_sig[name], []).append(name)
-    src_by_sig: dict[tuple, list[str]] = {}
+    src_by_sig: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(src_union):
         src_by_sig.setdefault(src_sig[name], []).append(name)
     if {sig: len(v) for sig, v in src_by_sig.items()} != \

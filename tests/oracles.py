@@ -3,8 +3,10 @@
 Everything here is definition-literal and set-based, deliberately avoiding
 the package's bitmask kernels and search machinery so the two routes stay
 independent checks of each other.  The exceptions are kept slow paths:
-``recheck_equivalent`` shares the search order of ``uarg.equivalent`` (its
-signatures), so that it can check the search counters too,
+``recheck_equivalent`` follows the search order of ``uarg.equivalent``, with
+the tuple-valued occurrence signatures of ``tuple_signatures`` that the
+library's integer codes must order and group the same way, so that it can
+check the search counters too,
 ``enumerated_no_equivalent_arg_iaf`` calls ``uarg.equivalent``, and
 ``scanned_dependency_masks`` and ``fixpoint_horn_closed_masks`` take the
 encoded dependencies of ``uarg.kernels.dependency_masks`` and
@@ -28,12 +30,7 @@ from uarg import (
     equivalent,
     satisfies,
 )
-from uarg.equivalence import (
-    EQUIVALENT,
-    NOT_EQUIVALENT,
-    EquivalenceResult,
-    _signatures,
-)
+from uarg.equivalence import EQUIVALENT, NOT_EQUIVALENT, EquivalenceResult
 from uarg.errors import (
     SearchBoundExceededError,
     UncertaintyBoundExceededError,
@@ -140,11 +137,33 @@ def brute_force_equivalent(source, target) -> dict | None:
     return None
 
 
+def tuple_signatures(completions) -> dict[str, tuple]:
+    """Per-argument occurrence signature as a sorted tuple of
+    ``((|args|, |defeats|), in-degree, out-degree, self-defeats)`` entries,
+    one per member holding the argument."""
+    sigs: dict[str, list] = {}
+    for af in completions:
+        shape = (len(af.args), len(af.defeats))
+        indeg: dict[str, int] = dict.fromkeys(af.args, 0)
+        outdeg: dict[str, int] = dict.fromkeys(af.args, 0)
+        selfdef: dict[str, int] = dict.fromkeys(af.args, 0)
+        for s, t in af.defeats:
+            outdeg[s] += 1
+            indeg[t] += 1
+            if s == t:
+                selfdef[s] += 1
+        for a in af.args:
+            sigs.setdefault(a, []).append(
+                (shape, indeg[a], outdeg[a], selfdef[a]))
+    return {a: tuple(sorted(entries)) for a, entries in sigs.items()}
+
+
 def recheck_equivalent(source, target, limits=DEFAULT_LIMITS):
     """The equivalence search that re-checks every source member against
-    every target member at each node, from scratch.  Same order, same
-    signatures and same counting as ``uarg.equivalent``, so verdict,
-    witness, nodes and prunes must all agree with it."""
+    every target member at each node, from scratch, ordered by
+    ``tuple_signatures``.  Same order and same counting as
+    ``uarg.equivalent``, so verdict, witness, nodes and prunes must all
+    agree with it."""
     src_union = source.argument_union()
     tgt_union = target.argument_union()
     if max(len(src_union), len(tgt_union)) > limits.max_equiv_args:
@@ -156,8 +175,8 @@ def recheck_equivalent(source, target, limits=DEFAULT_LIMITS):
     if shapes != sorted((len(af.args), len(af.defeats)) for af in target):
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
-    src_sig = _signatures(source)
-    tgt_sig = _signatures(target)
+    src_sig = tuple_signatures(source)
+    tgt_sig = tuple_signatures(target)
     tgt_by_sig: dict[tuple, list[str]] = {}
     for name in sorted(tgt_union):
         tgt_by_sig.setdefault(tgt_sig[name], []).append(name)

@@ -144,6 +144,43 @@ class TestEquivCommand:
         assert run("equiv", "--identity-only", str(left),
                    str(right)).exit_code == 1
 
+    # A relabelled pair over 10 arguments: a0..a9 -> b*, with a2 and a6
+    # uncertain and a self-defeat on a3.  Seven signature classes, and the
+    # search backtracks, so the golden pins the order of the search.
+    RELABEL = {"a0": "b1", "a1": "b2", "a2": "b4", "a3": "b8", "a4": "b5",
+               "a5": "b6", "a6": "b7", "a7": "b9", "a8": "b0", "a9": "b3"}
+    DEFEATS = [("a0", "a4"), ("a3", "a0"), ("a3", "a3"), ("a3", "a8"),
+               ("a3", "a9"), ("a4", "a5"), ("a6", "a3"), ("a7", "a6")]
+    GOLDEN = (
+        '{"search": {"nodes": 32, "prunes": 8}, "verdict": "equivalent", '
+        '"witness": {"map": [["a0", "b1"], ["a1", "b2"], ["a2", "b4"], '
+        '["a3", "b8"], ["a4", "b5"], ["a5", "b6"], ["a6", "b7"], '
+        '["a7", "b9"], ["a8", "b0"], ["a9", "b3"]]}}\n')
+
+    @classmethod
+    def document(cls, rename) -> str:
+        """The four completions of the pair's argument-incomplete
+        framework, under the given renaming."""
+        parts = []
+        for kept in ((), ("a2",), ("a6",), ("a2", "a6")):
+            args = [a for a in cls.RELABEL if a not in ("a2", "a6")
+                    or a in kept]
+            parts += [f"arg({rename(a)}).\n" for a in args]
+            parts += [f"att({rename(s)},{rename(t)}).\n"
+                      for s, t in cls.DEFEATS if s in args and t in args]
+            parts.append("---\n")
+        return "".join(parts)
+
+    def test_relabelled_search_golden(self, tmp_path):
+        left = tmp_path / "left.afs"
+        right = tmp_path / "right.afs"
+        left.write_text(self.document(str), encoding="utf-8")
+        right.write_text(self.document(self.RELABEL.__getitem__),
+                         encoding="utf-8")
+        result = run("equiv", str(left), str(right))
+        assert result.exit_code == 0
+        assert result.output == self.GOLDEN
+
 
 class TestSemanticsCommand:
     def test_grounded_singleton(self, tmp_path):
@@ -180,6 +217,17 @@ class TestSynthDepsCommand:
         target = tmp_path / "target.afs"
         target.write_text("arg(zz).\n---\n", encoding="utf-8")
         assert run("synth-deps", str(iaf), str(target)).exit_code == 2
+
+    def test_empty_target_document(self, tmp_path):
+        # the completion set of unsatisfiable dependencies is empty, and
+        # `completions --out` writes it as an empty document
+        iaf = tmp_path / "base.iaf"
+        iaf.write_text("?arg(b).\n", encoding="utf-8")
+        target = tmp_path / "target.afs"
+        target.write_text("", encoding="utf-8")
+        result = run("synth-deps", str(iaf), str(target))
+        assert result.exit_code == 0
+        assert result.output == "?arg(b).\nnand([b]).\nor([b]).\n"
 
 
 class TestExportDot:
@@ -275,13 +323,17 @@ class TestErrorContract:
          "PARSE_ERROR"),
         (["equiv", "{undeclared_dir}", "{undeclared_dir}"], {},
          "UNDECLARED_ARGUMENT"),
+        (["equiv", "{empty}", "{one}"], {}, "INPUT_ERROR"),
+        (["equiv", "{one}", "{blank}"], {}, "INPUT_ERROR"),
+        (["synth-deps", "fixture:example1", "{empty}"], {}, "INPUT_ERROR"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
             "synth-deps-not-arg-iaf", "equiv-unprintable-identifier",
             "theory-rule-without-head", "theory-null-rules",
             "config-directory", "config-not-utf8", "equiv-dir-unparsable",
-            "equiv-dir-undeclared-argument"])
+            "equiv-dir-undeclared-argument", "equiv-dir-empty",
+            "equiv-doc-empty", "synth-deps-dir-empty"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
@@ -300,11 +352,22 @@ class TestErrorContract:
             dirs[name].mkdir()
             (dirs[name] / "ok.apx").write_text("arg(a).\n", encoding="utf-8")
             (dirs[name] / "x.apx").write_text(text, encoding="utf-8")
+        one = tmp_path / "one.afs"
+        one.write_text("arg(a).\n---\n", encoding="utf-8")
+        empty = tmp_path / "empty"  # no .apx file: an empty completion set
+        empty.mkdir()
+        (empty / "a.txt").write_text("arg(a).\n", encoding="utf-8")
+        blank = tmp_path / "blank.afs"  # no section: likewise
+        blank.write_text("\n", encoding="utf-8")
         formatted = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
                               headless=headless, null_rules=null_rules,
-                              dir=tmp_path, latin1=latin1, **dirs)
+                              dir=tmp_path, latin1=latin1, one=one,
+                              empty=empty, blank=blank, **dirs)
                      for a in argv]
         line = self.assert_one_line(formatted, env, 2, code)
+        for name, path in (("{empty}", empty), ("{blank}", blank)):
+            if name in argv:  # names the empty input
+                assert str(path) in line
         if any(a.endswith("_dir}") for a in argv):  # names the bad file
             assert "x.apx" in line and "ok.apx" not in line
 

@@ -16,6 +16,7 @@ from uarg import (
     fixtures,
     no_equivalent_arg_iaf,
 )
+from uarg.equivalence import _signatures
 from uarg.errors import DomainMismatchError, SearchBoundExceededError
 
 from framework_gen import random_arg_iaf
@@ -23,6 +24,7 @@ from oracles import (
     brute_force_equivalent,
     enumerated_no_equivalent_arg_iaf,
     recheck_equivalent,
+    tuple_signatures,
 )
 
 
@@ -69,6 +71,91 @@ THM10_WITNESS = Witness({
 def thm10_sets():
     return (completion_set_of(fixtures.get("thm10_rul")),
             completion_set_of(fixtures.get("thm9_imp")))
+
+
+def random_members(rng, names, count):
+    """Members over random subsets of names, some argument-free, with
+    random defeats, self-defeats included."""
+    members = []
+    for _ in range(count):
+        args = rng.sample(names, rng.randint(0, len(names)))
+        pairs = [(s, t) for s in args for t in args]
+        members.append(AbstractAF(args, rng.sample(pairs, rng.randint(
+            0, len(pairs)))))
+    return members
+
+
+class TestSignatureCodes:
+    """The integer-coded occurrence signatures order and group arguments
+    exactly as the tuple-valued ones, within a set and across two sets
+    coded with one union size."""
+
+    @staticmethod
+    def assert_order_isomorphic(*sets):
+        size = len(sets[0].argument_union())
+        pairs = []
+        for completions in sets:
+            assert len(completions.argument_union()) == size
+            codes = _signatures(completions, size)
+            tuples = tuple_signatures(completions)
+            assert codes.keys() == tuples.keys()
+            pairs += [(codes[a], tuples[a]) for a in codes]
+        for code_x, tuple_x in pairs:
+            for code_y, tuple_y in pairs:
+                assert (code_x < code_y) == (tuple_x < tuple_y)
+                assert (code_x == code_y) == (tuple_x == tuple_y)
+
+    def test_random_sets(self):
+        rng = random.Random(211)
+        for _ in range(150):
+            names = [f"a{i}" for i in range(rng.randint(1, 7))]
+            members = random_members(rng, names, rng.randint(1, 6))
+            members += [AbstractAF(names), AbstractAF()]
+            source = CompletionSet(members)
+            target = toggle_defeat(rng, source)
+            self.assert_order_isomorphic(source, target)
+
+    def test_every_digit_at_its_maximum(self):
+        # 16 arguments, the default max_equiv_args.  In the complete member
+        # (all 256 defeats) every degree is 16 and every argument defeats
+        # itself.  In the star member a0 defeats every argument, so its
+        # out-degree is 16 where a1's in-degree is one above a0's: a code
+        # that carried the out-degree into the in-degree digit would order
+        # a0 after a1.
+        names = [f"a{i}" for i in range(16)]
+        complete = AbstractAF(names, [(s, t) for s in names for t in names])
+        star = AbstractAF(names, [("a0", t) for t in names] + [("a2", "a1")])
+        assert len(complete.defeats) == 256
+        self.assert_order_isomorphic(
+            CompletionSet([complete, star, AbstractAF()]))
+        rng = random.Random(16)
+        source = CompletionSet([complete, star, AbstractAF()]
+                               + random_members(rng, names, 5))
+        target = Witness({a: f"w{a}" for a in names}).apply(source)
+        self.assert_order_isomorphic(source, toggle_defeat(rng, source))
+        got = equivalent(source, target)
+        want = recheck_equivalent(source, target)
+        assert got.equivalent
+        assert (got.witness, got.nodes, got.prunes) == \
+            (want.witness, want.nodes, want.prunes)
+
+    def test_union_above_the_default_bound(self):
+        rng = random.Random(20)
+        names = [f"a{i}" for i in range(20)]
+        limits = Limits(max_equiv_args=20)
+        source = CompletionSet(random_members(rng, names, 6)
+                               + [AbstractAF(names)])
+        target = toggle_defeat(rng, source)
+        self.assert_order_isomorphic(source, target)
+        verdicts = []
+        for other in (source, target):
+            renamed = Witness({a: f"w{a}" for a in names}).apply(other)
+            got = equivalent(source, renamed, limits)
+            want = recheck_equivalent(source, renamed, limits)
+            assert (got.verdict, got.witness, got.nodes, got.prunes) == \
+                (want.verdict, want.witness, want.nodes, want.prunes)
+            verdicts.append(got.equivalent)
+        assert verdicts == [True, False]
 
 
 class TestCheckWitness:
