@@ -136,13 +136,10 @@ _DIRECTIONS = {
                                  "tidy-prem-isaf"]))
 @click.option("--verify", is_flag=True,
               help="Check completion-set equivalence under the witness.")
-@click.option("--full-delta", is_flag=True,
-              help="Emit every covering dependency antecedent instead of "
-                   "only subset-minimal ones.")
 @click.option("--out-framework", type=click.Path(), default=None)
 @click.option("--out-witness", type=click.Path(), default=None)
 @click.pass_context
-def translate_cmd(ctx, input_spec, from_kind, to_kind, verify, full_delta,
+def translate_cmd(ctx, input_spec, from_kind, to_kind, verify,
                   out_framework, out_witness):
     """Run one of the six constructive translations; emits the target
     framework document and the certifying witness."""
@@ -153,13 +150,11 @@ def translate_cmd(ctx, input_spec, from_kind, to_kind, verify, full_delta,
             raise UnsupportedDirectionError(
                 f"no translation from {from_kind} to {to_kind}")
         source = _read_input(input_spec, from_kind)
-        if handler in (translate.rul_isaf_to_imp_arg_iaf,
-                       translate.prem_isaf_to_imp_arg_iaf):
-            target, witness = handler(source, limits, full_delta=full_delta)
-        elif handler in (translate.tidy, translate.prem_isaf_to_rul_isaf):
-            target, witness = handler(source, limits)
-        else:
+        # the arg-iaf encodings generate nothing, so take no limits
+        if from_kind == "arg-iaf":
             target, witness = handler(source)
+        else:
+            target, witness = handler(source, limits)
         framework_text = documents.serialize_framework(target)
         witness_text = json.dumps(witness.to_json(), sort_keys=True) + "\n"
         if out_framework:

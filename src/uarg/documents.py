@@ -24,7 +24,6 @@ from .core import AbstractAF, parse_af, serialize_af
 from .errors import InvalidTheoryError, MixedUncertaintyError, ParseError
 from .incomplete import ArgIAF, CompletionSet, DepArgIAF, parse_iaf, serialize_iaf
 from .isaf import PremISAF, RulISAF
-from .translate import PRIME_SUFFIX
 
 FRAMEWORK_KINDS = ("af", "arg-iaf", "dep-arg-iaf", "rul-isaf", "prem-isaf", "saf")
 
@@ -85,8 +84,7 @@ def _pairs(obj: Any, where: str, shape: str) -> list[tuple[str, str]]:
     return out
 
 
-def load_theory_document(source: str | dict,
-                         allow_primed: bool = False) -> TheoryDocument:
+def load_theory_document(source: str | dict) -> TheoryDocument:
     if isinstance(source, str):
         try:
             obj = json.loads(source)
@@ -150,9 +148,6 @@ def load_theory_document(source: str | dict,
         mentioned.update((phi, psi))
     for phi in sorted(mentioned):
         _require(is_valid_formula(phi), f"invalid formula token: {phi!r}")
-        if not allow_primed:
-            _require(PRIME_SUFFIX not in phi,
-                     f"formula {phi!r} contains the reserved prime character")
     return doc
 
 

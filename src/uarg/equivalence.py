@@ -125,9 +125,9 @@ def equivalent(source: CompletionSet, target: CompletionSet,
     if identity_only:
         if src_union != tgt_union:
             return EquivalenceResult(NOT_EQUIVALENT, None)
-        witness = Witness.identity(src_union)
-        if witness.apply(source) == target:
-            return EquivalenceResult(EQUIVALENT, witness, nodes=1)
+        if source == target:
+            return EquivalenceResult(EQUIVALENT, Witness.identity(src_union),
+                                     nodes=1)
         return EquivalenceResult(NOT_EQUIVALENT, None, nodes=1)
 
     src_sig = _signatures(source, len(src_union))

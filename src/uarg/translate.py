@@ -9,7 +9,7 @@ so certification is replayable without re-running the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .aspic import (
     DEFEASIBLE,
@@ -24,20 +24,8 @@ from .aspic import (
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF, check_argument_id
 from .errors import InvalidTheoryError
-from .incomplete import (
-    ArgIAF,
-    CompletionSet,
-    DepArgIAF,
-    ImplyDisj,
-    _check_uncertain_bound,
-)
-from .isaf import (
-    PremISAF,
-    RulISAF,
-    _check_preference_domain,
-    _maximal_graph,
-    is_tidy,
-)
+from .incomplete import ArgIAF, CompletionSet, DepArgIAF, ImplyDisj
+from .isaf import PremISAF, RulISAF, _maximal, _maximal_graph, is_tidy
 
 PRIME_SUFFIX = "'"
 
@@ -222,23 +210,11 @@ def _minimal_covers(needed: int, profiles: list[tuple[str, int]],
 
 
 def _implicative_dependencies(uncertain_ids: list[str], load: dict[str, int],
-                              full: bool) -> list[ImplyDisj]:
+                              ) -> list[ImplyDisj]:
     """Dependencies forcing each uncertain argument whenever a set of
-    arguments jointly carrying all of its uncertain load is present."""
+    arguments jointly carrying all of its uncertain load is present: one per
+    subset-minimal antecedent, since supersets are semantically entailed."""
     deps: list[ImplyDisj] = []
-    if full:
-        from itertools import combinations
-
-        for x in uncertain_ids:
-            others = uncertain_ids
-            for size in range(1, len(others) + 1):
-                for combo in combinations(others, size):
-                    union = 0
-                    for y in combo:
-                        union |= load[y]
-                    if not load[x] & ~union:
-                        deps.append(ImplyDisj(combo, (x,)))
-        return deps
     for x in uncertain_ids:
         profiles = [(y, load[y]) for y in uncertain_ids if y != x]
         for cover in _minimal_covers(load[x], profiles):
@@ -247,36 +223,53 @@ def _implicative_dependencies(uncertain_ids: list[str], load: dict[str, int],
 
 
 def _structured_to_imp_arg_iaf(x: RulISAF | PremISAF, limits: Limits,
-                               full_delta: bool) -> tuple[DepArgIAF, Witness]:
+                               ) -> tuple[DepArgIAF, Witness]:
     full_af, load = _maximal_graph(x, limits)
     fixed_ids = [a for a in full_af.args if not load[a]]
     uncertain_ids = [a for a in full_af.args if load[a]]
-    if full_delta:
-        _check_uncertain_bound(len(uncertain_ids), limits)
     base = ArgIAF(fixed_ids, uncertain_ids, full_af.defeats)
-    deps = _implicative_dependencies(uncertain_ids, load, full_delta)
+    deps = _implicative_dependencies(uncertain_ids, load)
     return DepArgIAF(base, deps), Witness.identity(full_af.args)
 
 
 def rul_isaf_to_imp_arg_iaf(r: RulISAF, limits: Limits = DEFAULT_LIMITS,
-                            full_delta: bool = False,
                             ) -> tuple[DepArgIAF, Witness]:
     """Abstract the maximal completion; an argument is uncertain iff it uses
     an uncertain rule, and implicative dependencies tie each uncertain
-    argument to the argument sets that jointly exhibit its uncertain rules.
-
-    By default one dependency per subset-minimal antecedent is emitted;
-    supersets are semantically entailed.  full_delta=True materializes every
-    covering antecedent for oracle comparison.
-    """
-    return _structured_to_imp_arg_iaf(r, limits, full_delta)
+    argument to the subset-minimal argument sets that jointly exhibit its
+    uncertain rules."""
+    return _structured_to_imp_arg_iaf(r, limits)
 
 
 def prem_isaf_to_imp_arg_iaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
-                             full_delta: bool = False,
                              ) -> tuple[DepArgIAF, Witness]:
     """Same construction with uncertain premises as the uncertain load."""
-    return _structured_to_imp_arg_iaf(p, limits, full_delta)
+    return _structured_to_imp_arg_iaf(p, limits)
+
+
+def _rewrite_leaves(arguments: Iterable[StructuredArgument],
+                    leaf: Callable[[StructuredArgument], StructuredArgument],
+                    ) -> dict[str, str]:
+    """Each argument's text -> the text of its image: every leaf (a premise
+    or an empty-bodied rule application) becomes ``leaf(argument)`` and every
+    other rule application is rebuilt over its rewritten sub-arguments'
+    conclusions.  Shared sub-arguments are rewritten once."""
+    cache: dict[str, StructuredArgument] = {}
+
+    def rewrite(argument: StructuredArgument) -> StructuredArgument:
+        out = cache.get(argument.text)
+        if out is None:
+            if argument.subs:
+                subs = tuple(rewrite(sub) for sub in argument.subs)
+                rule = Rule((sub.conc for sub in subs), argument.rule.head,
+                            argument.rule.kind)
+                out = inference_argument(rule, subs)
+            else:
+                out = leaf(argument)
+            cache[argument.text] = out
+        return out
+
+    return {arg.text: rewrite(arg).text for arg in arguments}
 
 
 def _prime(formula: str) -> str:
@@ -293,6 +286,8 @@ def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
     derive such a formula either from the premise or through the renamed
     empty-bodied rule, and both derivations must keep a rule to attach to.
     Already-tidy frameworks come back unchanged with an identity witness.
+    Tidy or not, every declared preference must name an argument of the
+    maximal completion.
     """
     tidied, witness, _ = _tidy(p, limits)
     return tidied, witness
@@ -302,7 +297,7 @@ def _tidy(p: PremISAF, limits: Limits,
           ) -> tuple[PremISAF, Witness, tuple[StructuredArgument, ...]]:
     """tidy, plus the arguments of the tidied framework's theory."""
     theory = p.theory
-    args_max = generate_arguments(theory, limits)
+    args_max = _maximal(p, limits)[1]
     premiseless_heads = {rule.head for rule in theory.rules if not rule.body}
     rep = theory.knowledge_base & premiseless_heads
     if not rep:
@@ -355,31 +350,14 @@ def _tidy(p: PremISAF, limits: Limits,
         premises=theory.premises,
     )
 
-    rename_cache: dict[str, StructuredArgument] = {}
+    def leaf(argument: StructuredArgument) -> StructuredArgument:
+        rule = argument.rule
+        if rule is not None and rule.head in rep:
+            return StructuredArgument(None, Rule((), _prime(rule.head),
+                                                 rule.kind), ())
+        return argument
 
-    def rename(argument: StructuredArgument) -> StructuredArgument:
-        cached = rename_cache.get(argument.text)
-        if cached is not None:
-            return cached
-        if argument.is_premise:
-            out = argument
-        elif not argument.subs:
-            rule = argument.rule
-            if rule.head in rep:
-                out = StructuredArgument(
-                    None, Rule((), _prime(rule.head), rule.kind), ())
-            else:
-                out = argument
-        else:
-            subs = tuple(rename(sub) for sub in argument.subs)
-            rule = Rule((sub.conc for sub in subs), argument.rule.head,
-                        argument.rule.kind)
-            out = inference_argument(rule, subs)
-        rename_cache[argument.text] = out
-        return out
-
-    tau = {arg.text: rename(arg).text for arg in args_max}
-    _check_preference_domain(p.preferences, tau)
+    tau = _rewrite_leaves(args_max, leaf)
     new_args_max = generate_arguments(new_theory, limits)
     new_texts = {arg.text for arg in new_args_max}
     preferences = set()
@@ -418,32 +396,15 @@ def prem_isaf_to_rul_isaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
         premises=frozenset(tidied.fixed_premises),
     )
 
-    uncertain_axioms = tidied.uncertain_axioms
-    uncertain_premises = tidied.uncertain_premises
-    rewrite_cache: dict[str, StructuredArgument] = {}
+    def leaf(argument: StructuredArgument) -> StructuredArgument:
+        phi = argument.premise
+        if phi in tidied.uncertain_axioms:
+            return StructuredArgument(None, Rule((), phi, STRICT), ())
+        if phi in tidied.uncertain_premises:
+            return StructuredArgument(None, Rule((), phi, DEFEASIBLE), ())
+        return argument
 
-    def rewrite(argument: StructuredArgument) -> StructuredArgument:
-        cached = rewrite_cache.get(argument.text)
-        if cached is not None:
-            return cached
-        if argument.is_premise:
-            phi = argument.premise
-            if phi in uncertain_axioms:
-                out = StructuredArgument(None, Rule((), phi, STRICT), ())
-            elif phi in uncertain_premises:
-                out = StructuredArgument(None, Rule((), phi, DEFEASIBLE), ())
-            else:
-                out = argument
-        elif not argument.subs:
-            out = argument
-        else:
-            subs = tuple(rewrite(sub) for sub in argument.subs)
-            out = inference_argument(argument.rule, subs)
-        rewrite_cache[argument.text] = out
-        return out
-
-    tau = {arg.text: rewrite(arg).text for arg in args_max}
-    _check_preference_domain(tidied.preferences, tau)
+    tau = _rewrite_leaves(args_max, leaf)
     preferences = frozenset((tau[a], tau[b]) for a, b in tidied.preferences)
     target = RulISAF(target_theory, uncertain_rules=new_rules,
                      preferences=preferences)

@@ -12,8 +12,9 @@ check the search counters too,
 encoded dependencies of ``uarg.kernels.dependency_masks`` and
 ``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
 ``dict_induced_completions`` takes the arguments of
-``uarg.incomplete._induced_completions`` and ``minimized_by_completions``
-calls ``uarg.completions_dep``.
+``uarg.incomplete._induced_completions``, ``minimized_by_completions``
+calls ``uarg.completions_dep``, and ``covering_imp_arg_iaf`` builds the
+implicative abstraction from the public structured-layer functions.
 """
 
 from itertools import chain, combinations, permutations
@@ -24,11 +25,18 @@ from uarg import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
+    ImplyDisj,
+    RulISAF,
     Witness,
+    associated_af,
     completions_arg_iaf,
     completions_dep,
     equivalent,
+    generate_arguments,
+    saf_max,
     satisfies,
+    uncertain_premises_of,
+    uncertain_rules_of,
 )
 from uarg.equivalence import EQUIVALENT, NOT_EQUIVALENT, EquivalenceResult
 from uarg.errors import (
@@ -377,3 +385,26 @@ def minimized_by_completions(iaf: ArgIAF, deps, target,
         if completions_dep(DepArgIAF(iaf, trial), limits) == target:
             kept = trial
     return frozenset(kept)
+
+
+def covering_imp_arg_iaf(x, limits=DEFAULT_LIMITS) -> DepArgIAF:
+    """Implicative abstraction of a rule- or premise-incomplete framework
+    with one dependency per covering antecedent: every non-empty set of
+    uncertain arguments whose uncertain rules or premises include all of
+    those of the argument it implies.  The 2^n form that the library's
+    subset-minimal antecedents must entail."""
+    saf = saf_max(x, limits)
+    arguments = generate_arguments(saf.theory, limits)
+    af = associated_af(saf, arguments, limits)
+    load_of = (uncertain_rules_of if isinstance(x, RulISAF)
+               else uncertain_premises_of)
+    load = {arg.text: load_of(x, arg) for arg in arguments}
+    uncertain = [a for a in af.args if load[a]]
+    deps = []
+    for implied in uncertain:
+        for antecedent in powerset(uncertain):
+            carried = set().union(*(load[a] for a in antecedent))
+            if antecedent and load[implied] <= carried:
+                deps.append(ImplyDisj(antecedent, (implied,)))
+    fixed = [a for a in af.args if not load[a]]
+    return DepArgIAF(ArgIAF(fixed, uncertain, af.defeats), deps)

@@ -46,7 +46,7 @@ from uarg import (
 )
 
 from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
-from oracles import powerset
+from oracles import covering_imp_arg_iaf, powerset
 
 
 @contextmanager
@@ -209,10 +209,7 @@ def test_c06_implicative_abstractions_certified():
             target_set = completions_dep(target)
             assert check_witness(source_set, target_set, witness)
             if len(target.base.uncertain_args) <= 4:
-                if i % 2 == 0:
-                    full, _ = rul_isaf_to_imp_arg_iaf(isaf, full_delta=True)
-                else:
-                    full, _ = prem_isaf_to_imp_arg_iaf(isaf, full_delta=True)
+                full = covering_imp_arg_iaf(isaf)
                 assert completions_dep(full) == target_set
                 narrow_checked += 1
         assert narrow_checked >= 50

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import uarg
-from uarg.cli import main
+from uarg.cli import _DIRECTIONS, main
 
 EX1_IAF_TEXT = "arg(a).\n?arg(b).\n?arg(c).\natt(b,a).\natt(c,a).\n"
 
@@ -64,16 +64,66 @@ class TestCompletionsCommand:
         assert result.exit_code == 3
 
 
-class TestTranslateCommand:
-    def test_verify_example1_to_rul(self):
-        result = run("translate", "fixture:example1", "--from", "arg-iaf",
-                     "--to", "rul-isaf", "--verify")
-        assert result.exit_code == 0, result.output
+# A fixed premise p that an empty-bodied rule also derives: tidying primes
+# it, so the tidied and premise-to-rule outputs hold the formula p'.
+UNTIDY_DOC = {"close_negation": True,
+              "rules": [{"body": [], "head": "p", "kind": "defeasible"}],
+              "kb": {"premises_fixed": ["p"]}}
 
-    def test_verify_thm3_to_imp(self):
-        result = run("translate", "fixture:thm3_rul", "--from", "rul-isaf",
-                     "--to", "imp-arg-iaf", "--verify")
+TRANSLATE_SOURCES = {"arg-iaf": "fixture:example1",
+                     "rul-isaf": "fixture:thm3_rul",
+                     "prem-isaf": "fixture:example5"}
+
+
+class TestTranslateCommand:
+    @pytest.mark.parametrize("from_kind, to_kind", sorted(_DIRECTIONS))
+    def test_verify_direction(self, from_kind, to_kind):
+        result = run("translate", TRANSLATE_SOURCES[from_kind],
+                     "--from", from_kind, "--to", to_kind, "--verify")
         assert result.exit_code == 0, result.output
+        assert "verified" in result.stderr
+
+    def test_full_delta_flag_removed(self):
+        result = run("translate", "fixture:thm3_rul", "--from", "rul-isaf",
+                     "--to", "imp-arg-iaf", "--full-delta")
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("to_kind, kind", [
+        ("tidy-prem-isaf", "prem-isaf"), ("rul-isaf", "rul-isaf")])
+    def test_primed_output_reads_back(self, tmp_path, to_kind, kind):
+        source = tmp_path / "untidy.json"
+        source.write_text(json.dumps(UNTIDY_DOC), encoding="utf-8")
+        out = tmp_path / "t.json"
+        result = run("translate", str(source), "--from", "prem-isaf",
+                     "--to", to_kind, "--verify", "--out-framework", str(out))
+        assert result.exit_code == 0, result.output
+        assert "p'" in out.read_text(encoding="utf-8")
+        result = run("completions", str(out), "--kind", kind, "--count")
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "1"
+
+    def test_non_fresh_priming_exit_two(self, tmp_path):
+        source = tmp_path / "clash.json"
+        source.write_text(json.dumps({**UNTIDY_DOC, "formulas": ["p'"]}),
+                          encoding="utf-8")
+        result = run("translate", str(source), "--from", "prem-isaf",
+                     "--to", "tidy-prem-isaf")
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            "INVALID_THEORY: priming is not fresh")
+
+    def test_tidy_input_preference_domain(self, tmp_path):
+        source = tmp_path / "tidy.json"
+        source.write_text(json.dumps({
+            "close_negation": True,
+            "kb": {"premises_fixed": ["p"], "premises_uncertain": ["q"]},
+            "preferences": [["p", "zz"]],
+        }), encoding="utf-8")
+        result = run("translate", str(source), "--from", "prem-isaf",
+                     "--to", "tidy-prem-isaf")
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            "PREFERENCE_REFERS_TO_UNKNOWN_ARGUMENT: ")
 
     def test_unsupported_direction(self):
         result = run("translate", "fixture:example1", "--from", "arg-iaf",

@@ -12,8 +12,10 @@ from uarg import (
     fixtures,
     parse_af,
     parse_iaf,
+    prem_isaf_to_rul_isaf,
     serialize_af,
     serialize_iaf,
+    tidy,
 )
 from uarg.core import is_valid_argument_id
 from uarg.documents import (
@@ -31,6 +33,11 @@ from uarg.documents import (
 from uarg.errors import InvalidTheoryError, ParseError, UargError
 
 from framework_gen import random_arg_iaf
+
+# A fixed premise p that an empty-bodied rule also derives.
+UNTIDY_DOC = {"close_negation": True,
+              "rules": [{"body": [], "head": "p", "kind": "defeasible"}],
+              "kb": {"premises_fixed": ["p"]}}
 
 # Lines and fragments of the completion-set format, so that generated
 # text reaches the identifier and declaration checks, not only
@@ -140,14 +147,23 @@ class TestTheoryJson:
         assert document_kind(load_theory_document(
             theory_document_of(fixtures.get("example3")))) == "saf"
 
-    def test_primed_formulas_rejected_by_default(self):
-        with pytest.raises(InvalidTheoryError):
-            load_theory_document({"kb": {"premises_fixed": ["p'"]}})
-        doc = load_theory_document({
-            "close_negation": True,
-            "kb": {"premises_fixed": ["p'"]},
-        }, allow_primed=True)
-        assert "p'" in doc.premises_fixed
+    def test_primed_formulas_round_trip(self):
+        # tidying primes p; both translations' documents load back as is
+        source = load_framework(json.dumps(UNTIDY_DOC), "prem-isaf")
+        for translation, kind in ((tidy, "prem-isaf"),
+                                  (prem_isaf_to_rul_isaf, "rul-isaf")):
+            target, _ = translation(source)
+            text = serialize_framework(target)
+            assert "p'" in text
+            assert load_framework(text, kind) == target
+
+    def test_non_fresh_priming_rejected_by_tidy(self):
+        source = load_framework(json.dumps({**UNTIDY_DOC,
+                                            "formulas": ["p'"]}),
+                                "prem-isaf")
+        assert "p'" in source.theory.formulas
+        with pytest.raises(InvalidTheoryError, match="priming is not fresh"):
+            tidy(source)
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):

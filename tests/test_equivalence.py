@@ -326,10 +326,21 @@ class TestEquivalent:
 
     def test_identity_only_mode(self):
         s = completion_set_of(fixtures.get("example1"))
-        assert equivalent(s, s, identity_only=True).equivalent
+        same = equivalent(s, s, identity_only=True)
+        assert same.equivalent and same.nodes == 1
+        assert same.witness == Witness.identity(s.argument_union())
         renamed = Witness({n: n.upper() for n in s.argument_union()}).apply(s)
-        assert not equivalent(s, renamed, identity_only=True).equivalent
+        other = equivalent(s, renamed, identity_only=True)
+        assert not other.equivalent and other.nodes == 0
+        assert other.witness is None
         assert equivalent(s, renamed).equivalent
+        # one union and the same shapes, so the identity is tried and fails
+        flipped = CompletionSet(AbstractAF(af.args, [(t, u) for u, t in
+                                                     af.defeats])
+                                for af in s)
+        tried = equivalent(s, flipped, identity_only=True)
+        assert not tried.equivalent and tried.nodes == 1
+        assert tried.witness is None
 
 
 class TestNoEquivalentArgIaf:

@@ -29,9 +29,11 @@ from uarg import (
     tidy,
 )
 from uarg import aspic, translate
+from uarg.errors import PreferenceUnknownArgumentError
 from uarg.incomplete import DepArgIAF, ImplyDisj
 
 from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
+from oracles import covering_imp_arg_iaf
 
 
 def certify(source, target, witness) -> bool:
@@ -204,7 +206,7 @@ class TestRulIsafToImpArgIaf:
             minimal, _ = rul_isaf_to_imp_arg_iaf(isaf)
             if len(minimal.base.uncertain_args) > 4:
                 continue
-            full, _ = rul_isaf_to_imp_arg_iaf(isaf, full_delta=True)
+            full = covering_imp_arg_iaf(isaf)
             assert completions_dep(minimal) == completions_dep(full)
             assert minimal.deps <= full.deps
             checked += 1
@@ -260,6 +262,13 @@ class TestTidy:
         assert target == t7
         assert all(src == dst for src, dst in witness.pairs)
 
+    def test_tidy_input_preference_domain(self):
+        theory = make_theory(premises=["p", "q"], close_negation=True)
+        source = PremISAF(theory, preferences=frozenset({("p", "zz")}))
+        assert is_tidy(source)
+        with pytest.raises(PreferenceUnknownArgumentError):
+            tidy(source)
+
     def test_idempotent_up_to_identity_witness(self):
         theory = make_theory(rules=[Rule([], "p", STRICT)],
                              premises=["p"], close_negation=True)
@@ -291,6 +300,8 @@ class TestTidy:
             calls.append(theory)
             return generate_arguments(theory, *args, **kwargs)
 
+        # the source theory is generated with the maximal completion
+        monkeypatch.setattr("uarg.isaf.generate_arguments", counting)
         monkeypatch.setattr(translate, "generate_arguments", counting)
         prem_isaf_to_rul_isaf(fixtures.get("thm7_prem"))
         assert len(calls) == 1
