@@ -16,7 +16,9 @@ argument identifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_LIMITS, Limits
@@ -34,14 +36,14 @@ UNDERMINE = "undermine"
 REBUT = "rebut"
 UNDERCUT = "undercut"
 
-_FORBIDDEN_FORMULA_CHARS = set("(),.[];")
+# In a str pattern \s matches exactly the characters str.isspace() accepts.
+_FORBIDDEN_FORMULA_CHAR = re.compile(r"[\s(),.\[\];]")
 
 
 def is_valid_formula(token: str) -> bool:
     if not isinstance(token, str) or not token or not token.isprintable():
         return False
-    return not any(ch.isspace() or ch in _FORBIDDEN_FORMULA_CHARS
-                   for ch in token)
+    return _FORBIDDEN_FORMULA_CHAR.search(token) is None
 
 
 def check_formula(token: str) -> str:
@@ -120,6 +122,12 @@ class ArgumentationTheory:
         for phi, psi in self.contraries:
             out.setdefault(psi, set()).add(phi)
         return {k: frozenset(v) for k, v in out.items()}
+
+    @cached_property
+    def _contrary_map(self) -> dict[str, frozenset[str]]:
+        """contrary_sets(), built once: the theory is frozen, and
+        ``dataclasses.replace`` makes a new instance with no cache."""
+        return self.contrary_sets()
 
 
 def make_theory(contraries: Iterable[tuple[str, str]] = (),
@@ -412,7 +420,7 @@ def attacks(theory: ArgumentationTheory, attacker: StructuredArgument,
     """All attack instances from attacker onto attacked, with their loci."""
     _check_of_theory(theory, attacker)
     _check_of_theory(theory, attacked)
-    contrary = theory.contrary_sets()
+    contrary = theory._contrary_map
     out = []
     for kind, locus, guard in _vulnerable_loci(theory, attacked):
         if attacker.conc in contrary.get(guard, ()):
@@ -449,7 +457,7 @@ def defeats(saf: SAF, arguments: tuple[StructuredArgument, ...] | None = None,
     def strictly_less(a: str, b: str) -> bool:
         return (a, b) in pref and (b, a) not in pref
 
-    contrary = theory.contrary_sets()
+    contrary = theory._contrary_map
     by_conc: dict[str, list[StructuredArgument]] = {}
     for arg in arguments:
         by_conc.setdefault(arg.conc, []).append(arg)
@@ -482,3 +490,16 @@ def associated_af(saf: SAF,
     pairs = defeats(saf, arguments, limits)
     return AbstractAF((arg.text for arg in arguments),
                       ((a.text, b.text) for a, b in pairs))
+
+
+def _generated_af(saf: SAF, arguments: tuple[StructuredArgument, ...],
+                  limits: Limits):
+    """associated_af for the arguments ``generate_arguments`` returned for
+    the validated ``saf.theory``: their texts are valid identifiers, sorted
+    and distinct, so the graph is built canonical without re-checking."""
+    from .core import AbstractAF
+
+    pairs = defeats(saf, arguments, limits)
+    return AbstractAF._canonical(
+        tuple(arg.text for arg in arguments),
+        tuple(sorted((a.text, b.text) for a, b in pairs)))

@@ -18,7 +18,8 @@ from . import kernels
 from .config import DEFAULT_LIMITS, Limits
 from .errors import MemberNotInAFError, ParseError, UndeclaredArgumentError
 
-_FORBIDDEN_ID_CHARS = set("(),.")
+# In a str pattern \s matches exactly the characters str.isspace() accepts.
+_FORBIDDEN_ID_CHAR = re.compile(r"[\s(),.]")
 
 SEMANTICS = ("admissible", "complete", "grounded", "preferred", "stable")
 
@@ -26,7 +27,7 @@ SEMANTICS = ("admissible", "complete", "grounded", "preferred", "stable")
 def is_valid_argument_id(name: str) -> bool:
     if not name or not name.isprintable():
         return False
-    return not any(ch.isspace() or ch in _FORBIDDEN_ID_CHARS for ch in name)
+    return _FORBIDDEN_ID_CHAR.search(name) is None
 
 
 def check_argument_id(name: str) -> str:

@@ -19,6 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
+from .core import AbstractAF
 from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import ArgIAF, CompletionSet, completions_arg_iaf
 from .translate import Witness
@@ -42,7 +43,24 @@ class EquivalenceResult:
 def check_witness(source: CompletionSet, target: CompletionSet,
                   witness: Witness) -> bool:
     """True iff the witness is bijective and maps the source set exactly
-    onto the target set."""
+    onto the target set.
+
+    Once the witness is known to be a bijection from the source union onto
+    the target union, an injective map sends distinct members to distinct
+    images, so with equal sizes the sets are equal iff every image is a
+    target member.  Membership is decided one of two ways:
+
+    * when both sets record their universe graph (sets built by
+      restricting one framework, such as arg-IAF, rule and premise
+      completions), the witness must map the source universe's defeats
+      onto the target universe's, and each source member's arguments onto
+      a target member's arguments.  Every member is its universe induced
+      on its arguments, so the image of a member is the target universe
+      induced on the image arguments, which is that target member;
+    * otherwise each member's image is built canonically and looked up
+      among the target members.  Its names are codomain names, which are
+      the target's own identifiers, so none is re-checked.
+    """
     if witness.domain != source.argument_union():
         raise DomainMismatchError(
             "witness domain differs from the union of source arguments")
@@ -51,7 +69,32 @@ def check_witness(source: CompletionSet, target: CompletionSet,
             "witness codomain differs from the union of target arguments")
     if not witness.is_bijective:
         return False
-    return witness.apply(source) == target
+    return _maps_onto(source, target, witness.mapping)
+
+
+def _maps_onto(source: CompletionSet, target: CompletionSet,
+               m: dict[str, str]) -> bool:
+    """check_witness for a bijection m from the source union onto the
+    target union."""
+    if len(source) != len(target):
+        return False
+    src_universe, tgt_universe = source._universe, target._universe
+    if src_universe is not None and tgt_universe is not None:
+        tgt_defeats = set(tgt_universe.defeats)
+        if len(src_universe.defeats) != len(tgt_defeats) or any(
+                (m[s], m[t]) not in tgt_defeats
+                for s, t in src_universe.defeats):
+            return False
+        bit = {a: 1 << i for i, a in enumerate(tgt_universe.args)}
+        tgt_masks = {sum(map(bit.__getitem__, af.args)) for af in target}
+        image_bit = {a: bit[m[a]] for a in src_universe.args}.__getitem__
+        return all(sum(map(image_bit, af.args)) in tgt_masks
+                   for af in source)
+    canonical = AbstractAF._canonical
+    return all(canonical(tuple(sorted([m[a] for a in af.args])),
+                         tuple(sorted([(m[s], m[t])
+                                       for s, t in af.defeats]))) in target
+               for af in source)
 
 
 def _signatures(completions: CompletionSet,
@@ -107,15 +150,11 @@ def equivalent(source: CompletionSet, target: CompletionSet,
     """Decide equivalence and return a verified witness on success.
 
     identity_only skips the search and tests the identity mapping alone,
-    for callers that know both sets share one argument universe.
+    for callers that know both sets share one argument universe.  Only
+    the search is bounded by ``limits.max_equiv_args``.
     """
     src_union = source.argument_union()
     tgt_union = target.argument_union()
-    if max(len(src_union), len(tgt_union)) > limits.max_equiv_args:
-        raise SearchBoundExceededError(
-            f"argument union of {max(len(src_union), len(tgt_union))} "
-            f"exceeds max_equiv_args={limits.max_equiv_args}; raise it with "
-            "--max-equiv-args or UARG_MAX_EQUIV_ARGS")
     if len(source) != len(target) or len(src_union) != len(tgt_union):
         return EquivalenceResult(NOT_EQUIVALENT, None)
     shapes = sorted((len(af.args), len(af.defeats)) for af in source)
@@ -130,6 +169,11 @@ def equivalent(source: CompletionSet, target: CompletionSet,
                                      nodes=1)
         return EquivalenceResult(NOT_EQUIVALENT, None, nodes=1)
 
+    if len(src_union) > limits.max_equiv_args:  # unions of one size
+        raise SearchBoundExceededError(
+            f"argument union of {len(src_union)} exceeds max_equiv_args="
+            f"{limits.max_equiv_args}; raise it with --max-equiv-args or "
+            "UARG_MAX_EQUIV_ARGS")
     src_sig = _signatures(source, len(src_union))
     tgt_sig = _signatures(target, len(src_union))  # unions of one size
     tgt_by_sig: dict[tuple[int, ...], list[str]] = {}
@@ -192,9 +236,8 @@ def equivalent(source: CompletionSet, target: CompletionSet,
 
     def search(pos: int, masks: list[int]) -> Witness | None:
         if pos == len(order):
-            witness = Witness(assigned)
-            if witness.apply(source) == target:
-                return witness
+            if _maps_onto(source, target, dict(assigned)):
+                return Witness(assigned)
             stats["prunes"] += 1
             return None
         name = order[pos]

@@ -163,23 +163,31 @@ def _dependency_sets(dep: Dependency) -> tuple[frozenset[str], ...]:
 
 
 class CompletionSet:
-    """Canonical, deduplicated set of frameworks with deterministic order."""
+    """Canonical, deduplicated set of frameworks with deterministic order.
 
-    __slots__ = ("_members", "_index")
+    A set built from one universe graph may record it in ``_universe``:
+    then the universe is a member, and every member is the universe graph
+    induced on the member's arguments.  Sets from the constructor record
+    none."""
+
+    __slots__ = ("_members", "_index", "_universe")
 
     def __init__(self, members: Iterable[AbstractAF] = ()):
         unique = {(af.args, af.defeats): af for af in members}
         self._members = tuple(unique[key] for key in sorted(unique))
         self._index: frozenset | None = None
+        self._universe: AbstractAF | None = None
 
     @classmethod
-    def _sorted(cls, members: Iterable[AbstractAF]) -> "CompletionSet":
+    def _sorted(cls, members: Iterable[AbstractAF],
+                universe: AbstractAF | None = None) -> "CompletionSet":
         """Set from members that are already canonical: distinct and in
         ascending ``(args, defeats)`` order.  Nothing is checked, so only
         sets derived from one validated framework are built this way."""
         out = object.__new__(cls)
         out._members = tuple(members)
         out._index = None
+        out._universe = universe
         return out
 
     @property
@@ -187,6 +195,8 @@ class CompletionSet:
         return self._members
 
     def argument_union(self) -> frozenset[str]:
+        if self._universe is not None:
+            return frozenset(self._universe.args)
         out: set[str] = set()
         for af in self._members:
             out.update(af.args)
@@ -236,6 +246,9 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
     order, so its big-endian bytes are ``compress`` selectors.  ``drop[b]``
     marks the positions whose load has bit b; a mask drops the union of
     ``drop[b]`` over its clear bits.
+
+    When some mask keeps every argument, ``full_af`` is a member and the
+    set records it as its universe.
     """
     args, defeats = full_af.args, full_af.defeats
     width = len(args) + len(defeats)
@@ -267,7 +280,8 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
         graphs[tuple(compress(args, keep))] = tuple(compress(defeats,
                                                              keep[split:]))
     return CompletionSet._sorted([AbstractAF._canonical(kept, graphs[kept])
-                                  for kept in sorted(graphs)])
+                                  for kept in sorted(graphs)],
+                                 full_af if 0 in dropped else None)
 
 
 def _own_bits(iaf: ArgIAF) -> dict[str, int]:

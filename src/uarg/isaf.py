@@ -21,6 +21,7 @@ from .aspic import (
     Rule,
     StructuredArgument,
     _argument_of_theory,
+    _generated_af,
     associated_af,
     generate_arguments,
 )
@@ -161,7 +162,7 @@ def _maximal_graph(x: RulISAF | PremISAF, limits: Limits,
     saf, arguments = _maximal(x, limits)
     bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
     load = {arg.text: sum(bit[e] for e in _load(x, arg)) for arg in arguments}
-    return associated_af(saf, arguments, limits), load
+    return _generated_af(saf, arguments, limits), load
 
 
 def _completion_items(x: RulISAF | PremISAF, limits: Limits,

@@ -139,9 +139,9 @@ def arg_iaf_to_rul_isaf(iaf: ArgIAF) -> tuple[RulISAF, Witness]:
         premises=[token[name] for name in iaf.fixed_args],
     )
     target = RulISAF(theory, uncertain_rules)
+    fixed = set(iaf.fixed_args)
     witness = Witness({
-        name: token[name] if name in set(iaf.fixed_args)
-        else f"[]=d>{token[name]}"
+        name: token[name] if name in fixed else f"[]=d>{token[name]}"
         for name in iaf.all_args
     })
     return target, witness

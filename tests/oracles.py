@@ -13,8 +13,11 @@ encoded dependencies of ``uarg.kernels.dependency_masks`` and
 ``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
 ``dict_induced_completions`` takes the arguments of
 ``uarg.incomplete._induced_completions``, ``minimized_by_completions``
-calls ``uarg.completions_dep``, and ``covering_imp_arg_iaf`` builds the
-implicative abstraction from the public structured-layer functions.
+calls ``uarg.completions_dep``, ``covering_imp_arg_iaf`` builds the
+implicative abstraction from the public structured-layer functions,
+``applied_check_witness`` relabels through ``uarg.Witness.apply``, and
+``charwise_is_valid_argument_id`` and ``charwise_is_valid_formula`` test
+one character at a time.
 """
 
 from itertools import chain, combinations, permutations
@@ -40,6 +43,7 @@ from uarg import (
 )
 from uarg.equivalence import EQUIVALENT, NOT_EQUIVALENT, EquivalenceResult
 from uarg.errors import (
+    DomainMismatchError,
     SearchBoundExceededError,
     UncertaintyBoundExceededError,
 )
@@ -143,6 +147,35 @@ def brute_force_equivalent(source, target) -> dict | None:
         if mapped == as_pairs(target):
             return mapping
     return None
+
+
+def applied_check_witness(source, target, witness) -> bool:
+    """check_witness by its definition: a bijection from the source union
+    onto the target union whose relabelled source set is the target."""
+    if witness.domain != source.argument_union():
+        raise DomainMismatchError(
+            "witness domain differs from the union of source arguments")
+    if witness.codomain != target.argument_union():
+        raise DomainMismatchError(
+            "witness codomain differs from the union of target arguments")
+    if not witness.is_bijective:
+        return False
+    return witness.apply(source) == target
+
+
+def charwise_is_valid_argument_id(name) -> bool:
+    """Non-empty, printable, and no whitespace or any of ``(),.``."""
+    if not name or not name.isprintable():
+        return False
+    return not any(ch.isspace() or ch in "(),." for ch in name)
+
+
+def charwise_is_valid_formula(token) -> bool:
+    """A string, non-empty, printable, and no whitespace or any of
+    ``(),.[];``."""
+    if not isinstance(token, str) or not token or not token.isprintable():
+        return False
+    return not any(ch.isspace() or ch in "(),.[];" for ch in token)
 
 
 def tuple_signatures(completions) -> dict[str, tuple]:

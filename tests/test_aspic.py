@@ -283,6 +283,29 @@ class TestDefeats:
 
 
 class TestAssociatedAF:
+    def test_generated_graph_matches_validated_lifting(self):
+        # the canonical build of isaf._maximal_graph against the public
+        # constructor, on the same generated arguments
+        from uarg.aspic import _generated_af
+
+        for seed in range(60):
+            x = random_rul_isaf(random.Random(seed), max_args=20)
+            saf = SAF(x.theory, x.preferences)
+            arguments = generate_arguments(x.theory)
+            fast = _generated_af(saf, arguments, Limits())
+            slow = associated_af(saf, arguments)
+            assert (fast.args, fast.defeats) == (slow.args, slow.defeats)
+
+    def test_contrary_sets_built_once_per_theory(self):
+        theory = fixtures.get("example3").theory
+        cached = theory._contrary_map
+        assert theory._contrary_map is cached
+        assert cached == theory.contrary_sets()
+        assert theory.contrary_sets() is not theory.contrary_sets()
+        more = replace(theory, contraries=theory.contraries | {("p", "q")})
+        assert more._contrary_map == more.contrary_sets() != cached
+        assert more._contrary_map["q"] == {"p", "~q"}
+
     def test_example3_lifting(self):
         saf = fixtures.get("example3")
         af = associated_af(saf)

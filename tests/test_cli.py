@@ -430,6 +430,19 @@ class TestErrorContract:
         assert "union of 2" in line and "--max-equiv-args" in line \
             and "UARG_MAX_EQUIV_ARGS" in line
 
+    def test_identity_only_ignores_search_bound(self, tmp_path):
+        doc = tmp_path / "t.txt"
+        doc.write_text("arg(a).\narg(b).\narg(c).\natt(b,a).\n---\n"
+                       "arg(a).\narg(c).\n---\n", encoding="utf-8")
+        src = str(Path(uarg.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "uarg.cli", "--max-equiv-args", "1",
+             "equiv", "--identity-only", str(doc), str(doc)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert '"verdict": "equivalent"' in result.stdout
+
     @staticmethod
     def assert_one_line(argv, env, exit_code, code):
         src = str(Path(uarg.__file__).resolve().parent.parent)

@@ -15,11 +15,44 @@ from uarg import (
     restrict,
     serialize_af,
 )
+from uarg.aspic import is_valid_formula
+from uarg.core import is_valid_argument_id
 from uarg.errors import MemberNotInAFError, ParseError, UndeclaredArgumentError
 
-from oracles import naive_extensions
+from oracles import (
+    charwise_is_valid_argument_id,
+    charwise_is_valid_formula,
+    naive_extensions,
+)
 
 EX1_FULL = AbstractAF(["a", "b", "c"], [("b", "a"), ("c", "a")])
+
+
+class TestValidators:
+    """The one-pattern validators against their per-character oracles."""
+
+    TOKENS = ["a", "p_a", "~p_a", "[p_a;p_b]=d>p_c", "[]=s>p", "[]=d>p_a",
+              "a b", "a\tb", "a\u00a0b", "a\u2028b", "a\u3000", "a(b", "a)b",
+              "a,b", "a.b", "a;b", "a[b", "a]b", "p'", "\u00e9t\u00e9", "a\x00b",
+              "a\x85", "\u200bz", "a\ud800", "\U0001f600x", "", " "]
+
+    def test_every_code_point(self):
+        for code in range(0x110000):
+            ch = chr(code)
+            assert is_valid_argument_id(ch) == \
+                charwise_is_valid_argument_id(ch), hex(code)
+            assert is_valid_formula(ch) == charwise_is_valid_formula(ch), \
+                hex(code)
+
+    def test_tokens(self):
+        for token in self.TOKENS:
+            assert is_valid_argument_id(token) == \
+                charwise_is_valid_argument_id(token), token
+            assert is_valid_formula(token) == \
+                charwise_is_valid_formula(token), token
+        assert is_valid_argument_id("[p_a;p_b]=d>p_c")
+        assert not is_valid_formula("[p_a;p_b]=d>p_c")
+        assert not is_valid_formula(5) and not charwise_is_valid_formula(5)
 
 
 class TestRestrict:

@@ -21,6 +21,7 @@ from uarg.errors import DomainMismatchError, SearchBoundExceededError
 
 from framework_gen import random_arg_iaf
 from oracles import (
+    applied_check_witness,
     brute_force_equivalent,
     enumerated_no_equivalent_arg_iaf,
     recheck_equivalent,
@@ -189,6 +190,96 @@ class TestCheckWitness:
             check_witness(s, t, Witness({"a": "x", "b": "x"}))
 
 
+def witness_outcome(check, source, target, witness):
+    try:
+        return check(source, target, witness)
+    except DomainMismatchError:
+        return DomainMismatchError
+
+
+class TestCheckWitnessPaths:
+    """check_witness against its definition, applied_check_witness, on
+    sets that record their universe graph and sets that do not."""
+
+    @staticmethod
+    def witnesses(rng, base):
+        """The base bijection; it followed by a random permutation of its
+        image; that with one transposition; that with two names sent to
+        one image."""
+        names = [src for src, _ in base.pairs]
+        images = rng.sample([dst for _, dst in base.pairs], len(names))
+        out = [base, Witness(zip(names, images))]
+        if len(names) >= 2:
+            i, j = rng.sample(range(len(names)), 2)
+            images[i], images[j] = images[j], images[i]
+            out.append(Witness(zip(names, images)))
+            images[i] = images[j]
+            out.append(Witness(zip(names, images)))
+        return out
+
+    def test_matches_applied_definition(self, monkeypatch):
+        from uarg import (
+            DepArgIAF,
+            Nand,
+            arg_iaf_to_prem_isaf,
+            arg_iaf_to_rul_isaf,
+            completions_dep,
+            completions_prem,
+            completions_rul,
+        )
+
+        cases = []  # (source, target, base bijection, both record universes)
+        for seed in range(200):
+            rng = random.Random(seed)
+            iaf = random_arg_iaf(rng, max_args=5)
+            source = completions_arg_iaf(iaf)
+            rul, to_rul = arg_iaf_to_rul_isaf(iaf)
+            prem, to_prem = arg_iaf_to_prem_isaf(iaf)
+            identity = Witness.identity(source.argument_union())
+            for target, base in ((source, identity),
+                                 (completions_rul(rul), to_rul),
+                                 (completions_prem(prem), to_prem)):
+                public = CompletionSet(target.members)
+                assert source._universe is not None
+                assert target._universe is not None
+                assert public._universe is None
+                cases.append((source, target, base, True))
+                cases.append((source, public, base, False))
+                cases.append((public, source, base.invert(), False))
+            if iaf.uncertain_args:
+                # no member holds every uncertain argument
+                cut = completions_dep(
+                    DepArgIAF(iaf, [Nand(iaf.uncertain_args)]))
+                assert cut._universe is None
+                cases.append((cut, cut, Witness.identity(
+                    cut.argument_union()), False))
+            if len(identity.pairs) >= 2:
+                # a merging map onto its own image passes the codomain
+                # test and fails the bijectivity test
+                merge = self.witnesses(rng, identity)[-1]
+                cases.append((source, merge.apply(source), merge, False))
+
+        def no_apply(self, completions):
+            raise AssertionError("check_witness called Witness.apply")
+
+        rng = random.Random(11)
+        seen = {(path, outcome): 0 for path in (True, False)
+                for outcome in (True, False, DomainMismatchError)}
+        for source, target, base, universes in cases:
+            for witness in self.witnesses(rng, base):
+                want = witness_outcome(applied_check_witness, source, target,
+                                       witness)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Witness, "apply", no_apply)
+                    got = witness_outcome(check_witness, source, target,
+                                          witness)
+                assert got == want, (source.members, target.members,
+                                     witness)
+                seen[universes, want] += 1
+        # both paths accept, reject and raise
+        assert all(count >= 20 for count in seen.values()), seen
+
+
 class TestEquivalent:
     def test_weak_equivalence_counterexample_is_negative(self):
         left, right = fixtures.get("remark_weak_equiv")
@@ -274,6 +365,17 @@ class TestEquivalent:
                                  "raise it with --max-equiv-args or "
                                  "UARG_MAX_EQUIV_ARGS"):
             equivalent(s, s, Limits(max_equiv_args=5))
+
+    def test_identity_only_skips_search_bound(self):
+        # no search runs, so the search bound does not apply
+        s = completion_set_of(fixtures.get("example1"))
+        assert len(s.argument_union()) == 3
+        tight = Limits(max_equiv_args=1)
+        result = equivalent(s, s, tight, identity_only=True)
+        assert result.equivalent and result.nodes == 1
+        assert not no_equivalent_arg_iaf(s, 3, tight)
+        with pytest.raises(SearchBoundExceededError):
+            equivalent(s, s, tight)
 
     def test_matches_full_recheck_search(self):
         # Relabelled pairs and degree-preserving near misses of three kinds
