@@ -178,11 +178,11 @@ def translate_cmd(ctx, input_spec, from_kind, to_kind, verify,
         _fail(error)
 
 
-def _read_completion_set(path_spec: str, allow_empty: bool = False):
+def _read_completion_set(path_spec: str):
     """A completion set from a document, or from a directory of .apx files
-    (one member each).  A directory without one is bad input, and so is a
-    document without a member unless allow_empty: only a framework whose
-    dependencies no subset satisfies has no completion."""
+    (one member each).  A directory without one is bad input; a document
+    without a section is the empty completion set, which a framework
+    whose dependencies no subset satisfies has."""
     path = Path(path_spec)
     if path.is_dir():
         afs = []
@@ -197,11 +197,7 @@ def _read_completion_set(path_spec: str, allow_empty: bool = False):
         if not afs:
             raise InputError(f"{path_spec!r} holds no .apx file")
         return CompletionSet(afs)
-    completions = documents.parse_completion_set(read_text(path))
-    if not completions and not allow_empty:
-        raise InputError(f"{path_spec!r} holds no framework; equivalence "
-                         "compares non-empty completion sets")
-    return completions
+    return documents.parse_completion_set(read_text(path))
 
 
 @main.command()
@@ -267,7 +263,7 @@ def synth_deps(ctx, input_spec, target, minimize):
             framework = framework.base
         if not isinstance(framework, ArgIAF):
             raise InputError("synth-deps expects an arg-iaf input")
-        target_set = _read_completion_set(target, allow_empty=True)
+        target_set = _read_completion_set(target)
         deps = synthesize_dependencies(framework, target_set,
                                        minimize=minimize, limits=_limits(ctx))
     except UargError as error:

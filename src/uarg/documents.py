@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
 
 from .aspic import (
@@ -285,10 +286,21 @@ class _Lines(dict):
 
 def serialize_completion_set(completions: CompletionSet) -> str:
     """Each member's ``serialize_af`` text followed by a ``---`` line;
-    every distinct arg(..) and att(..) line is formatted once per call."""
+    every distinct arg(..) and att(..) line is formatted once per call.
+    A set of argument masks over one graph selects its members' lines
+    from the graph's, so no member is built."""
+    graph = completions._graph
+    if graph is not None:
+        lines = [f"arg({a}).\n" for a in graph.args]
+        lines += [f"att({s},{t}).\n" for s, t in graph.defeats]
+        parts: list[str] = []
+        for keep in completions._selectors():
+            parts += compress(lines, keep)
+            parts.append("---\n")
+        return "".join(parts)
     arg_line = _Lines("arg({}).\n").__getitem__
     att_line = _Lines("att({0[0]},{0[1]}).\n").__getitem__
-    parts: list[str] = []
+    parts = []
     for af in completions:
         parts += map(arg_line, af.args)
         parts += map(att_line, af.defeats)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF
 from .errors import DomainMismatchError, SearchBoundExceededError
-from .incomplete import ArgIAF, CompletionSet, completions_arg_iaf
+from .incomplete import ArgIAF, CompletionSet, _or_images, completions_arg_iaf
 from .translate import Witness
 
 EQUIVALENT = "equivalent"
@@ -50,13 +50,14 @@ def check_witness(source: CompletionSet, target: CompletionSet,
     images, so with equal sizes the sets are equal iff every image is a
     target member.  Membership is decided one of two ways:
 
-    * when both sets record their universe graph (sets built by
-      restricting one framework, such as arg-IAF, rule and premise
-      completions), the witness must map the source universe's defeats
-      onto the target universe's, and each source member's arguments onto
-      a target member's arguments.  Every member is its universe induced
-      on its arguments, so the image of a member is the target universe
-      induced on the image arguments, which is that target member;
+    * when both sets are argument masks over a graph that is itself a
+      member (sets built by restricting one framework, such as arg-IAF,
+      rule and premise completions), the witness must map the source
+      graph's defeats onto the target graph's, and each source mask,
+      pushed through the witness as a permutation of bit positions, onto
+      a target mask.  Every member is its graph induced on its arguments,
+      so the image of a member is the target graph induced on the image
+      arguments, which is that target member;
     * otherwise each member's image is built canonically and looked up
       among the target members.  Its names are codomain names, which are
       the target's own identifiers, so none is re-checked.
@@ -78,18 +79,15 @@ def _maps_onto(source: CompletionSet, target: CompletionSet,
     target union."""
     if len(source) != len(target):
         return False
-    src_universe, tgt_universe = source._universe, target._universe
-    if src_universe is not None and tgt_universe is not None:
-        tgt_defeats = set(tgt_universe.defeats)
-        if len(src_universe.defeats) != len(tgt_defeats) or any(
-                (m[s], m[t]) not in tgt_defeats
-                for s, t in src_universe.defeats):
+    src_graph, tgt_graph = source._full_graph(), target._full_graph()
+    if src_graph is not None and tgt_graph is not None:
+        if {(m[s], m[t]) for s, t in src_graph.defeats} != \
+                set(tgt_graph.defeats):
             return False
-        bit = {a: 1 << i for i, a in enumerate(tgt_universe.args)}
-        tgt_masks = {sum(map(bit.__getitem__, af.args)) for af in target}
-        image_bit = {a: bit[m[a]] for a in src_universe.args}.__getitem__
-        return all(sum(map(image_bit, af.args)) in tgt_masks
-                   for af in source)
+        bit = {a: 1 << i for i, a in enumerate(tgt_graph.args)}
+        image = [bit[m[a]] for a in src_graph.args]
+        return set(target._masks).issuperset(
+            _or_images(image, source._masks))
     canonical = AbstractAF._canonical
     return all(canonical(tuple(sorted([m[a] for a in af.args])),
                          tuple(sorted([(m[s], m[t])
@@ -287,7 +285,7 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
             f"{limits.max_search_args}; raise it with --max-search-args "
             "or UARG_MAX_SEARCH_ARGS")
     if len(target) == 0:
-        return True  # completion sets are never empty
+        return True  # every argument-incomplete framework has a completion
     union = target.argument_union()
     if len(union) > max_args:
         return True

@@ -13,7 +13,9 @@ and the induced defeats.  Dependencies filter which subsets are admissible:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -60,6 +62,21 @@ class ArgIAF:
         object.__setattr__(self, "uncertain_args", tuple(sorted(uncertain)))
         object.__setattr__(self, "defeats", tuple(sorted(defeat_set)))
 
+    @classmethod
+    def _canonical(cls, fixed_args: tuple[str, ...],
+                   uncertain_args: tuple[str, ...],
+                   defeats: tuple[tuple[str, str], ...]) -> "ArgIAF":
+        """Framework from tuples that are already canonical: valid
+        identifiers, sorted, duplicate-free and disjoint, every defeat
+        inside them.  Nothing is checked, so only frameworks derived from
+        a validated one are built this way."""
+        iaf = object.__new__(cls)
+        fields = iaf.__dict__  # frozen: bypass the dataclass __setattr__
+        fields["fixed_args"] = fixed_args
+        fields["uncertain_args"] = uncertain_args
+        fields["defeats"] = defeats
+        return iaf
+
     @property
     def all_args(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.fixed_args) | set(self.uncertain_args)))
@@ -94,6 +111,17 @@ class ImplyDisj(Dependency):
                            _nonempty_id_set(all_of, "ImplyDisj.all_of"))
         object.__setattr__(self, "any_of",
                            _nonempty_id_set(any_of, "ImplyDisj.any_of"))
+
+    @classmethod
+    def _canonical(cls, all_of: frozenset[str],
+                   any_of: frozenset[str]) -> "ImplyDisj":
+        """Dependency from non-empty sets of valid identifiers, unchecked
+        like ``ArgIAF._canonical``."""
+        dep = object.__new__(cls)
+        fields = dep.__dict__
+        fields["all_of"] = all_of
+        fields["any_of"] = any_of
+        return dep
 
     def sort_key(self) -> tuple:
         return (0, tuple(sorted(self.all_of)), tuple(sorted(self.any_of)))
@@ -151,6 +179,17 @@ class DepArgIAF:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "deps", deps)
 
+    @classmethod
+    def _canonical(cls, base: ArgIAF,
+                   deps: frozenset[Dependency]) -> "DepArgIAF":
+        """Framework whose dependencies mention only uncertain arguments
+        of ``base``, unchecked like ``ArgIAF._canonical``."""
+        diaf = object.__new__(cls)
+        fields = diaf.__dict__
+        fields["base"] = base
+        fields["deps"] = deps
+        return diaf
+
 
 def _dependency_sets(dep: Dependency) -> tuple[frozenset[str], ...]:
     if isinstance(dep, ImplyDisj):
@@ -165,65 +204,136 @@ def _dependency_sets(dep: Dependency) -> tuple[frozenset[str], ...]:
 class CompletionSet:
     """Canonical, deduplicated set of frameworks with deterministic order.
 
-    A set built from one universe graph may record it in ``_universe``:
-    then the universe is a member, and every member is the universe graph
-    induced on the member's arguments.  Sets from the constructor record
-    none."""
+    A set restricted from one graph holds that graph in ``_graph`` and,
+    in ``_masks``, one argument mask per member in member order: bit i is
+    the graph's i-th argument, and defeats are induced.  Its members are
+    built on their first use.  Sets from the constructor hold members
+    only."""
 
-    __slots__ = ("_members", "_index", "_universe")
+    __slots__ = ("_members", "_index", "_graph", "_masks")
 
     def __init__(self, members: Iterable[AbstractAF] = ()):
         unique = {(af.args, af.defeats): af for af in members}
-        self._members = tuple(unique[key] for key in sorted(unique))
+        self._members: tuple[AbstractAF, ...] | None = tuple(
+            unique[key] for key in sorted(unique))
         self._index: frozenset | None = None
-        self._universe: AbstractAF | None = None
+        self._graph: AbstractAF | None = None
+        self._masks: tuple[int, ...] | None = None
 
     @classmethod
-    def _sorted(cls, members: Iterable[AbstractAF],
-                universe: AbstractAF | None = None) -> "CompletionSet":
-        """Set from members that are already canonical: distinct and in
-        ascending ``(args, defeats)`` order.  Nothing is checked, so only
-        sets derived from one validated framework are built this way."""
+    def _induced(cls, graph: AbstractAF,
+                 masks: tuple[int, ...]) -> "CompletionSet":
+        """Set of the restrictions of ``graph`` to distinct argument masks
+        given in member order.  Nothing is checked, so only sets derived
+        from one validated framework are built this way."""
         out = object.__new__(cls)
-        out._members = tuple(members)
+        out._members = None
         out._index = None
-        out._universe = universe
+        out._graph = graph
+        out._masks = masks
         return out
 
     @property
     def members(self) -> tuple[AbstractAF, ...]:
+        if self._members is None:
+            args, defeats = self._graph.args, self._graph.defeats
+            split = len(args)
+            canonical = AbstractAF._canonical
+            self._members = tuple(
+                canonical(tuple(compress(args, keep)),
+                          tuple(compress(defeats, keep[split:])))
+                for keep in self._selectors())
         return self._members
 
+    def _selectors(self) -> Iterator[bytes]:
+        """Per mask, one byte per position of the graph's ``args +
+        defeats``: 1 where the member keeps it, else 0."""
+        args, defeats = self._graph.args, self._graph.defeats
+        width = len(args) + len(defeats)
+        # touch[i]: the positions of argument i and of its defeats
+        touch = [1 << 8 * (width - 1 - i) for i in range(len(args))]
+        index = {a: i for i, a in enumerate(args)}
+        position = 1 << 8 * len(defeats)
+        for s, t in defeats:
+            position >>= 8
+            touch[index[s]] |= position
+            touch[index[t]] |= position
+        every = int.from_bytes(b"\x01" * width, "big")
+        full = (1 << len(args)) - 1
+        return ((every ^ gone).to_bytes(width, "big")
+                for gone in _or_images(touch, [full ^ m
+                                               for m in self._masks]))
+
+    def _full_graph(self) -> AbstractAF | None:
+        """The graph the masks restrict, when it is a member itself."""
+        if self._masks is not None \
+                and (1 << len(self._graph.args)) - 1 in self._masks:
+            return self._graph
+        return None
+
     def argument_union(self) -> frozenset[str]:
-        if self._universe is not None:
-            return frozenset(self._universe.args)
+        if self._masks is not None:
+            union = reduce(or_, self._masks, 0)
+            return frozenset(a for i, a in enumerate(self._graph.args)
+                             if union >> i & 1)
         out: set[str] = set()
         for af in self._members:
             out.update(af.args)
         return frozenset(out)
 
     def __iter__(self) -> Iterator[AbstractAF]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._members if self._masks is None else self._masks)
 
     def __contains__(self, af: object) -> bool:
         if not isinstance(af, AbstractAF):
             return False
         if self._index is None:  # built on the first lookup
             self._index = frozenset((m.args, m.defeats)
-                                    for m in self._members)
+                                    for m in self.members)
         return (af.args, af.defeats) in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CompletionSet) and self._members == other._members
+        return isinstance(other, CompletionSet) and \
+            self.members == other.members
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.members)
 
     def __repr__(self) -> str:
-        return f"CompletionSet({len(self._members)} frameworks)"
+        return f"CompletionSet({len(self)} frameworks)"
+
+
+def _or_images(values: list[int], masks: list[int]) -> list[int]:
+    """For each mask, the OR of ``values[i]`` over its set bits i.  Masks
+    are read eight bits at a time, through a table of the ORs of every
+    subset of those eight values."""
+    out = [0] * len(masks)
+    for low in range(0, len(values), 8):
+        table = [0]  # the OR of every subset of values[low:low + 8]
+        for value in values[low:low + 8]:
+            table += [t | value for t in table]
+        if len(values) <= 8:  # the whole mask indexes the one table
+            return list(map(table.__getitem__, masks))
+        out = [o | table[m >> low & 255] for o, m in zip(out, masks)]
+    return out
+
+
+def _member_order(masks: list[int]) -> tuple[int, ...]:
+    """Distinct argument masks in the order of their members.
+
+    Members over one graph compare as their sorted argument tuples, which
+    are sub-sequences of the graph's.  The key of a mask is its binary
+    digits from argument 0 up to its last kept argument (1 kept, 0
+    dropped), behind a constant 1 that keeps the empty mask first and
+    before a closing 2.  In descending key order a kept argument comes
+    before a dropped one, and a key that closes comes before one that
+    goes on, just as a tuple that ends sorts first."""
+    keys = [bin(m << 1 | 1)[:1:-1] + "2" for m in masks]
+    return tuple(map(masks.__getitem__, sorted(
+        range(len(masks)), key=keys.__getitem__, reverse=True)))
 
 
 def _check_uncertain_bound(count: int, limits: Limits) -> None:
@@ -236,52 +346,30 @@ def _check_uncertain_bound(count: int, limits: Limits) -> None:
 
 def _induced_completions(full_af: AbstractAF, load: dict[str, int],
                          masks: Iterable[int]) -> CompletionSet:
-    """One restriction of ``full_af`` per mask: argument a is kept under
-    mask m iff ``load[a] & ~m == 0``, and a defeat iff both its endpoints
-    are.  Defeats are induced, so masks keeping the same arguments share
-    one graph, distinct argument tuples are distinct members, and sorting
-    the argument tuples sorts the members.
+    """One restriction of ``full_af`` per mask over the uncertain elements:
+    argument a is kept under mask m iff ``load[a] & ~m == 0``, and a
+    defeat iff both its endpoints are.  Defeats are induced, so masks
+    keeping the same arguments share one member, and the set is
+    ``full_af`` with one argument mask per member.
 
-    A position mask holds one byte per position of ``args + defeats``, in
-    order, so its big-endian bytes are ``compress`` selectors.  ``drop[b]``
-    marks the positions whose load has bit b; a mask drops the union of
-    ``drop[b]`` over its clear bits.
-
-    When some mask keeps every argument, ``full_af`` is a member and the
-    set records it as its universe.
+    ``drop[b]`` holds the arguments whose load has bit b; a mask drops the
+    union of ``drop[b]`` over its clear bits.
     """
-    args, defeats = full_af.args, full_af.defeats
-    width = len(args) + len(defeats)
+    args = full_af.args
     drop: dict[int, int] = {}
-    bits = 0
-    position = 1 << 8 * width
-    for need in ([load[a] for a in args]
-                 + [load[s] | load[t] for s, t in defeats]):
-        position >>= 8
-        bits |= need
+    for i, a in enumerate(args):
+        need = load[a]
         while need:
             low = need & -need
             need ^= low
-            drop[low] = drop.get(low, 0) | position
-    dropped: set[int] = set()
-    for mask in masks:
-        off = bits & ~mask
-        gone = 0
-        while off:
-            low = off & -off
-            off ^= low
-            gone |= drop[low]
-        dropped.add(gone)
-    every = int.from_bytes(b"\x01" * width, "big")
-    split = len(args)
-    graphs: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = {}
-    for gone in dropped:
-        keep = (every ^ gone).to_bytes(width, "big")
-        graphs[tuple(compress(args, keep))] = tuple(compress(defeats,
-                                                             keep[split:]))
-    return CompletionSet._sorted([AbstractAF._canonical(kept, graphs[kept])
-                                  for kept in sorted(graphs)],
-                                 full_af if 0 in dropped else None)
+            drop[low] = drop.get(low, 0) | 1 << i
+    bits = sum(drop)
+    dropped = set(_or_images(
+        [drop.get(1 << b, 0) for b in range(bits.bit_length())],
+        [bits & ~m for m in masks]))
+    full = (1 << len(args)) - 1
+    return CompletionSet._induced(
+        full_af, _member_order([full ^ d for d in dropped]))
 
 
 def _own_bits(iaf: ArgIAF) -> dict[str, int]:

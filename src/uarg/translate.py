@@ -209,27 +209,34 @@ def _minimal_covers(needed: int, profiles: list[tuple[str, int]],
     return sorted(covers, key=sorted)
 
 
-def _implicative_dependencies(uncertain_ids: list[str], load: dict[str, int],
+def _implicative_dependencies(uncertain_ids: tuple[str, ...],
+                              load: dict[str, int],
                               ) -> list[ImplyDisj]:
     """Dependencies forcing each uncertain argument whenever a set of
     arguments jointly carrying all of its uncertain load is present: one per
-    subset-minimal antecedent, since supersets are semantically entailed."""
+    subset-minimal antecedent, since supersets are semantically entailed.
+    Every cover is a non-empty set of the given identifiers, so the
+    dependencies are built unchecked."""
     deps: list[ImplyDisj] = []
     for x in uncertain_ids:
         profiles = [(y, load[y]) for y in uncertain_ids if y != x]
+        consequent = frozenset((x,))
         for cover in _minimal_covers(load[x], profiles):
-            deps.append(ImplyDisj(cover, (x,)))
+            deps.append(ImplyDisj._canonical(cover, consequent))
     return deps
 
 
 def _structured_to_imp_arg_iaf(x: RulISAF | PremISAF, limits: Limits,
                                ) -> tuple[DepArgIAF, Witness]:
+    # The maximal graph comes from a validated theory: its argument and
+    # defeat tuples are canonical, and so are their sub-sequences.
     full_af, load = _maximal_graph(x, limits)
-    fixed_ids = [a for a in full_af.args if not load[a]]
-    uncertain_ids = [a for a in full_af.args if load[a]]
-    base = ArgIAF(fixed_ids, uncertain_ids, full_af.defeats)
+    fixed_ids = tuple(a for a in full_af.args if not load[a])
+    uncertain_ids = tuple(a for a in full_af.args if load[a])
+    base = ArgIAF._canonical(fixed_ids, uncertain_ids, full_af.defeats)
     deps = _implicative_dependencies(uncertain_ids, load)
-    return DepArgIAF(base, deps), Witness.identity(full_af.args)
+    return (DepArgIAF._canonical(base, frozenset(deps)),
+            Witness.identity(full_af.args))
 
 
 def rul_isaf_to_imp_arg_iaf(r: RulISAF, limits: Limits = DEFAULT_LIMITS,

@@ -194,6 +194,32 @@ class TestEquivCommand:
         assert run("equiv", "--identity-only", str(left),
                    str(right)).exit_code == 1
 
+    def test_empty_documents_round_trip(self, tmp_path):
+        # no subset satisfies or([b]) and nand([b]) together, so the
+        # completion set is empty and `completions --out` writes nothing
+        iaf = tmp_path / "z.iaf"
+        iaf.write_text("?arg(b).\nor([b]).\nnand([b]).\n", encoding="utf-8")
+        empty = tmp_path / "z.txt"
+        assert run("completions", str(iaf), "--kind", "dep-arg-iaf",
+                   "--out", str(empty)).exit_code == 0
+        assert empty.read_text(encoding="utf-8") == ""
+        for flags in ([], ["--identity-only"]):
+            result = run("equiv", *flags, str(empty), str(empty))
+            assert result.exit_code == 0
+            payload = json.loads(result.output)
+            assert payload["verdict"] == "equivalent"
+            assert payload["witness"] == {"map": []}
+
+    def test_empty_document_against_nonempty_exits_one(self, tmp_path):
+        one = tmp_path / "one.afs"
+        one.write_text("arg(a).\n---\n", encoding="utf-8")
+        blank = tmp_path / "blank.afs"  # no section: the empty set
+        blank.write_text("\n", encoding="utf-8")
+        for left, right in ((one, blank), (blank, one)):
+            result = run("equiv", str(left), str(right))
+            assert result.exit_code == 1
+            assert json.loads(result.output)["verdict"] == "not_equivalent"
+
     # A relabelled pair over 10 arguments: a0..a9 -> b*, with a2 and a6
     # uncertain and a self-defeat on a3.  Seven signature classes, and the
     # search backtracks, so the golden pins the order of the search.
@@ -374,7 +400,6 @@ class TestErrorContract:
         (["equiv", "{undeclared_dir}", "{undeclared_dir}"], {},
          "UNDECLARED_ARGUMENT"),
         (["equiv", "{empty}", "{one}"], {}, "INPUT_ERROR"),
-        (["equiv", "{one}", "{blank}"], {}, "INPUT_ERROR"),
         (["synth-deps", "fixture:example1", "{empty}"], {}, "INPUT_ERROR"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
@@ -383,7 +408,7 @@ class TestErrorContract:
             "theory-rule-without-head", "theory-null-rules",
             "config-directory", "config-not-utf8", "equiv-dir-unparsable",
             "equiv-dir-undeclared-argument", "equiv-dir-empty",
-            "equiv-doc-empty", "synth-deps-dir-empty"])
+            "synth-deps-dir-empty"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
@@ -404,20 +429,17 @@ class TestErrorContract:
             (dirs[name] / "x.apx").write_text(text, encoding="utf-8")
         one = tmp_path / "one.afs"
         one.write_text("arg(a).\n---\n", encoding="utf-8")
-        empty = tmp_path / "empty"  # no .apx file: an empty completion set
+        empty = tmp_path / "empty"  # no .apx file: bad input
         empty.mkdir()
         (empty / "a.txt").write_text("arg(a).\n", encoding="utf-8")
-        blank = tmp_path / "blank.afs"  # no section: likewise
-        blank.write_text("\n", encoding="utf-8")
         formatted = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
                               headless=headless, null_rules=null_rules,
                               dir=tmp_path, latin1=latin1, one=one,
-                              empty=empty, blank=blank, **dirs)
+                              empty=empty, **dirs)
                      for a in argv]
         line = self.assert_one_line(formatted, env, 2, code)
-        for name, path in (("{empty}", empty), ("{blank}", blank)):
-            if name in argv:  # names the empty input
-                assert str(path) in line
+        if "{empty}" in argv:  # names the empty input
+            assert str(empty) in line
         if any(a.endswith("_dir}") for a in argv):  # names the bad file
             assert "x.apx" in line and "ok.apx" not in line
 

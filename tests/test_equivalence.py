@@ -199,7 +199,7 @@ def witness_outcome(check, source, target, witness):
 
 class TestCheckWitnessPaths:
     """check_witness against its definition, applied_check_witness, on
-    sets that record their universe graph and sets that do not."""
+    argument-mask sets whose graph is a member and on other sets."""
 
     @staticmethod
     def witnesses(rng, base):
@@ -228,7 +228,7 @@ class TestCheckWitnessPaths:
             completions_rul,
         )
 
-        cases = []  # (source, target, base bijection, both record universes)
+        cases = []  # (source, target, base bijection, both hold their graph)
         for seed in range(200):
             rng = random.Random(seed)
             iaf = random_arg_iaf(rng, max_args=5)
@@ -240,9 +240,9 @@ class TestCheckWitnessPaths:
                                  (completions_rul(rul), to_rul),
                                  (completions_prem(prem), to_prem)):
                 public = CompletionSet(target.members)
-                assert source._universe is not None
-                assert target._universe is not None
-                assert public._universe is None
+                assert source._full_graph() is not None
+                assert target._full_graph() is not None
+                assert public._full_graph() is None
                 cases.append((source, target, base, True))
                 cases.append((source, public, base, False))
                 cases.append((public, source, base.invert(), False))
@@ -250,7 +250,7 @@ class TestCheckWitnessPaths:
                 # no member holds every uncertain argument
                 cut = completions_dep(
                     DepArgIAF(iaf, [Nand(iaf.uncertain_args)]))
-                assert cut._universe is None
+                assert cut._full_graph() is None
                 cases.append((cut, cut, Witness.identity(
                     cut.argument_union()), False))
             if len(identity.pairs) >= 2:
@@ -265,7 +265,7 @@ class TestCheckWitnessPaths:
         rng = random.Random(11)
         seen = {(path, outcome): 0 for path in (True, False)
                 for outcome in (True, False, DomainMismatchError)}
-        for source, target, base, universes in cases:
+        for source, target, base, on_graph in cases:
             for witness in self.witnesses(rng, base):
                 want = witness_outcome(applied_check_witness, source, target,
                                        witness)
@@ -275,7 +275,7 @@ class TestCheckWitnessPaths:
                                           witness)
                 assert got == want, (source.members, target.members,
                                      witness)
-                seen[universes, want] += 1
+                seen[on_graph, want] += 1
         # both paths accept, reject and raise
         assert all(count >= 20 for count in seen.values()), seen
 

@@ -11,10 +11,18 @@ from uarg import (
     Limits,
     Nand,
     Or,
+    Witness,
+    arg_iaf_to_prem_isaf,
+    arg_iaf_to_rul_isaf,
+    check_witness,
     completions_arg_iaf,
     completions_dep,
+    completions_prem,
+    completions_rul,
     is_implicative,
     parse_iaf,
+    prem_isaf_to_imp_arg_iaf,
+    rul_isaf_to_imp_arg_iaf,
     satisfies,
     serialize_iaf,
     synthesize_dependencies,
@@ -26,6 +34,7 @@ from uarg.errors import (
     UndeclaredArgumentError,
 )
 from uarg import incomplete, isaf
+from uarg.documents import serialize_completion_set
 from uarg.incomplete import _horn_closed_masks, _induced_completions, _own_bits
 from uarg.kernels import DEP_IMPLY
 
@@ -94,7 +103,9 @@ class TestCompletions:
 def _restriction_cases():
     """(full graph, load, masks) triples: structured frameworks with their
     maximal graphs, and argument-incomplete ones with every mask, a sample
-    of masks in shuffled order, or the single mask 0."""
+    of masks in shuffled order, or the single mask 0.  Then masks that
+    exclude the full subset, so the graph is not a member, and no mask at
+    all, the empty set."""
     rng = random.Random(11)
     cases = []
     for i in range(40):
@@ -113,6 +124,12 @@ def _restriction_cases():
         sample = rng.sample(range(1 << n), rng.randint(1, 1 << n))
         cases.append((full, load, sample))
         cases.append((full, load, [0]))  # no uncertain argument kept
+    for iaf in iafs[:12]:
+        n = len(iaf.uncertain_args)
+        full, load = iaf.full_af(), _own_bits(iaf)
+        if n:
+            cases.append((full, load, range((1 << n) - 1)))
+        cases.append((full, load, []))
     return cases
 
 
@@ -121,18 +138,87 @@ class TestRestrictionOracle:
     def test_matches_dict_restriction(self, full, load, masks):
         got = _induced_completions(full, load, masks)
         expected = dict_induced_completions(full, load, masks)
-        assert got == expected
-        assert got.members == expected.members
-        assert hash(got) == hash(expected)
+        public = CompletionSet(expected.members)
+        # read from the masks, before any member is built
+        assert len(got) == len(expected)
+        assert got.argument_union() == expected.argument_union()
+        assert serialize_completion_set(got) == \
+            serialize_completion_set(public)
+        assert got._members is None
         everything = dict_induced_completions(
             full, load, range(1 << max(load.values(), default=0).bit_length()))
         probes = [*everything, AbstractAF(["zz"]), AbstractAF(), "a"]
-        assert got._index is None  # built on the first lookup
         truth = [p in expected.members for p in probes]  # tuple scan
+        assert got._index is None  # built on the first lookup
         for _ in range(2):
             assert [p in got for p in probes] == \
                 [p in expected for p in probes] == truth
         assert got._index is not None
+        assert got.members == expected.members
+        for left, right in ((got, expected), (got, public)):
+            assert left == right and right == left
+            assert hash(left) == hash(right)
+        # membership after the members are built, before the index is
+        built = _induced_completions(full, load, masks)
+        assert built.members == expected.members
+        assert [p in built for p in probes] == truth
+        assert list(built) == list(expected)
+
+    def test_members_stay_unbuilt(self):
+        """Sizes, unions, serialization and certification of induced sets
+        read their masks; no member is built."""
+        rng = random.Random(5)
+        sets = []
+        for _ in range(20):
+            iaf = random_arg_iaf(rng, max_args=5)
+            source = completions_arg_iaf(iaf)
+            for encode, completions in ((arg_iaf_to_rul_isaf, completions_rul),
+                                        (arg_iaf_to_prem_isaf,
+                                         completions_prem)):
+                framework, witness = encode(iaf)
+                target = completions(framework)
+                assert check_witness(source, target, witness)
+                assert check_witness(target, source, witness.invert())
+                sets.append(target)
+            sets.append(source)
+        for i in range(10):
+            x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
+            source = (completions_rul if i % 2 else completions_prem)(
+                x, GEN_LIMITS)
+            to_imp = (rul_isaf_to_imp_arg_iaf if i % 2
+                      else prem_isaf_to_imp_arg_iaf)
+            target, witness = to_imp(x, GEN_LIMITS)
+            target_set = completions_dep(target, GEN_LIMITS)
+            assert check_witness(source, target_set, witness)
+            sets += [source, target_set]
+        for cs in sets:
+            assert len(cs) == len(cs._masks)
+            cs.argument_union()
+            serialize_completion_set(cs)
+            assert cs._members is None
+
+    def test_graph_not_a_member(self):
+        """Without the full subset the graph is no member, and a witness
+        is checked member by member."""
+        iaf = ArgIAF(["a"], ["b", "c"], [("b", "a"), ("c", "b")])
+        cut = completions_dep(DepArgIAF(iaf, [Nand(["b", "c"])]))
+        assert cut._full_graph() is None
+        assert cut.argument_union() == frozenset("abc")
+        assert subset_names(cut) == [("a",), ("a", "b"), ("a", "c")]
+        flip = Witness({"a": "a", "b": "c", "c": "b"})
+        assert check_witness(cut, cut, Witness.identity("abc"))
+        assert not check_witness(cut, cut, flip)
+
+    def test_empty_set(self):
+        iaf = ArgIAF([], ["b"])
+        empty = completions_dep(DepArgIAF(iaf, [Or(["b"]), Nand(["b"])]))
+        assert len(empty) == 0 and not empty.members
+        assert empty.argument_union() == frozenset()
+        assert serialize_completion_set(empty) == ""
+        assert empty == CompletionSet() and CompletionSet() == empty
+        assert hash(empty) == hash(CompletionSet())
+        assert AbstractAF() not in empty
+        assert check_witness(empty, CompletionSet(), Witness({}))
 
     def test_argument_free_member(self):
         iaf = ArgIAF([], ["a", "b"], [("a", "b")])

@@ -29,10 +29,16 @@ from uarg import (
     tidy,
 )
 from uarg import aspic, translate
+from uarg import isaf as isaf_module
 from uarg.errors import PreferenceUnknownArgumentError
 from uarg.incomplete import DepArgIAF, ImplyDisj
 
-from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
+from framework_gen import (
+    GEN_LIMITS,
+    random_arg_iaf,
+    random_prem_isaf,
+    random_rul_isaf,
+)
 from oracles import covering_imp_arg_iaf
 
 
@@ -241,6 +247,30 @@ class TestPremIsafToImpArgIaf:
             isaf = random_prem_isaf(rng)
             target, witness = prem_isaf_to_imp_arg_iaf(isaf)
             assert certify(isaf, target, witness)
+
+
+class TestUncheckedImpConstruction:
+    def test_matches_public_constructors(self):
+        """The imp-arg-IAF of a structured framework, built unchecked,
+        equals its build through the validating public constructors."""
+        rng = random.Random(73)
+        for i in range(60):
+            x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
+            to_imp = (rul_isaf_to_imp_arg_iaf if i % 2
+                      else prem_isaf_to_imp_arg_iaf)
+            target, witness = to_imp(x, GEN_LIMITS)
+            full, load = isaf_module._maximal_graph(x, GEN_LIMITS)
+            uncertain = [a for a in full.args if load[a]]
+            deps = [ImplyDisj(cover, [a]) for a in uncertain
+                    for cover in translate._minimal_covers(
+                        load[a], [(b, load[b]) for b in uncertain
+                                  if b != a])]
+            public = DepArgIAF(ArgIAF([a for a in full.args if not load[a]],
+                                      uncertain, full.defeats), deps)
+            assert target == public
+            assert hash(target) == hash(public)
+            assert target.base.all_args == full.args
+            assert witness == Witness.identity(full.args)
 
 
 class TestTidy:
