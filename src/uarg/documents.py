@@ -272,38 +272,17 @@ def parse_completion_set(text: str) -> CompletionSet:
                          for first, section in sections)
 
 
-class _Lines(dict):
-    """Text line per key, formatted on its first lookup."""
-
-    def __init__(self, template: str):
-        super().__init__()
-        self.format = template.format
-
-    def __missing__(self, key):
-        line = self[key] = self.format(key)
-        return line
-
-
 def serialize_completion_set(completions: CompletionSet) -> str:
-    """Each member's ``serialize_af`` text followed by a ``---`` line;
-    every distinct arg(..) and att(..) line is formatted once per call.
-    A set of argument masks over one graph selects its members' lines
-    from the graph's, so no member is built."""
+    """Each member's ``serialize_af`` text followed by a ``---`` line.
+    Every arg(..) and att(..) line of the set's union graph is formatted
+    once, and each member selects its lines by its key, so no member is
+    built."""
     graph = completions._graph
-    if graph is not None:
-        lines = [f"arg({a}).\n" for a in graph.args]
-        lines += [f"att({s},{t}).\n" for s, t in graph.defeats]
-        parts: list[str] = []
-        for keep in completions._selectors():
-            parts += compress(lines, keep)
-            parts.append("---\n")
-        return "".join(parts)
-    arg_line = _Lines("arg({}).\n").__getitem__
-    att_line = _Lines("att({0[0]},{0[1]}).\n").__getitem__
-    parts = []
-    for af in completions:
-        parts += map(arg_line, af.args)
-        parts += map(att_line, af.defeats)
+    lines = [f"arg({a}).\n" for a in graph.args]
+    lines += [f"att({s},{t}).\n" for s, t in graph.defeats]
+    parts: list[str] = []
+    for keep in completions._selectors():
+        parts += compress(lines, keep)
         parts.append("---\n")
     return "".join(parts)
 

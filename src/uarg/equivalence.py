@@ -19,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF
 from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import ArgIAF, CompletionSet, _or_images, completions_arg_iaf
 from .translate import Witness
@@ -48,19 +47,10 @@ def check_witness(source: CompletionSet, target: CompletionSet,
     Once the witness is known to be a bijection from the source union onto
     the target union, an injective map sends distinct members to distinct
     images, so with equal sizes the sets are equal iff every image is a
-    target member.  Membership is decided one of two ways:
-
-    * when both sets are argument masks over a graph that is itself a
-      member (sets built by restricting one framework, such as arg-IAF,
-      rule and premise completions), the witness must map the source
-      graph's defeats onto the target graph's, and each source mask,
-      pushed through the witness as a permutation of bit positions, onto
-      a target mask.  Every member is its graph induced on its arguments,
-      so the image of a member is the target graph induced on the image
-      arguments, which is that target member;
-    * otherwise each member's image is built canonically and looked up
-      among the target members.  Its names are codomain names, which are
-      the target's own identifiers, so none is re-checked.
+    target member.  The witness must map the source's union graph onto the
+    target's; it is then a permutation of key bits (arguments onto
+    arguments, defeats onto defeats), and each source key, pushed through
+    it, must be a target key.
     """
     if witness.domain != source.argument_union():
         raise DomainMismatchError(
@@ -79,20 +69,13 @@ def _maps_onto(source: CompletionSet, target: CompletionSet,
     target union."""
     if len(source) != len(target):
         return False
-    src_graph, tgt_graph = source._full_graph(), target._full_graph()
-    if src_graph is not None and tgt_graph is not None:
-        if {(m[s], m[t]) for s, t in src_graph.defeats} != \
-                set(tgt_graph.defeats):
-            return False
-        bit = {a: 1 << i for i, a in enumerate(tgt_graph.args)}
-        image = [bit[m[a]] for a in src_graph.args]
-        return set(target._masks).issuperset(
-            _or_images(image, source._masks))
-    canonical = AbstractAF._canonical
-    return all(canonical(tuple(sorted([m[a] for a in af.args])),
-                         tuple(sorted([(m[s], m[t])
-                                       for s, t in af.defeats]))) in target
-               for af in source)
+    src, tgt = source._graph, target._graph
+    mapped = [(m[s], m[t]) for s, t in src.defeats]
+    if set(mapped) != set(tgt.defeats):
+        return False
+    bit = {x: 1 << i for i, x in enumerate(tgt.args + tgt.defeats)}
+    image = [bit[m[a]] for a in src.args] + [bit[d] for d in mapped]
+    return set(target._keys).issuperset(_or_images(image, source._keys))
 
 
 def _signatures(completions: CompletionSet,
@@ -155,17 +138,16 @@ def equivalent(source: CompletionSet, target: CompletionSet,
     tgt_union = target.argument_union()
     if len(source) != len(target) or len(src_union) != len(tgt_union):
         return EquivalenceResult(NOT_EQUIVALENT, None)
+    if identity_only and source == target:  # compares keys, no member
+        return EquivalenceResult(EQUIVALENT, Witness.identity(src_union),
+                                 nodes=1)
     shapes = sorted((len(af.args), len(af.defeats)) for af in source)
     if shapes != sorted((len(af.args), len(af.defeats)) for af in target):
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
-    if identity_only:
-        if src_union != tgt_union:
-            return EquivalenceResult(NOT_EQUIVALENT, None)
-        if source == target:
-            return EquivalenceResult(EQUIVALENT, Witness.identity(src_union),
-                                     nodes=1)
-        return EquivalenceResult(NOT_EQUIVALENT, None, nodes=1)
+    if identity_only:  # the identity was tried iff the unions agree
+        return EquivalenceResult(NOT_EQUIVALENT, None,
+                                 nodes=int(src_union == tgt_union))
 
     if len(src_union) > limits.max_equiv_args:  # unions of one size
         raise SearchBoundExceededError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -204,21 +204,26 @@ def _dependency_sets(dep: Dependency) -> tuple[frozenset[str], ...]:
 class CompletionSet:
     """Canonical, deduplicated set of frameworks with deterministic order.
 
-    A set restricted from one graph holds that graph in ``_graph`` and,
-    in ``_masks``, one argument mask per member in member order: bit i is
-    the graph's i-th argument, and defeats are induced.  Its members are
-    built on their first use.  Sets from the constructor hold members
-    only."""
+    A set is its union graph ``_graph`` (the sorted arguments and defeats
+    that at least one member holds) and one key per member, in member
+    order (``_keys``).  With n graph arguments, bit i of a key is the
+    graph's i-th argument, and bit n + j is the graph's j-th defeat when
+    the member holds both its endpoints but not the defeat.  A member
+    restricted from one graph lacks no such defeat, so its key is its
+    argument mask.  Members are built from the keys on their first use and
+    cached; the constructor caches the members it is given."""
 
-    __slots__ = ("_members", "_index", "_graph", "_masks")
+    __slots__ = ("_graph", "_keys", "_members", "_index")
 
     def __init__(self, members: Iterable[AbstractAF] = ()):
         unique = {(af.args, af.defeats): af for af in members}
-        self._members: tuple[AbstractAF, ...] | None = tuple(
-            unique[key] for key in sorted(unique))
-        self._index: frozenset | None = None
-        self._graph: AbstractAF | None = None
-        self._masks: tuple[int, ...] | None = None
+        ordered = tuple(unique[key] for key in sorted(unique))
+        self._graph = graph = AbstractAF._canonical(
+            tuple(sorted(set().union(*(af.args for af in ordered)))),
+            tuple(sorted(set().union(*(af.defeats for af in ordered)))))
+        self._keys = tuple(map(_key_coder(graph), ordered))
+        self._members: tuple[AbstractAF, ...] | None = ordered
+        self._index: tuple[frozenset[int], Callable] | None = None
 
     @classmethod
     def _induced(cls, graph: AbstractAF,
@@ -226,90 +231,121 @@ class CompletionSet:
         """Set of the restrictions of ``graph`` to distinct argument masks
         given in member order.  Nothing is checked, so only sets derived
         from one validated framework are built this way."""
+        if (1 << len(graph.args)) - 1 not in masks:
+            # no member holds the whole graph, so it may hold more than
+            # the union
+            graph, masks = _union_of(graph, masks)
         out = object.__new__(cls)
-        out._members = None
-        out._index = None
-        out._graph = graph
-        out._masks = masks
+        out._graph, out._keys, out._members, out._index = \
+            graph, masks, None, None
         return out
 
     @property
     def members(self) -> tuple[AbstractAF, ...]:
         if self._members is None:
             args, defeats = self._graph.args, self._graph.defeats
-            split = len(args)
-            canonical = AbstractAF._canonical
-            self._members = tuple(
-                canonical(tuple(compress(args, keep)),
-                          tuple(compress(defeats, keep[split:])))
+            self._members = tuple(AbstractAF._canonical(
+                tuple(compress(args, keep)),
+                tuple(compress(defeats, keep[len(args):])))
                 for keep in self._selectors())
         return self._members
 
     def _selectors(self) -> Iterator[bytes]:
-        """Per mask, one byte per position of the graph's ``args +
-        defeats``: 1 where the member keeps it, else 0."""
-        args, defeats = self._graph.args, self._graph.defeats
-        width = len(args) + len(defeats)
-        # touch[i]: the positions of argument i and of its defeats
-        touch = [1 << 8 * (width - 1 - i) for i in range(len(args))]
-        index = {a: i for i, a in enumerate(args)}
-        position = 1 << 8 * len(defeats)
-        for s, t in defeats:
-            position >>= 8
-            touch[index[s]] |= position
-            touch[index[t]] |= position
+        """Per key, one byte per entry of the graph's ``args + defeats``:
+        1 where the member holds it, else 0."""
+        entries = self._graph.args + self._graph.defeats
+        width = len(entries)
+        # gone[x]: the bytes a member loses without entry x (key bit i for
+        # entry i); an argument takes its defeats along
+        gone = {x: 1 << 8 * (width - 1 - i) for i, x in enumerate(entries)}
+        for s, t in self._graph.defeats:
+            gone[s] |= gone[s, t]
+            gone[t] |= gone[s, t]
         every = int.from_bytes(b"\x01" * width, "big")
-        full = (1 << len(args)) - 1
-        return ((every ^ gone).to_bytes(width, "big")
-                for gone in _or_images(touch, [full ^ m
-                                               for m in self._masks]))
-
-    def _full_graph(self) -> AbstractAF | None:
-        """The graph the masks restrict, when it is a member itself."""
-        if self._masks is not None \
-                and (1 << len(self._graph.args)) - 1 in self._masks:
-            return self._graph
-        return None
+        full = (1 << len(self._graph.args)) - 1  # flips arguments to dropped
+        return ((every ^ lost).to_bytes(width, "big")
+                for lost in _or_images([*gone.values()],
+                                       [full ^ k for k in self._keys]))
 
     def argument_union(self) -> frozenset[str]:
-        if self._masks is not None:
-            union = reduce(or_, self._masks, 0)
-            return frozenset(a for i, a in enumerate(self._graph.args)
-                             if union >> i & 1)
-        out: set[str] = set()
-        for af in self._members:
-            out.update(af.args)
-        return frozenset(out)
+        return frozenset(self._graph.args)
 
     def __iter__(self) -> Iterator[AbstractAF]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self._members if self._masks is None else self._masks)
+        return len(self._keys)
 
     def __contains__(self, af: object) -> bool:
         if not isinstance(af, AbstractAF):
             return False
         if self._index is None:  # built on the first lookup
-            self._index = frozenset((m.args, m.defeats)
-                                    for m in self.members)
-        return (af.args, af.defeats) in self._index
+            self._index = (frozenset(self._keys), _key_coder(self._graph))
+        keys, key = self._index
+        try:
+            return key(af) in keys
+        except KeyError:  # an argument or a defeat outside the union
+            return False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CompletionSet) and \
-            self.members == other.members
+            self._keys == other._keys and self._graph == other._graph
 
     def __hash__(self) -> int:
-        return hash(self.members)
+        return hash((self._graph, self._keys))
 
     def __repr__(self) -> str:
         return f"CompletionSet({len(self)} frameworks)"
 
 
-def _or_images(values: list[int], masks: list[int]) -> list[int]:
+def _key_coder(graph: AbstractAF) -> Callable[[AbstractAF], int]:
+    """The function from a member over ``graph`` to its key; KeyError for
+    a framework with an argument or a defeat outside the graph.  Key bit
+    i is entry i of ``graph.args + graph.defeats``."""
+    bit = {x: 1 << i for i, x in enumerate(graph.args + graph.defeats)}
+    low = (1 << len(graph.args)) - 1
+    # own[a]: a's bit and its outgoing defeats; into[a]: its incoming ones
+    own, into = {a: bit[a] for a in graph.args}, dict.fromkeys(graph.args, 0)
+    for s, t in graph.defeats:
+        own[s] |= bit[s, t]
+        into[t] |= bit[s, t]
+
+    def key(af: AbstractAF) -> int:
+        # the member's arguments and the defeats between them, minus the
+        # defeats it holds
+        sources = reduce(or_, map(own.__getitem__, af.args), 0)
+        targets = reduce(or_, map(into.__getitem__, af.args), 0)
+        return sources & (low | targets) ^ sum(map(bit.__getitem__,
+                                                    af.defeats))
+    return key
+
+
+def _union_of(graph: AbstractAF, masks: tuple[int, ...]) -> tuple[
+        AbstractAF, tuple[int, ...]]:
+    """The part of ``graph`` that some argument mask holds, and the masks
+    over it, in the same order.  A defeat is held iff one mask keeps both
+    its endpoints.  ``column[a]`` is the bit of argument a in every mask
+    at once: the masks side by side, ``width`` bytes each, shifted right
+    by a's bit and cut to the first bit of each mask."""
+    args, width = graph.args, (len(graph.args) + 7) // 8
+    packed = int.from_bytes(b"".join([m.to_bytes(width, "little")
+                                      for m in masks]), "little")
+    first = int.from_bytes(b"\x01".ljust(width, b"\0") * len(masks), "little")
+    column = {a: packed >> i & first for i, a in enumerate(args)}
+    kept = tuple(a for a in args if column[a])
+    if len(kept) < len(args):  # renumber the bits of the kept arguments
+        place = dict.fromkeys(args, 0)
+        place.update((a, 1 << k) for k, a in enumerate(kept))
+        masks = tuple(_or_images([place[a] for a in args], masks))
+    return AbstractAF._canonical(kept, tuple(
+        (s, t) for s, t in graph.defeats if column[s] & column[t])), masks
+
+
+def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
     """For each mask, the OR of ``values[i]`` over its set bits i.  Masks
-    are read eight bits at a time, through a table of the ORs of every
-    subset of those eight values."""
+    are read eight bits at a time, up to the highest bit any of them has,
+    through a table of the ORs of every subset of those eight values."""
+    values = values[:max(masks, default=0).bit_length()]
     out = [0] * len(masks)
     for low in range(0, len(values), 8):
         table = [0]  # the OR of every subset of values[low:low + 8]
@@ -349,8 +385,8 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
     """One restriction of ``full_af`` per mask over the uncertain elements:
     argument a is kept under mask m iff ``load[a] & ~m == 0``, and a
     defeat iff both its endpoints are.  Defeats are induced, so masks
-    keeping the same arguments share one member, and the set is
-    ``full_af`` with one argument mask per member.
+    keeping the same arguments share one member, and the set is the part
+    of ``full_af`` they hold with one argument mask per member.
 
     ``drop[b]`` holds the arguments whose load has bit b; a mask drops the
     union of ``drop[b]`` over its clear bits.
@@ -632,13 +668,18 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
         raise TargetNotSubsetError(
             f"{len(stray)} target frameworks are not completions of the "
             "framework")
-    uncertain = frozenset(iaf.uncertain_args)
+    # Each member is a completion, so its key is its argument mask, and
+    # distinct completions keep distinct subsets of uncertain arguments.
+    uncertain = iaf.uncertain_args
+    index = {a: i for i, a in enumerate(uncertain)}
+    target_masks = sorted(_or_images(
+        [1 << index[a] if a in index else 0 for a in target._graph.args],
+        target._keys))
+    excluded = set(range(1 << len(uncertain))).difference(target_masks)
     deps: list[Dependency] = []
-    for af in all_comps:
-        if af in target:
-            continue
-        present = af.arg_set & uncertain
-        absent = uncertain - present
+    for mask in sorted(excluded):
+        present = [a for i, a in enumerate(uncertain) if mask >> i & 1]
+        absent = [a for i, a in enumerate(uncertain) if not mask >> i & 1]
         if not present and not absent:
             raise TargetNotRepresentableError(
                 "cannot exclude the unique completion of a framework "
@@ -650,11 +691,7 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
         else:
             deps.append(ImplyDisj(present, absent))
     if minimize:
-        # Distinct subsets give distinct completions, so a trial keeps the
-        # target iff its satisfying masks are the target's masks.
-        index = {a: i for i, a in enumerate(iaf.uncertain_args)}
-        target_masks = sorted(sum(1 << index[a] for a in af.args if a in index)
-                              for af in target)
+        # a trial keeps the target iff its satisfying masks are the target's
         kept = sorted(deps, key=lambda d: d.sort_key())
         encoded = {dep: _encode_dep(dep, index) for dep in kept}
         for dep in list(kept):

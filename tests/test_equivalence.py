@@ -197,9 +197,18 @@ def witness_outcome(check, source, target, witness):
         return DomainMismatchError
 
 
+def lacks_a_defeat(completions):
+    """True iff some member lacks a defeat that another member holds
+    between two of its arguments."""
+    union = {d for af in completions for d in af.defeats}
+    return any((s, t) in union and (s, t) not in af.defeat_set
+               for af in completions for s in af.args for t in af.args)
+
+
 class TestCheckWitnessPaths:
     """check_witness against its definition, applied_check_witness, on
-    argument-mask sets whose graph is a member and on other sets."""
+    restricted sets, on their documents read back, on Nand-cut sets and
+    on sets with a member that lacks a defeat between its arguments."""
 
     @staticmethod
     def witnesses(rng, base):
@@ -227,8 +236,15 @@ class TestCheckWitnessPaths:
             completions_prem,
             completions_rul,
         )
+        from uarg.documents import (
+            parse_completion_set,
+            serialize_completion_set,
+        )
 
-        cases = []  # (source, target, base bijection, both hold their graph)
+        def read_back(completions):
+            return parse_completion_set(serialize_completion_set(completions))
+
+        cases = []  # (source, target, base bijection)
         for seed in range(200):
             rng = random.Random(seed)
             iaf = random_arg_iaf(rng, max_args=5)
@@ -240,32 +256,41 @@ class TestCheckWitnessPaths:
                                  (completions_rul(rul), to_rul),
                                  (completions_prem(prem), to_prem)):
                 public = CompletionSet(target.members)
-                assert source._full_graph() is not None
-                assert target._full_graph() is not None
-                assert public._full_graph() is None
-                cases.append((source, target, base, True))
-                cases.append((source, public, base, False))
-                cases.append((public, source, base.invert(), False))
+                cases.append((source, target, base))
+                cases.append((source, public, base))
+                cases.append((public, source, base.invert()))
             if iaf.uncertain_args:
                 # no member holds every uncertain argument
                 cut = completions_dep(
                     DepArgIAF(iaf, [Nand(iaf.uncertain_args)]))
-                assert cut._full_graph() is None
-                cases.append((cut, cut, Witness.identity(
-                    cut.argument_union()), False))
+                assert not any(af.arg_set.issuperset(iaf.uncertain_args)
+                               for af in cut)
+                cut_identity = Witness.identity(cut.argument_union())
+                cases.append((cut, cut, cut_identity))
+                cases.append((cut, read_back(cut), cut_identity))
+            swapped = swap_defeats(rng, source)
+            if swapped is not None:
+                # with another member, the swapped one lacks a defeat
+                # between its arguments, as in the near-miss sets of
+                # the equivalence search
+                cases.append((swapped, swapped, identity))
+                cases.append((source, swapped, identity))
+                cases.append((swapped, read_back(swapped), identity))
+                cases.append((swapped, to_rul.apply(swapped), to_rul))
             if len(identity.pairs) >= 2:
                 # a merging map onto its own image passes the codomain
                 # test and fails the bijectivity test
                 merge = self.witnesses(rng, identity)[-1]
-                cases.append((source, merge.apply(source), merge, False))
+                cases.append((source, merge.apply(source), merge))
 
         def no_apply(self, completions):
             raise AssertionError("check_witness called Witness.apply")
 
         rng = random.Random(11)
-        seen = {(path, outcome): 0 for path in (True, False)
+        seen = {(lacks, outcome): 0 for lacks in (True, False)
                 for outcome in (True, False, DomainMismatchError)}
-        for source, target, base, on_graph in cases:
+        for source, target, base in cases:
+            lacks = lacks_a_defeat(source) or lacks_a_defeat(target)
             for witness in self.witnesses(rng, base):
                 want = witness_outcome(applied_check_witness, source, target,
                                        witness)
@@ -275,8 +300,8 @@ class TestCheckWitnessPaths:
                                           witness)
                 assert got == want, (source.members, target.members,
                                      witness)
-                seen[on_graph, want] += 1
-        # both paths accept, reject and raise
+                seen[lacks, want] += 1
+        # sets with and without a lacking member accept, reject and raise
         assert all(count >= 20 for count in seen.values()), seen
 
 

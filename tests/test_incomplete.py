@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,6 +20,7 @@ from uarg import (
     completions_dep,
     completions_prem,
     completions_rul,
+    equivalent,
     is_implicative,
     parse_iaf,
     prem_isaf_to_imp_arg_iaf,
@@ -34,7 +36,7 @@ from uarg.errors import (
     UndeclaredArgumentError,
 )
 from uarg import incomplete, isaf
-from uarg.documents import serialize_completion_set
+from uarg.documents import parse_completion_set, serialize_completion_set
 from uarg.incomplete import _horn_closed_masks, _induced_completions, _own_bits
 from uarg.kernels import DEP_IMPLY
 
@@ -45,6 +47,7 @@ from framework_gen import (
     random_rul_isaf,
 )
 from oracles import (
+    applied_check_witness,
     as_pairs,
     dict_induced_completions,
     fixpoint_horn_closed_masks,
@@ -105,7 +108,9 @@ def _restriction_cases():
     maximal graphs, and argument-incomplete ones with every mask, a sample
     of masks in shuffled order, or the single mask 0.  Then masks that
     exclude the full subset, so the graph is not a member, and no mask at
-    all, the empty set."""
+    all, the empty set; on twelve arguments also masks that keep two
+    uncertain arguments never together, or one never, so the set's
+    union lacks defeats or arguments of the graph."""
     rng = random.Random(11)
     cases = []
     for i in range(40):
@@ -124,13 +129,55 @@ def _restriction_cases():
         sample = rng.sample(range(1 << n), rng.randint(1, 1 << n))
         cases.append((full, load, sample))
         cases.append((full, load, [0]))  # no uncertain argument kept
-    for iaf in iafs[:12]:
+    wide = []  # twelve arguments, so an argument mask spans two bytes
+    names = [f"w{i:02d}" for i in range(12)]
+    for _ in range(6):
+        uncertain = rng.sample(names, 4)
+        wide.append(ArgIAF(set(names) - set(uncertain), uncertain,
+                           [(s, t) for s in names for t in names
+                            if rng.random() < 0.2]))
+    for iaf in iafs[:12] + wide:
         n = len(iaf.uncertain_args)
         full, load = iaf.full_af(), _own_bits(iaf)
         if n:
             cases.append((full, load, range((1 << n) - 1)))
         cases.append((full, load, []))
+    for iaf in wide:  # uncertain 0 and 1 never together; 2 never kept
+        full, load = iaf.full_af(), _own_bits(iaf)
+        cases.append((full, load, [m for m in range(16) if m & 3 != 3]))
+        cases.append((full, load, [m for m in range(16) if not m & 4]))
     return cases
+
+
+@contextmanager
+def no_member_built():
+    """Fail on any framework built inside the block, through the public
+    constructor or the unchecked one: a completion set must answer from
+    what it holds, without materialising its members."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a framework was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AbstractAF, "__init__", refuse)
+        patch.setattr(AbstractAF, "_canonical", classmethod(refuse))
+        yield
+
+
+def _nand_cut_cases():
+    """Sets whose full subset a Nand excludes, so no member holds the
+    whole framework: a cut pair with a defeat between the cut arguments
+    (that defeat is in no member), and one whose cut pair defeats a
+    third argument."""
+    cut_defeated = DepArgIAF(ArgIAF(["c"], ["a", "b"],
+                                    [("a", "b"), ("b", "c")]),
+                             [Nand(["a", "b"])])
+    cut_defeating = DepArgIAF(ArgIAF(["a"], ["b", "c"],
+                                     [("b", "a"), ("c", "b")]),
+                              [Nand(["b", "c"])])
+    return [(cut_defeated, [("a", "c"), ("b", "c"), ("c",)],
+             [("b", "c")]),
+            (cut_defeating, [("a",), ("a", "b"), ("a", "c")],
+             [("b", "a")])]
 
 
 class TestRestrictionOracle:
@@ -139,36 +186,34 @@ class TestRestrictionOracle:
         got = _induced_completions(full, load, masks)
         expected = dict_induced_completions(full, load, masks)
         public = CompletionSet(expected.members)
-        # read from the masks, before any member is built
-        assert len(got) == len(expected)
-        assert got.argument_union() == expected.argument_union()
-        assert serialize_completion_set(got) == \
-            serialize_completion_set(public)
-        assert got._members is None
         everything = dict_induced_completions(
             full, load, range(1 << max(load.values(), default=0).bit_length()))
         probes = [*everything, AbstractAF(["zz"]), AbstractAF(), "a"]
         truth = [p in expected.members for p in probes]  # tuple scan
-        assert got._index is None  # built on the first lookup
-        for _ in range(2):
-            assert [p in got for p in probes] == \
-                [p in expected for p in probes] == truth
-        assert got._index is not None
+        with no_member_built():
+            assert len(got) == len(expected)
+            assert got.argument_union() == expected.argument_union()
+            assert serialize_completion_set(got) == \
+                serialize_completion_set(public)
+            for _ in range(2):  # answers do not change once cached
+                assert [p in got for p in probes] == \
+                    [p in expected for p in probes] == truth
+            for left, right in ((got, expected), (got, public)):
+                assert left == right and right == left
+                assert hash(left) == hash(right)
         assert got.members == expected.members
-        for left, right in ((got, expected), (got, public)):
-            assert left == right and right == left
-            assert hash(left) == hash(right)
-        # membership after the members are built, before the index is
+        assert list(got) == list(expected)
+        # the same answers from a set whose members are built first
         built = _induced_completions(full, load, masks)
         assert built.members == expected.members
         assert [p in built for p in probes] == truth
-        assert list(built) == list(expected)
+        assert built == public and hash(built) == hash(public)
 
     def test_members_stay_unbuilt(self):
-        """Sizes, unions, serialization and certification of induced sets
-        read their masks; no member is built."""
+        """Sizes, unions, serialization and certification of restricted
+        sets build no member."""
         rng = random.Random(5)
-        sets = []
+        sets, certified = [], []
         for _ in range(20):
             iaf = random_arg_iaf(rng, max_args=5)
             source = completions_arg_iaf(iaf)
@@ -177,8 +222,8 @@ class TestRestrictionOracle:
                                          completions_prem)):
                 framework, witness = encode(iaf)
                 target = completions(framework)
-                assert check_witness(source, target, witness)
-                assert check_witness(target, source, witness.invert())
+                certified.append((source, target, witness))
+                certified.append((target, source, witness.invert()))
                 sets.append(target)
             sets.append(source)
         for i in range(10):
@@ -189,25 +234,44 @@ class TestRestrictionOracle:
                       else prem_isaf_to_imp_arg_iaf)
             target, witness = to_imp(x, GEN_LIMITS)
             target_set = completions_dep(target, GEN_LIMITS)
-            assert check_witness(source, target_set, witness)
+            certified.append((source, target_set, witness))
             sets += [source, target_set]
-        for cs in sets:
-            assert len(cs) == len(cs._masks)
-            cs.argument_union()
-            serialize_completion_set(cs)
-            assert cs._members is None
+        texts = []
+        with no_member_built():
+            for source, target, witness in certified:
+                assert check_witness(source, target, witness)
+            for cs in sets:
+                texts.append((len(cs), cs.argument_union(),
+                              serialize_completion_set(cs)))
+        for cs, (size, union, text) in zip(sets, texts):
+            assert size == len(cs.members)
+            assert union == frozenset().union(*(af.args for af in cs))
+            assert text == serialize_completion_set(CompletionSet(cs))
 
     def test_graph_not_a_member(self):
-        """Without the full subset the graph is no member, and a witness
-        is checked member by member."""
-        iaf = ArgIAF(["a"], ["b", "c"], [("b", "a"), ("c", "b")])
-        cut = completions_dep(DepArgIAF(iaf, [Nand(["b", "c"])]))
-        assert cut._full_graph() is None
-        assert cut.argument_union() == frozenset("abc")
-        assert subset_names(cut) == [("a",), ("a", "b"), ("a", "c")]
-        flip = Witness({"a": "a", "b": "c", "c": "b"})
-        assert check_witness(cut, cut, Witness.identity("abc"))
-        assert not check_witness(cut, cut, flip)
+        """Without the full subset no member holds the whole framework;
+        the set, its document read back, and a witness check agree."""
+        for diaf, names, defeats in _nand_cut_cases():
+            cut = completions_dep(diaf)
+            union = frozenset(diaf.base.fixed_args + diaf.base.uncertain_args)
+            assert cut.argument_union() == union
+            assert all(len(af.args) < len(union) for af in cut)
+            assert subset_names(cut) == names
+            assert sorted({d for af in cut for d in af.defeats}) == defeats
+            read = parse_completion_set(serialize_completion_set(cut))
+            assert read == cut and cut == read and hash(read) == hash(cut)
+            assert serialize_completion_set(read) == \
+                serialize_completion_set(cut)
+            identity = Witness.identity(union)
+            for left, right in ((cut, cut), (cut, read), (read, cut)):
+                assert check_witness(left, right, identity)
+                for identity_only in (False, True):
+                    assert equivalent(left, right,
+                                      identity_only=identity_only).equivalent
+            x, y = diaf.base.uncertain_args
+            flip = Witness({a: a for a in union} | {x: y, y: x})
+            assert check_witness(cut, read, flip) == \
+                applied_check_witness(cut, read, flip)
 
     def test_empty_set(self):
         iaf = ArgIAF([], ["b"])
