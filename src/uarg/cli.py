@@ -250,8 +250,9 @@ def semantics(ctx, input_spec, sigma):
 @click.argument("input_spec", metavar="INPUT")
 @click.argument("target", metavar="TARGET")
 @click.option("--minimize", is_flag=True,
-              help="Greedily drop dependencies that do not change the "
-                   "completion set.")
+              help="Drop dependencies whose removal keeps the completion "
+                   "set; no synthesized one qualifies, so the output is "
+                   "unchanged.")
 @click.pass_context
 def synth_deps(ctx, input_spec, target, minimize):
     """Synthesize dependencies so the framework's completions become exactly

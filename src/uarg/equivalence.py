@@ -6,7 +6,8 @@ occurrence signatures (for each argument, the multiset of per-framework
 shapes it occurs in, refined by defeat degrees, each occurrence coded as
 one integer).  Each source member keeps a bitmask of the target members
 still consistent with the partial bijection; assigning a name narrows the
-masks, and an empty one prunes.
+masks, and an empty one prunes.  Shapes, signatures and masks are read
+from the sets' keys; no member is built.
 Negative certification against argument-incomplete frameworks needs no
 search over frameworks: completion sets are closed under renaming, so a
 target has an equivalent framework iff the one framework that could
@@ -15,12 +16,20 @@ produce it under its own names does.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import sys
+from array import array
 from dataclasses import dataclass
+from typing import Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainMismatchError, SearchBoundExceededError
-from .incomplete import ArgIAF, CompletionSet, _or_images, completions_arg_iaf
+from .incomplete import (
+    ArgIAF,
+    CompletionSet,
+    _columns,
+    _or_images,
+    completions_arg_iaf,
+)
 from .translate import Witness
 
 EQUIVALENT = "equivalent"
@@ -78,51 +87,109 @@ def _maps_onto(source: CompletionSet, target: CompletionSet,
     return set(target._keys).issuperset(_or_images(image, source._keys))
 
 
-def _signatures(completions: CompletionSet,
-                union_size: int) -> dict[str, tuple[int, ...]]:
-    """Per-argument occurrence signature: for every framework containing the
-    argument, the framework's size profile plus the argument's local defeat
-    degrees.  Invariant under renaming, so it soundly prunes bijections.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-    Each occurrence is one mixed-radix integer, R = union_size + 1:
 
-        (((|args|*R^2 + |defeats|)*R + in-degree)*R + out-degree)*2
-            + self-defeat
+class _KeyTables:
+    """What the search reads of a completion set, taken from its union
+    graph and keys with no member built: each member's shape
+    ``(|args|, |defeats|)``, each argument's occurrence signature, and the
+    members holding each argument and each defeat.
 
-    Every digit is below its radix (degrees <= union_size, |defeats| <=
-    union_size^2), so the code is injective and orders occurrences as the
-    tuples of those five numbers would.  Signatures of two sets coded with
-    one union size therefore compare and group arguments as the tuples do.
-    """
-    radix = union_size + 1
-    in_step = 2 * radix
-    sigs: defaultdict[str, list[int]] = defaultdict(list)
-    for af in completions:
-        code = dict.fromkeys(af.args, (len(af.args) * radix * radix
-                                       + len(af.defeats)) * in_step * radix)
-        for s, t in af.defeats:
-            code[s] += 2
-            code[t] += in_step
+    The keys sit side by side in one integer, one field of ``words``
+    64-bit words per member, member k's field at bit ``64*words*k``.  A
+    field is as wide as the widest key and the widest signature code, so
+    nothing carries from one field into the next.  Argument i's column is
+    key bit i of every field at once: bit 0 of member k's field is set iff
+    k holds the argument.  A held defeat's column is its endpoints' columns
+    ANDed, minus the members whose key has that defeat's lack bit, and a
+    sum of columns is a count in every field at once."""
+
+    def __init__(self, completions: CompletionSet, union_size: int):
+        graph, keys = completions._graph, completions._keys
+        self.radix = radix = union_size + 1
+        code_bits = (2 * radix ** 5).bit_length()  # codes < 2 R^5
+        key_bits = max(keys, default=0).bit_length()
+        self.code_words = -(-code_bits // 64)
+        self.words = words = -(-max(key_bits, code_bits) // 64)
+        self.size = 8 * words * len(keys)  # bytes of a packed vector
+        n = len(graph.args)
+        columns = _columns(keys, key_bits, 8 * words)
+        columns += [0] * (n + len(graph.defeats) - key_bits)  # in no key
+        place = {a: i for i, a in enumerate(graph.args)}
+        self.graph = graph
+        self.pairs = [(place[s], place[t]) for s, t in graph.defeats]
+        self.column = columns[:n]
+        # a lack bit is set only where both endpoints are
+        self.held = [columns[s] & columns[t] ^ lack
+                     for (s, t), lack in zip(self.pairs, columns[n:])]
+        self.arg_count, self.defeat_count = sum(self.column), sum(self.held)
+        self.shapes = list(zip(self._fields(self.arg_count),
+                               self._fields(self.defeat_count)))
+
+    def _fields(self, vector: int) -> Sequence[int]:
+        """The value in each member's field of a packed vector, in member
+        order.  Every value here fits its field's low word unless it is a
+        signature code of a union of thousands of arguments."""
+        words = array("Q", vector.to_bytes(self.size, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        values = words[::self.words]
+        for j in range(1, self.code_words):
+            values = [v | w << 64 * j
+                      for v, w in zip(values, words[j::self.words])]
+        return values
+
+    def signatures(self) -> dict[str, tuple[int, ...]]:
+        """Per-argument occurrence signature: for every framework containing
+        the argument, the framework's size profile plus the argument's local
+        defeat degrees.  Invariant under renaming, so it soundly prunes
+        bijections.
+
+        Each occurrence is one mixed-radix integer, R = union_size + 1:
+
+            (((|args|*R^2 + |defeats|)*R + in-degree)*R + out-degree)*2
+                + self-defeat
+
+        Every digit is below its radix (degrees <= union_size, |defeats| <=
+        union_size^2), so the code is injective and orders occurrences as
+        the tuples of those five numbers would.  Signatures of two sets
+        coded with one union size therefore compare and group arguments as
+        the tuples do.  A member without the argument codes 0 in its field,
+        and every occurrence codes above 0."""
+        radix = self.radix
+        in_step = 2 * radix
+        outs: list[list[int]] = [[] for _ in self.column]
+        ins: list[list[int]] = [[] for _ in self.column]
+        loops = [0] * len(self.column)
+        for (s, t), held in zip(self.pairs, self.held):
+            outs[s].append(held)
+            ins[t].append(held)
             if s == t:
-                code[s] += 1
-        for a, c in code.items():
-            sigs[a].append(c)
-    return {a: tuple(sorted(codes)) for a, codes in sigs.items()}
+                loops[s] = held
+        shape = (self.arg_count * radix * radix + self.defeat_count) \
+            * in_step * radix
+        return {a: tuple(sorted(filter(None, self._fields(
+                    (shape & (column << 64 * self.words) - column)
+                    + sum(into) * in_step + (sum(out) << 1) + loop))))
+                for a, column, into, out, loop in zip(
+                    self.graph.args, self.column, ins, outs, loops)}
 
-
-def _member_masks(completions: CompletionSet) -> tuple[
-        dict[str, int], dict[tuple[str, str], int]]:
-    """For each argument and each defeat, the members holding it, as a
-    bitmask over member positions."""
-    has: dict[str, int] = {}
-    defeats: dict[tuple[str, str], int] = {}
-    for i, af in enumerate(completions):
-        bit = 1 << i
-        for a in af.args:
-            has[a] = has.get(a, 0) | bit
-        for d in af.defeats:
-            defeats[d] = defeats.get(d, 0) | bit
-    return has, defeats
+    def member_masks(self) -> tuple[dict[str, int],
+                                    dict[tuple[str, str], int]]:
+        """For each argument and each defeat, the members holding it, as a
+        bitmask over member positions.  Written big-endian, a column's
+        fields run from the last member to the first, so the low bytes of
+        its fields, as binary digits, are its mask."""
+        count, step = len(self.shapes), 8 * self.words
+        digits = b"".join([column.to_bytes(self.size, "big")
+                           for column in self.column + self.held])[
+            step - 1::step].translate(_DIGITS)
+        masks = [int(digits[i:i + count], 2)  # no member: no column
+                 for i in range(0, len(digits), count or 1)]
+        n = len(self.column)
+        return (dict(zip(self.graph.args, masks[:n])),
+                dict(zip(self.graph.defeats, masks[n:])))
 
 
 def equivalent(source: CompletionSet, target: CompletionSet,
@@ -141,8 +208,9 @@ def equivalent(source: CompletionSet, target: CompletionSet,
     if identity_only and source == target:  # compares keys, no member
         return EquivalenceResult(EQUIVALENT, Witness.identity(src_union),
                                  nodes=1)
-    shapes = sorted((len(af.args), len(af.defeats)) for af in source)
-    if shapes != sorted((len(af.args), len(af.defeats)) for af in target):
+    src = _KeyTables(source, len(src_union))
+    tgt = _KeyTables(target, len(src_union))  # unions of one size
+    if sorted(src.shapes) != sorted(tgt.shapes):
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
     if identity_only:  # the identity was tried iff the unions agree
@@ -154,8 +222,8 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             f"argument union of {len(src_union)} exceeds max_equiv_args="
             f"{limits.max_equiv_args}; raise it with --max-equiv-args or "
             "UARG_MAX_EQUIV_ARGS")
-    src_sig = _signatures(source, len(src_union))
-    tgt_sig = _signatures(target, len(src_union))  # unions of one size
+    src_sig = src.signatures()
+    tgt_sig = tgt.signatures()
     tgt_by_sig: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(tgt_union):
         tgt_by_sig.setdefault(tgt_sig[name], []).append(name)
@@ -167,12 +235,11 @@ def equivalent(source: CompletionSet, target: CompletionSet,
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
     order = sorted(src_union, key=lambda a: (src_sig[a], a))
-    src_has, src_def = _member_masks(source)
-    tgt_has, tgt_def = _member_masks(target)
+    src_has, src_def = src.member_masks()
+    tgt_has, tgt_def = tgt.member_masks()
     full = (1 << len(target)) - 1
     tgt_shape: dict[tuple[int, int], int] = {}
-    for j, af in enumerate(target):
-        shape = (len(af.args), len(af.defeats))
+    for j, shape in enumerate(tgt.shapes):
         tgt_shape[shape] = tgt_shape.get(shape, 0) | 1 << j
     assigned: list[tuple[str, str]] = []
     used: set[str] = set()
@@ -238,8 +305,7 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             used.discard(candidate)
         return None
 
-    witness = search(0, [tgt_shape[(len(af.args), len(af.defeats))]
-                         for af in source])
+    witness = search(0, [tgt_shape[shape] for shape in src.shapes])
     if witness is None:
         return EquivalenceResult(NOT_EQUIVALENT, None,
                                  stats["nodes"], stats["prunes"])

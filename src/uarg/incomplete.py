@@ -324,14 +324,10 @@ def _union_of(graph: AbstractAF, masks: tuple[int, ...]) -> tuple[
         AbstractAF, tuple[int, ...]]:
     """The part of ``graph`` that some argument mask holds, and the masks
     over it, in the same order.  A defeat is held iff one mask keeps both
-    its endpoints.  ``column[a]`` is the bit of argument a in every mask
-    at once: the masks side by side, ``width`` bytes each, shifted right
-    by a's bit and cut to the first bit of each mask."""
-    args, width = graph.args, (len(graph.args) + 7) // 8
-    packed = int.from_bytes(b"".join([m.to_bytes(width, "little")
-                                      for m in masks]), "little")
-    first = int.from_bytes(b"\x01".ljust(width, b"\0") * len(masks), "little")
-    column = {a: packed >> i & first for i, a in enumerate(args)}
+    its endpoints."""
+    args = graph.args
+    column = dict(zip(args, _columns(masks, len(args),
+                                     (len(args) + 7) // 8)))
     kept = tuple(a for a in args if column[a])
     if len(kept) < len(args):  # renumber the bits of the kept arguments
         place = dict.fromkeys(args, 0)
@@ -339,6 +335,16 @@ def _union_of(graph: AbstractAF, masks: tuple[int, ...]) -> tuple[
         masks = tuple(_or_images([place[a] for a in args], masks))
     return AbstractAF._canonical(kept, tuple(
         (s, t) for s, t in graph.defeats if column[s] & column[t])), masks
+
+
+def _columns(masks: Sequence[int], bits: int, width: int) -> list[int]:
+    """Bit i of every mask at once, for each i below ``bits``: the masks
+    side by side, ``width`` bytes each, shifted right by i and cut to the
+    first bit of each field.  Every mask must fit its field."""
+    packed = int.from_bytes(b"".join([m.to_bytes(width, "little")
+                                      for m in masks]), "little")
+    first = int.from_bytes(b"\1".ljust(width, b"\0") * len(masks), "little")
+    return [packed >> i & first for i in range(bits)]
 
 
 def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
@@ -661,6 +667,11 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
     arguments that negates the excluded subset, rendered as Or when every
     literal is positive, Nand when every literal is negative, and ImplyDisj
     (present part implies one absent member) for mixed clauses.
+
+    The set is irredundant as built, so ``minimize`` changes nothing: every
+    clause mentions every uncertain argument, so exactly one subset, the
+    one it excludes, falsifies it, and without it the framework would
+    readmit a subset that the target lacks.
     """
     all_comps = completions_arg_iaf(iaf, limits)
     stray = [af for af in target if af not in all_comps]
@@ -672,10 +683,9 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
     # distinct completions keep distinct subsets of uncertain arguments.
     uncertain = iaf.uncertain_args
     index = {a: i for i, a in enumerate(uncertain)}
-    target_masks = sorted(_or_images(
+    excluded = set(range(1 << len(uncertain))).difference(_or_images(
         [1 << index[a] if a in index else 0 for a in target._graph.args],
         target._keys))
-    excluded = set(range(1 << len(uncertain))).difference(target_masks)
     deps: list[Dependency] = []
     for mask in sorted(excluded):
         present = [a for i, a in enumerate(uncertain) if mask >> i & 1]
@@ -690,14 +700,4 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
             deps.append(Nand(present))
         else:
             deps.append(ImplyDisj(present, absent))
-    if minimize:
-        # a trial keeps the target iff its satisfying masks are the target's
-        kept = sorted(deps, key=lambda d: d.sort_key())
-        encoded = {dep: _encode_dep(dep, index) for dep in kept}
-        for dep in list(kept):
-            trial = [d for d in kept if d != dep]
-            if _satisfying_masks(len(index), [encoded[d] for d in trial],
-                                 limits) == target_masks:
-                kept = trial
-        deps = kept
     return frozenset(deps)

@@ -1,4 +1,5 @@
-"""Seeded random instance generators for the combinatorial suites.
+"""Seeded random instance generators for the combinatorial suites, the
+fixed Nand-cut instances, and a guard that no framework is built.
 
 Rule bodies only mention atoms strictly below the head atom in a fixed
 layering, so argument generation always terminates; instances that still
@@ -6,12 +7,18 @@ blow past the generation limits are resampled.
 """
 
 import random
+from contextlib import contextmanager
+
+import pytest
 
 from uarg import (
     DEFEASIBLE,
     STRICT,
+    AbstractAF,
     ArgIAF,
+    DepArgIAF,
     Limits,
+    Nand,
     PremISAF,
     Rule,
     RulISAF,
@@ -126,3 +133,34 @@ def random_arg_iaf(rng: random.Random, max_args: int = 4,
     defeats = [(s, t) for s in names for t in names
                if rng.random() < edge_prob]
     return ArgIAF(set(names) - uncertain, uncertain, defeats)
+
+
+@contextmanager
+def no_member_built():
+    """Fail on any framework built inside the block, through the public
+    constructor or the unchecked one: a completion set must answer from
+    what it holds, without materialising its members."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a framework was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AbstractAF, "__init__", refuse)
+        patch.setattr(AbstractAF, "_canonical", classmethod(refuse))
+        yield
+
+
+def nand_cut_cases():
+    """Sets whose full subset a Nand excludes, so no member holds the
+    whole framework: a cut pair with a defeat between the cut arguments
+    (that defeat is in no member), and one whose cut pair defeats a
+    third argument."""
+    cut_defeated = DepArgIAF(ArgIAF(["c"], ["a", "b"],
+                                    [("a", "b"), ("b", "c")]),
+                             [Nand(["a", "b"])])
+    cut_defeating = DepArgIAF(ArgIAF(["a"], ["b", "c"],
+                                     [("b", "a"), ("c", "b")]),
+                              [Nand(["b", "c"])])
+    return [(cut_defeated, [("a", "c"), ("b", "c"), ("c",)],
+             [("b", "c")]),
+            (cut_defeating, [("a",), ("a", "b"), ("a", "c")],
+             [("b", "a")])]

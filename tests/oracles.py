@@ -199,6 +199,19 @@ def tuple_signatures(completions) -> dict[str, tuple]:
     return {a: tuple(sorted(entries)) for a, entries in sigs.items()}
 
 
+def member_masks(completions) -> tuple[dict[str, int], dict[tuple, int]]:
+    """For each argument and each defeat, the members holding it, as a
+    bitmask over member positions."""
+    has: dict[str, int] = {}
+    defeats: dict[tuple, int] = {}
+    for i, af in enumerate(completions):
+        for a in af.args:
+            has[a] = has.get(a, 0) | 1 << i
+        for d in af.defeats:
+            defeats[d] = defeats.get(d, 0) | 1 << i
+    return has, defeats
+
+
 def recheck_equivalent(source, target, limits=DEFAULT_LIMITS):
     """The equivalence search that re-checks every source member against
     every target member at each node, from scratch, ordered by

@@ -11,19 +11,22 @@ from uarg import (
     check_witness,
     completion_set_of,
     completions_arg_iaf,
+    completions_dep,
     equivalence_properties_check,
     equivalent,
     fixtures,
     no_equivalent_arg_iaf,
 )
-from uarg.equivalence import _signatures
+from uarg.equivalence import _KeyTables
 from uarg.errors import DomainMismatchError, SearchBoundExceededError
 
-from framework_gen import random_arg_iaf
+from framework_gen import nand_cut_cases, no_member_built, random_arg_iaf
 from oracles import (
     applied_check_witness,
+    as_pairs,
     brute_force_equivalent,
     enumerated_no_equivalent_arg_iaf,
+    member_masks,
     recheck_equivalent,
     tuple_signatures,
 )
@@ -86,25 +89,27 @@ def random_members(rng, names, count):
     return members
 
 
+def assert_order_isomorphic(*sets):
+    """The integer-coded signatures of sets coded with one union size
+    order and group arguments as the tuple-valued ones do."""
+    size = len(sets[0].argument_union())
+    pairs = []
+    for completions in sets:
+        assert len(completions.argument_union()) == size
+        codes = _KeyTables(completions, size).signatures()
+        tuples = tuple_signatures(completions)
+        assert codes.keys() == tuples.keys()
+        pairs += [(codes[a], tuples[a]) for a in codes]
+    for code_x, tuple_x in pairs:
+        for code_y, tuple_y in pairs:
+            assert (code_x < code_y) == (tuple_x < tuple_y)
+            assert (code_x == code_y) == (tuple_x == tuple_y)
+
+
 class TestSignatureCodes:
     """The integer-coded occurrence signatures order and group arguments
     exactly as the tuple-valued ones, within a set and across two sets
     coded with one union size."""
-
-    @staticmethod
-    def assert_order_isomorphic(*sets):
-        size = len(sets[0].argument_union())
-        pairs = []
-        for completions in sets:
-            assert len(completions.argument_union()) == size
-            codes = _signatures(completions, size)
-            tuples = tuple_signatures(completions)
-            assert codes.keys() == tuples.keys()
-            pairs += [(codes[a], tuples[a]) for a in codes]
-        for code_x, tuple_x in pairs:
-            for code_y, tuple_y in pairs:
-                assert (code_x < code_y) == (tuple_x < tuple_y)
-                assert (code_x == code_y) == (tuple_x == tuple_y)
 
     def test_random_sets(self):
         rng = random.Random(211)
@@ -114,7 +119,7 @@ class TestSignatureCodes:
             members += [AbstractAF(names), AbstractAF()]
             source = CompletionSet(members)
             target = toggle_defeat(rng, source)
-            self.assert_order_isomorphic(source, target)
+            assert_order_isomorphic(source, target)
 
     def test_every_digit_at_its_maximum(self):
         # 16 arguments, the default max_equiv_args.  In the complete member
@@ -127,13 +132,13 @@ class TestSignatureCodes:
         complete = AbstractAF(names, [(s, t) for s in names for t in names])
         star = AbstractAF(names, [("a0", t) for t in names] + [("a2", "a1")])
         assert len(complete.defeats) == 256
-        self.assert_order_isomorphic(
+        assert_order_isomorphic(
             CompletionSet([complete, star, AbstractAF()]))
         rng = random.Random(16)
         source = CompletionSet([complete, star, AbstractAF()]
                                + random_members(rng, names, 5))
         target = Witness({a: f"w{a}" for a in names}).apply(source)
-        self.assert_order_isomorphic(source, toggle_defeat(rng, source))
+        assert_order_isomorphic(source, toggle_defeat(rng, source))
         got = equivalent(source, target)
         want = recheck_equivalent(source, target)
         assert got.equivalent
@@ -147,7 +152,7 @@ class TestSignatureCodes:
         source = CompletionSet(random_members(rng, names, 6)
                                + [AbstractAF(names)])
         target = toggle_defeat(rng, source)
-        self.assert_order_isomorphic(source, target)
+        assert_order_isomorphic(source, target)
         verdicts = []
         for other in (source, target):
             renamed = Witness({a: f"w{a}" for a in names}).apply(other)
@@ -157,6 +162,115 @@ class TestSignatureCodes:
                 (want.verdict, want.witness, want.nodes, want.prunes)
             verdicts.append(got.equivalent)
         assert verdicts == [True, False]
+
+
+def wide_set():
+    """A chain over 70 arguments with a self-defeat, three restrictions
+    of it, and the empty member: keys wider than one 64-bit word."""
+    names = [f"a{i}" for i in range(70)]
+    chain = [(names[i], names[i + 1]) for i in range(69)] + [("a0", "a0")]
+    return CompletionSet(
+        AbstractAF(kept, [(s, t) for s, t in chain if s in kept and t in kept])
+        for kept in (names, names[:40], names[::2], []))
+
+
+def key_table_sets():
+    """Restricted sets, Nand-cut sets, sets with a member that lacks a
+    defeat between its arguments, arbitrary sets with self-defeats, the
+    empty set, the set of the empty member, and a 70-argument union."""
+    rng = random.Random(41)
+    sets = []
+    for _ in range(60):
+        source = completions_arg_iaf(random_arg_iaf(rng, max_args=5))
+        sets += [source, swap_defeats(rng, source)]
+    sets += [completions_dep(diaf) for diaf, _, _ in nand_cut_cases()]
+    for _ in range(30):
+        names = [f"a{i}" for i in range(rng.randint(1, 7))]
+        sets.append(CompletionSet(random_members(rng, names,
+                                                 rng.randint(1, 6))))
+    wide = wide_set()
+    sets += [CompletionSet(), CompletionSet([AbstractAF()]), wide,
+             toggle_defeat(rng, wide)]
+    return [cs for cs in sets if cs is not None]
+
+
+class TestKeyTables:
+    """Shapes, signatures and member masks read from the packed keys
+    agree with the members they describe, and reading them builds no
+    member."""
+
+    def test_match_member_oracles(self):
+        kinds = set()
+        for completions in key_table_sets():
+            size = len(completions.argument_union())
+            with no_member_built():
+                tables = _KeyTables(completions, size)
+                shapes, masks = tables.shapes, tables.member_masks()
+                tables.signatures()
+            assert shapes == [(len(af.args), len(af.defeats))
+                              for af in completions]
+            assert masks == member_masks(completions)
+            assert_order_isomorphic(completions)
+            kinds.add((lacks_a_defeat(completions), tables.words))
+        assert kinds >= {(False, 1), (True, 1), (False, 2), (True, 2)}
+
+    def test_wide_union(self):
+        """Fields two words wide give the full recheck search's verdict,
+        witness, nodes and prunes."""
+        limits = Limits(max_equiv_args=70)
+        source = wide_set()
+        renamed = Witness({a: "w" + a[1:] for a in
+                           source.argument_union()}).apply(source)
+        verdicts = []
+        for target in (renamed, toggle_defeat(random.Random(70), renamed)):
+            assert _KeyTables(target, 70).words == 2
+            got = equivalent(source, target, limits)
+            want = recheck_equivalent(source, target, limits)
+            assert (got.verdict, got.witness, got.nodes, got.prunes) == \
+                (want.verdict, want.witness, want.nodes, want.prunes)
+            verdicts.append(got.equivalent)
+        assert verdicts == [True, False]
+        with pytest.raises(SearchBoundExceededError):
+            equivalent(source, renamed, Limits(max_equiv_args=69))
+
+    def test_equivalent_builds_no_member(self):
+        """Both verdicts, by search and by the identity alone, on
+        restricted sets whose members are never built."""
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(80):
+            iaf = random_arg_iaf(rng, max_args=5)
+            names = iaf.fixed_args + iaf.uncertain_args
+            if not names:
+                continue
+            upper = {a: a.upper() for a in names}
+            edge = (rng.choice(names), rng.choice(names))
+            variants = []
+            for rename in (lambda a: a, upper.__getitem__):
+                for defeats in (iaf.defeats, set(iaf.defeats) ^ {edge}):
+                    variants.append(completions_arg_iaf(ArgIAF(
+                        map(rename, iaf.fixed_args),
+                        map(rename, iaf.uncertain_args),
+                        [(rename(s), rename(t)) for s, t in defeats])))
+            source = completions_arg_iaf(iaf)
+            cases = [(target, identity_only) for target in variants
+                     for identity_only in (False, True)]
+            with no_member_built():
+                results = [equivalent(source, target,
+                                      identity_only=identity_only)
+                           for target, identity_only in cases]
+            for (target, identity_only), got in zip(cases, results):
+                if identity_only:
+                    assert got.equivalent == (as_pairs(source)
+                                              == as_pairs(target))
+                else:
+                    want = recheck_equivalent(source, target)
+                    assert (got.verdict, got.witness, got.nodes,
+                            got.prunes) == (want.verdict, want.witness,
+                                            want.nodes, want.prunes)
+                seen.add((identity_only, got.equivalent))
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
 
 class TestCheckWitness:

@@ -1,5 +1,4 @@
 import random
-from contextlib import contextmanager
 
 import pytest
 
@@ -42,6 +41,8 @@ from uarg.kernels import DEP_IMPLY
 
 from framework_gen import (
     GEN_LIMITS,
+    nand_cut_cases,
+    no_member_built,
     random_arg_iaf,
     random_prem_isaf,
     random_rul_isaf,
@@ -149,37 +150,6 @@ def _restriction_cases():
     return cases
 
 
-@contextmanager
-def no_member_built():
-    """Fail on any framework built inside the block, through the public
-    constructor or the unchecked one: a completion set must answer from
-    what it holds, without materialising its members."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a framework was built")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AbstractAF, "__init__", refuse)
-        patch.setattr(AbstractAF, "_canonical", classmethod(refuse))
-        yield
-
-
-def _nand_cut_cases():
-    """Sets whose full subset a Nand excludes, so no member holds the
-    whole framework: a cut pair with a defeat between the cut arguments
-    (that defeat is in no member), and one whose cut pair defeats a
-    third argument."""
-    cut_defeated = DepArgIAF(ArgIAF(["c"], ["a", "b"],
-                                    [("a", "b"), ("b", "c")]),
-                             [Nand(["a", "b"])])
-    cut_defeating = DepArgIAF(ArgIAF(["a"], ["b", "c"],
-                                     [("b", "a"), ("c", "b")]),
-                              [Nand(["b", "c"])])
-    return [(cut_defeated, [("a", "c"), ("b", "c"), ("c",)],
-             [("b", "c")]),
-            (cut_defeating, [("a",), ("a", "b"), ("a", "c")],
-             [("b", "a")])]
-
-
 class TestRestrictionOracle:
     @pytest.mark.parametrize("full, load, masks", _restriction_cases())
     def test_matches_dict_restriction(self, full, load, masks):
@@ -251,7 +221,7 @@ class TestRestrictionOracle:
     def test_graph_not_a_member(self):
         """Without the full subset no member holds the whole framework;
         the set, its document read back, and a witness check agree."""
-        for diaf, names, defeats in _nand_cut_cases():
+        for diaf, names, defeats in nand_cut_cases():
             cut = completions_dep(diaf)
             union = frozenset(diaf.base.fixed_args + diaf.base.uncertain_args)
             assert cut.argument_union() == union
@@ -531,8 +501,9 @@ class TestSynthesis:
                 target = CompletionSet(chosen)
                 full = synthesize_dependencies(iaf, target)
                 kinds.update(type(dep) for dep in full)
+                # every clause is already irredundant
                 assert synthesize_dependencies(iaf, target, minimize=True) \
-                    == minimized_by_completions(iaf, full, target)
+                    == full == minimized_by_completions(iaf, full, target)
         assert kinds == {Or, Nand, ImplyDisj}
 
 
