@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -192,53 +192,75 @@ def extensions(af: AbstractAF, sigma: str,
     return tuple(sorted(exts, key=sorted))
 
 
-_ARG_LINE = re.compile(r"arg\(([^\s(),.]+)\)\.")
-_ATT_LINE = re.compile(r"att\(([^\s(),.]+),\s*([^\s(),.]+)\)\.")
+def _read_lines(text: str, kinds: tuple[str, ...],
+                first_line: int = 1) -> Iterator[tuple[int, int, str, str]]:
+    """(line, column, kind, body) for each kind(body). line of ``text``,
+    skipping blank lines and % comments; a ParseError for any other line
+    or a kind outside ``kinds``.  Lines are numbered from first_line and
+    columns point at the first character that is not whitespace."""
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        column = line.index(stripped[0]) + 1
+        kind, paren, rest = stripped.partition("(")
+        if not paren or kind not in kinds:
+            raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
+        if not rest.endswith(")."):
+            raise ParseError(f"line does not end with ').': {stripped!r}",
+                             lineno, column)
+        yield lineno, column, kind, rest[:-2]
 
 
-def _match_line(line: str, lineno: int,
-                patterns: dict[str, re.Pattern]) -> tuple[str, tuple[str, ...]]:
-    stripped = line.strip()
-    column = line.index(stripped[0]) + 1
-    for kind, pattern in patterns.items():
-        if stripped.startswith(kind):
-            m = pattern.fullmatch(stripped)
-            if not m:
-                raise ParseError(f"malformed {kind}(...) line: {stripped!r}",
-                                 lineno, column)
-            for name in m.groups():
-                # the pattern leaves out (),. and whitespace; printable
-                # makes the name a valid identifier
-                if not name.isprintable():
-                    raise ParseError(f"invalid identifier {name!r}",
-                                     lineno, column)
-            return kind, m.groups()
-    raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
+def _split_ids(body: str, lineno: int, column: int) -> list[str]:
+    """The comma-separated identifiers of ``body``, stripped of the
+    whitespace around them; a ParseError if one is not valid."""
+    names = [name.strip() for name in body.split(",")]
+    if not all(map(is_valid_argument_id, names)):
+        raise ParseError(f"invalid identifier in {body!r}", lineno, column)
+    return names
+
+
+def _read_graph_line(kind: str, body: str, lineno: int,
+                     column: int) -> list[str]:
+    """The identifier of an arg-like line, taken verbatim, or the two
+    names of an att line."""
+    if kind != "att":
+        if not is_valid_argument_id(body):
+            raise ParseError(f"invalid identifier {body!r}", lineno, column)
+        return [body]
+    names = _split_ids(body, lineno, column)
+    if len(names) != 2:
+        raise ParseError(f"att needs two identifiers: {body!r}",
+                         lineno, column)
+    return names
+
+
+def _declared_defeats(atts: list[tuple[int, str, str]],
+                      declared: set[str]) -> set[tuple[str, str]]:
+    """The defeats of the att lines (lineno, s, t), each endpoint
+    declared."""
+    for lineno, s, t in atts:
+        for name in (s, t):
+            if name not in declared:
+                raise UndeclaredArgumentError(f"line {lineno}: att references "
+                                              f"undeclared argument {name!r}")
+    return {(s, t) for _, s, t in atts}
 
 
 def parse_af(text: str, *, first_line: int = 1) -> AbstractAF:
     """Parse the AF text format: arg(x). / att(x,y). lines, % comments.
     Errors number the text's lines from first_line."""
     args: set[str] = set()
-    defeats: set[tuple[str, str]] = set()
-    patterns = {"arg": _ARG_LINE, "att": _ATT_LINE}
-    pending: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=first_line):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        kind, groups = _match_line(line, lineno, patterns)
+    atts: list[tuple[int, str, str]] = []
+    for lineno, column, kind, body in _read_lines(text, ("arg", "att"),
+                                                  first_line):
+        names = _read_graph_line(kind, body, lineno, column)
         if kind == "arg":
-            args.add(groups[0])
+            args.add(names[0])
         else:
-            pending.append((lineno, groups[0], groups[1]))
-    for lineno, s, t in pending:
-        if s not in args or t not in args:
-            missing = s if s not in args else t
-            raise UndeclaredArgumentError(
-                f"line {lineno}: att references undeclared argument {missing!r}")
-        defeats.add((s, t))
-    return AbstractAF(args, defeats)
+            atts.append((lineno, *names))
+    return AbstractAF(args, _declared_defeats(atts, args))
 
 
 def serialize_af(af: AbstractAF) -> str:

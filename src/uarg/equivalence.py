@@ -19,6 +19,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -26,9 +28,11 @@ from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import (
     ArgIAF,
     CompletionSet,
+    _check_uncertain_bound,
     _columns,
+    _induced_completions,
     _or_images,
-    completions_arg_iaf,
+    _own_bits,
 )
 from .translate import Witness
 
@@ -324,8 +328,9 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
     under its own names.  Only one framework can produce it: its fixed
     arguments are in every member, its uncertain ones are the rest of the
     union, and its defeats are those of the one member that holds the
-    whole union.  That candidate is built and compared with the target
-    under the identity mapping.
+    whole union.  All three are read from the target's keys, so no member
+    of the target is built; the candidate's completion set is compared
+    with the target under the identity mapping.
     """
     if max_args > limits.max_search_args:
         raise SearchBoundExceededError(
@@ -334,19 +339,31 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
             "or UARG_MAX_SEARCH_ARGS")
     if len(target) == 0:
         return True  # every argument-incomplete framework has a completion
-    union = target.argument_union()
-    if len(union) > max_args:
+    graph, keys = target._graph, target._keys
+    n = len(graph.args)
+    if n > max_args:
         return True
-    fixed = union.intersection(*(af.args for af in target))
-    uncertain = union - fixed
+    every = reduce(and_, keys)  # bit i: every member holds argument i
+    fixed = tuple(a for i, a in enumerate(graph.args) if every >> i & 1)
+    uncertain = tuple(a for i, a in enumerate(graph.args)
+                      if not every >> i & 1)
     if len(target) != 1 << len(uncertain):
         return True  # distinct subsets of uncertain arguments, one each
-    full_members = [af for af in target if len(af.args) == len(union)]
-    if len(full_members) != 1:
+    low = (1 << n) - 1
+    full_keys = [k for k in keys if k & low == low]
+    if len(full_keys) != 1:
         return True
-    candidate = ArgIAF(fixed, uncertain, full_members[0].defeats)
-    return not equivalent(completions_arg_iaf(candidate, limits), target,
-                          limits, identity_only=True).equivalent
+    lacks = full_keys[0] >> n  # the graph defeats the full member lacks
+    candidate = ArgIAF._canonical(fixed, uncertain, tuple(
+        d for j, d in enumerate(graph.defeats) if not lacks >> j & 1))
+    # completions_arg_iaf(candidate), over the target's graph itself when
+    # the full member holds all of it
+    _check_uncertain_bound(len(uncertain), limits)
+    completions = _induced_completions(
+        candidate.full_af() if lacks else graph, _own_bits(candidate),
+        range(1 << len(uncertain)))
+    return not equivalent(completions, target, limits,
+                          identity_only=True).equivalent
 
 
 def equivalence_properties_check(s: CompletionSet, t: CompletionSet,

@@ -20,7 +20,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF, check_argument_id, is_valid_argument_id
+from .core import (
+    AbstractAF,
+    _declared_defeats,
+    _read_graph_line,
+    _read_lines,
+    _split_ids,
+    check_argument_id,
+)
 from .errors import (
     ParseError,
     TargetNotRepresentableError,
@@ -86,11 +93,18 @@ class ArgIAF:
 
 
 class Dependency:
-    """Base for the three dependency variants."""
+    """Base for the three dependency variants.
+
+    Each variant is one clause over the uncertain arguments, returned by
+    ``clause`` as (pos, neg): a subset falsifies it iff it holds all of
+    pos and none of neg."""
 
     __slots__ = ()
 
     def sort_key(self) -> tuple:
+        raise NotImplementedError
+
+    def clause(self) -> tuple[frozenset[str], frozenset[str]]:
         raise NotImplementedError
 
 
@@ -126,6 +140,9 @@ class ImplyDisj(Dependency):
     def sort_key(self) -> tuple:
         return (0, tuple(sorted(self.all_of)), tuple(sorted(self.any_of)))
 
+    def clause(self) -> tuple[frozenset[str], frozenset[str]]:
+        return self.all_of, self.any_of
+
 
 @dataclass(frozen=True)
 class Or(Dependency):
@@ -136,6 +153,9 @@ class Or(Dependency):
 
     def sort_key(self) -> tuple:
         return (1, tuple(sorted(self.any_of)))
+
+    def clause(self) -> tuple[frozenset[str], frozenset[str]]:
+        return frozenset(), self.any_of
 
 
 @dataclass(frozen=True)
@@ -148,6 +168,9 @@ class Nand(Dependency):
 
     def sort_key(self) -> tuple:
         return (2, tuple(sorted(self.not_all_of)))
+
+    def clause(self) -> tuple[frozenset[str], frozenset[str]]:
+        return self.not_all_of, frozenset()
 
 
 def satisfies(args_present: Iterable[str], dep: Dependency) -> bool:
@@ -170,12 +193,12 @@ class DepArgIAF:
         deps = frozenset(deps)
         uncertain = set(base.uncertain_args)
         for dep in deps:
-            for member_set in _dependency_sets(dep):
-                stray = member_set - uncertain
-                if stray:
-                    raise ValueError(
-                        "dependency mentions arguments that are not "
-                        f"uncertain: {sorted(stray)}")
+            pos, neg = dep.clause()
+            stray = (pos | neg) - uncertain
+            if stray:
+                raise ValueError(
+                    "dependency mentions arguments that are not "
+                    f"uncertain: {sorted(stray)}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "deps", deps)
 
@@ -189,16 +212,6 @@ class DepArgIAF:
         fields["base"] = base
         fields["deps"] = deps
         return diaf
-
-
-def _dependency_sets(dep: Dependency) -> tuple[frozenset[str], ...]:
-    if isinstance(dep, ImplyDisj):
-        return (dep.all_of, dep.any_of)
-    if isinstance(dep, Or):
-        return (dep.any_of,)
-    if isinstance(dep, Nand):
-        return (dep.not_all_of,)
-    raise TypeError(f"unknown dependency type: {dep!r}")
 
 
 class CompletionSet:
@@ -435,26 +448,22 @@ def is_implicative(diaf: DepArgIAF) -> bool:
                for dep in diaf.deps)
 
 
-def _encode_dep(dep: Dependency, index: dict[str, int]) -> tuple[int, int, int]:
-    if isinstance(dep, ImplyDisj):
-        return (kernels.DEP_IMPLY, sum(1 << index[a] for a in dep.all_of),
-                sum(1 << index[a] for a in dep.any_of))
-    if isinstance(dep, Or):
-        return (kernels.DEP_OR, sum(1 << index[a] for a in dep.any_of), 0)
-    return (kernels.DEP_NAND, sum(1 << index[a] for a in dep.not_all_of), 0)
-
-
 def _encode_deps(deps: Iterable[Dependency],
-                 index: dict[str, int]) -> list[tuple[int, int, int]]:
-    return [_encode_dep(dep, index)
-            for dep in sorted(deps, key=lambda d: d.sort_key())]
+                 index: dict[str, int]) -> list[tuple[int, int]]:
+    """The (pos, neg) clauses of ``deps`` as masks over ``index``."""
+    def mask(names: frozenset[str]) -> int:
+        return sum(1 << index[a] for a in names)
+
+    return [(mask(pos), mask(neg)) for pos, neg in (
+        dep.clause() for dep in sorted(deps, key=lambda d: d.sort_key()))]
 
 
-def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
+def _horn_closed_masks(n: int, clauses: list[tuple[int, int]],
                        max_uncertain: int) -> list[int]:
-    """Closure-based enumeration of satisfying subsets when all dependencies
-    are implications with singleton consequents (definite Horn clauses);
-    the satisfying subsets are exactly the sets closed under the rules.
+    """Closure-based enumeration of satisfying subsets when every clause
+    (pos, neg) is an implication from a non-empty pos to the one bit of
+    neg (definite Horn clauses); the satisfying subsets are exactly the
+    sets closed under the rules.
 
     Close-by-One (Kuznetsov 1993): from a closed set A reached through
     bit y, each bit i >= y outside A gives the closure of A | {i}, which is
@@ -466,7 +475,7 @@ def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
     than 2^max_uncertain closed sets.  Results are ascending."""
     cap = 1 << max_uncertain
     by_premise: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for _, xmask, ymask in deps:
+    for xmask, ymask in clauses:
         rest = xmask
         while rest:
             low = rest & -rest
@@ -508,18 +517,17 @@ def _horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
     return out
 
 
-def _satisfying_masks(n: int, encoded: list[tuple[int, int, int]],
+def _satisfying_masks(n: int, clauses: list[tuple[int, int]],
                       limits: Limits) -> list[int]:
     """Ascending masks of the subsets of n uncertain arguments that satisfy
-    every encoded dependency."""
-    if n > _HORN_THRESHOLD and all(kind == kernels.DEP_IMPLY
-                                   and not ymask & (ymask - 1)
-                                   for kind, _, ymask in encoded):
+    every (pos, neg) clause."""
+    if n > _HORN_THRESHOLD and all(pos and neg and not neg & (neg - 1)
+                                   for pos, neg in clauses):
         # Wide implicative frameworks (the translation targets) stay
         # tractable through closure enumeration instead of 2^n scans.
-        return _horn_closed_masks(n, encoded, limits.max_uncertain)
+        return _horn_closed_masks(n, clauses, limits.max_uncertain)
     _check_uncertain_bound(n, limits)
-    return kernels.dependency_masks(n, encoded)
+    return kernels.dependency_masks(n, clauses)
 
 
 def completions_dep(diaf: DepArgIAF,
@@ -528,10 +536,10 @@ def completions_dep(diaf: DepArgIAF,
     dependency."""
     base = diaf.base
     index = {a: i for i, a in enumerate(base.uncertain_args)}
-    encoded = _encode_deps(diaf.deps, index)
-    if not encoded:
+    clauses = _encode_deps(diaf.deps, index)
+    if not clauses:
         return completions_arg_iaf(base, limits)
-    masks = _satisfying_masks(len(index), encoded, limits)
+    masks = _satisfying_masks(len(index), clauses, limits)
     return _induced_completions(base.full_af(), _own_bits(base), masks)
 
 
@@ -547,90 +555,48 @@ def parse_iaf(text: str) -> DepArgIAF:
     atts: list[tuple[int, str, str]] = []
     dep_lines: list[tuple[int, str, str]] = []
     clash_at: tuple[int, int] | None = None  # first line re-declaring an arg
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        column = raw.index(stripped[0]) + 1
-        for prefix in ("?arg(", "arg(", "att(", "imply(", "or(", "nand("):
-            if stripped.startswith(prefix):
-                kind = prefix[:-1]
-                break
-        else:
-            raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
-        if not stripped.endswith(")."):
-            raise ParseError(f"line does not end with ').': {stripped!r}",
-                             lineno, column)
-        body = stripped[len(prefix):-2]
-        if kind in ("arg", "?arg"):
-            if not is_valid_argument_id(body):
-                raise ParseError(f"invalid identifier {body!r}", lineno, column)
-            same, other = ((uncertain, fixed) if kind == "?arg"
-                           else (fixed, uncertain))
-            if body in other and clash_at is None:
-                clash_at = (lineno, column)
-            same.add(body)
-        elif kind == "att":
-            parts = [p.strip() for p in body.split(",")]
-            if len(parts) != 2 or not all(map(is_valid_argument_id, parts)):
-                raise ParseError(f"malformed att(...) line: {stripped!r}",
-                                 lineno, column)
-            atts.append((lineno, parts[0], parts[1]))
-        else:
+    for lineno, column, kind, body in _read_lines(
+            text, ("arg", "?arg", "att", "imply", "or", "nand")):
+        if kind in ("imply", "or", "nand"):
             dep_lines.append((lineno, kind, body))
+            continue
+        names = _read_graph_line(kind, body, lineno, column)
+        if kind == "att":
+            atts.append((lineno, *names))
+            continue
+        same, other = ((uncertain, fixed) if kind == "?arg"
+                       else (fixed, uncertain))
+        if names[0] in other and clash_at is None:
+            clash_at = (lineno, column)
+        same.add(names[0])
 
-    declared = fixed | uncertain
     if clash_at:
         raise ParseError(
             "arguments declared both fixed and uncertain: "
             f"{sorted(fixed & uncertain)}", *clash_at)
-    defeats = set()
-    for lineno, s, t in atts:
-        if s not in declared or t not in declared:
-            missing = s if s not in declared else t
-            raise UndeclaredArgumentError(
-                f"line {lineno}: att references undeclared argument {missing!r}")
-        defeats.add((s, t))
-    base = ArgIAF(fixed, uncertain, defeats)
+    base = ArgIAF(fixed, uncertain, _declared_defeats(atts, fixed | uncertain))
 
     deps: list[Dependency] = []
     for lineno, kind, body in dep_lines:
-        lists = _parse_bracket_lists(body, kind, lineno)
-        try:
-            if kind == "imply":
-                if len(lists) != 2:
-                    raise ParseError("imply needs exactly two lists", lineno, 1)
-                deps.append(ImplyDisj(lists[0], lists[1]))
-            elif kind == "or":
-                if len(lists) != 1:
-                    raise ParseError("or needs exactly one list", lineno, 1)
-                deps.append(Or(lists[0]))
-            else:
-                if len(lists) != 1:
-                    raise ParseError("nand needs exactly one list", lineno, 1)
-                deps.append(Nand(lists[0]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, 1) from None
+        if not body.startswith("[") or not body.endswith("]"):
+            raise ParseError(
+                f"{kind} arguments must be bracketed lists: {body!r}",
+                lineno, 1)
+        if kind == "imply":
+            # Identifiers cannot contain commas, so '],[' splits the two
+            # lists unambiguously even though ids may contain brackets.
+            lists = body[1:-1].split("],[")
+            if len(lists) != 2:
+                raise ParseError("imply needs exactly two lists", lineno, 1)
+            deps.append(ImplyDisj(_split_ids(lists[0], lineno, 1),
+                                  _split_ids(lists[1], lineno, 1)))
+        else:
+            items = _split_ids(body[1:-1], lineno, 1)
+            deps.append(Or(items) if kind == "or" else Nand(items))
     try:
         return DepArgIAF(base, deps)
     except ValueError as exc:
         raise UndeclaredArgumentError(str(exc)) from None
-
-
-def _parse_bracket_lists(body: str, kind: str, lineno: int) -> list[list[str]]:
-    if not body.startswith("[") or not body.endswith("]"):
-        raise ParseError(f"{kind} arguments must be bracketed lists: {body!r}",
-                         lineno, 1)
-    # Identifiers cannot contain commas, so '],[' splits top-level lists
-    # unambiguously even though ids may contain brackets.
-    parts = body[1:-1].split("],[")
-    lists = []
-    for part in parts:
-        items = [p.strip() for p in part.split(",")]
-        if not all(map(is_valid_argument_id, items)):
-            raise ParseError(f"invalid identifier in list: {part!r}", lineno, 1)
-        lists.append(items)
-    return lists
 
 
 def serialize_dependency(dep: Dependency) -> str:

@@ -16,10 +16,6 @@ MODE_ADMISSIBLE = 1
 MODE_COMPLETE = 2
 MODE_STABLE = 3
 
-DEP_IMPLY = 0
-DEP_OR = 1
-DEP_NAND = 2
-
 
 def backend_name() -> str:
     return "python"
@@ -70,13 +66,11 @@ def _closed(outside: int, attackers: list[int], attacked: int) -> bool:
     return True
 
 
-def dependency_masks(n: int, deps: list[tuple[int, int, int]]) -> list[int]:
-    """All subset masks satisfying every dependency.
+def dependency_masks(n: int, clauses: list[tuple[int, int]]) -> list[int]:
+    """All subset masks satisfying every clause.
 
-    Each dependency is (kind, xmask, ymask); ymask is 0 except for
-    DEP_IMPLY.  Every kind is the clause "not (pos <= mask and no bit of
-    neg in mask)": IMPLY has pos = xmask and neg = ymask, OR has pos = 0
-    and neg = xmask, NAND has pos = xmask and neg = 0.  Backtracking
+    Each clause (pos, neg) is "not (pos <= mask and no bit of neg in
+    mask)", the form of every IMPLY, OR and NAND dependency.  Backtracking
     decides the bits from the highest down, excluding before including, so
     results are ascending.  A clause is checked once, on the branch that
     decides its lowest bit, and only on the side of that bit it can
@@ -85,9 +79,7 @@ def dependency_masks(n: int, deps: list[tuple[int, int, int]]) -> list[int]:
     """
     excluded: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     included: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for kind, xmask, ymask in deps:
-        pos, neg = ((xmask, ymask) if kind == DEP_IMPLY
-                    else (0, xmask) if kind == DEP_OR else (xmask, 0))
+    for pos, neg in clauses:
         if pos & neg:
             continue  # a tautology: no mask can falsify it
         care = pos | neg

@@ -9,7 +9,7 @@ library's integer codes must order and group the same way, so that it can
 check the search counters too,
 ``enumerated_no_equivalent_arg_iaf`` calls ``uarg.equivalent``, and
 ``scanned_dependency_masks`` and ``fixpoint_horn_closed_masks`` take the
-encoded dependencies of ``uarg.kernels.dependency_masks`` and
+(pos, neg) clauses of ``uarg.kernels.dependency_masks`` and
 ``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
 ``dict_induced_completions`` takes the arguments of
 ``uarg.incomplete._induced_completions``, ``minimized_by_completions``
@@ -47,7 +47,6 @@ from uarg.errors import (
     SearchBoundExceededError,
     UncertaintyBoundExceededError,
 )
-from uarg.kernels import DEP_IMPLY, DEP_OR
 
 
 def powerset(items):
@@ -342,34 +341,27 @@ def enumerated_no_equivalent_arg_iaf(target, max_args,
     return True
 
 
-def scanned_dependency_masks(n: int, deps: list[tuple[int, int, int]]
+def scanned_dependency_masks(n: int, clauses: list[tuple[int, int]]
                              ) -> list[int]:
-    """Every one of the 2^n masks tested against every dependency, in
-    ascending order; deps are encoded as for uarg.kernels.dependency_masks."""
+    """Every one of the 2^n masks tested against every clause (pos, neg),
+    false iff the mask holds all of pos and none of neg, in ascending
+    order."""
     out = []
     for mask in range(1 << n):
-        for kind, xmask, ymask in deps:
-            if kind == DEP_IMPLY:
-                if (mask & xmask) == xmask and not (mask & ymask):
-                    break
-            elif kind == DEP_OR:
-                if not (mask & xmask):
-                    break
-            else:  # DEP_NAND
-                if (mask & xmask) == xmask:
-                    break
+        for pos, neg in clauses:
+            if (mask & pos) == pos and not (mask & neg):
+                break
         else:
             out.append(mask)
     return out
 
 
-def fixpoint_horn_closed_masks(n: int, deps: list[tuple[int, int, int]],
+def fixpoint_horn_closed_masks(n: int, rules: list[tuple[int, int]],
                                max_uncertain: int) -> list[int]:
     """Closed sets of definite Horn rules by re-closing, from scratch with
     full passes over the rules, every closed set plus every free bit; a
     seen set removes repeats.  At most 2^max_uncertain subsets are
     enumerated."""
-    rules = [(x, y) for _, x, y in deps]
     cap = 1 << max_uncertain
 
     def close(mask: int) -> int:

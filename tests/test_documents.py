@@ -68,6 +68,12 @@ _FORMAT_LINE = st.one_of(
     st.builds("nand({}).".format, _ID_LIST),
     st.builds("%{}".format, st.text(max_size=4)),
     st.text(max_size=6))
+# Texts of arg and att lines only, with whitespace around att names.
+_GRAPH_TEXT = st.lists(
+    st.one_of(st.builds("arg({}).".format, _ID),
+              st.builds("att({}{},{}{}).".format, st.sampled_from(["", " "]),
+                        _ID, st.sampled_from(["", " ", "\t"]), _ID))
+    .map(" {}\n".format), max_size=6).map("".join)
 _FORMAT_TEXT = st.lists(
     st.tuples(st.sampled_from(["", " ", "\t"]), _FORMAT_LINE,
               st.sampled_from(["\n", "\r\n", "\x85", " \n", ""]))
@@ -272,6 +278,20 @@ class TestFrameworkTextFuzz:
             except UargError:
                 continue
             assert parse(serialize(parsed)) == parsed
+
+    @given(_GRAPH_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_one_grammar_for_af_and_iaf(self, text):
+        # The AF parser and the IAF parser read arg/att lines alike: the
+        # same framework, or the same error class with the same message,
+        # which starts with the line.
+        outcomes = []
+        for parse in (parse_af, lambda t: parse_iaf(t).base.full_af()):
+            try:
+                outcomes.append(parse(text))
+            except UargError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTheoryDocumentFuzz:

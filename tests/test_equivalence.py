@@ -601,6 +601,16 @@ class TestNoEquivalentArgIaf:
         iaf = ArgIAF(["a"], ["b"], [("b", "a")])
         assert not no_equivalent_arg_iaf(completions_arg_iaf(iaf), 2)
 
+    def test_reads_the_target_without_building_members(self):
+        # fixed arguments, count and the full member all come from keys
+        iaf = ArgIAF(["a"], ["b", "c"], [("a", "b"), ("c", "a")])
+        target = completions_arg_iaf(iaf)
+        dropped = CompletionSet._induced(target._graph, target._keys[1:])
+        with no_member_built():
+            assert not no_equivalent_arg_iaf(target, 3)
+            assert no_equivalent_arg_iaf(dropped, 3)
+            assert no_equivalent_arg_iaf(target, 2)
+
     def test_matches_unpruned_search_on_tiny_instances(self):
         rng = random.Random(101)
         all_candidates = []

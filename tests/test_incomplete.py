@@ -21,6 +21,7 @@ from uarg import (
     completions_rul,
     equivalent,
     is_implicative,
+    parse_af,
     parse_iaf,
     prem_isaf_to_imp_arg_iaf,
     rul_isaf_to_imp_arg_iaf,
@@ -29,6 +30,7 @@ from uarg import (
     synthesize_dependencies,
 )
 from uarg.errors import (
+    ParseError,
     TargetNotRepresentableError,
     TargetNotSubsetError,
     UncertaintyBoundExceededError,
@@ -37,7 +39,6 @@ from uarg.errors import (
 from uarg import incomplete, isaf
 from uarg.documents import parse_completion_set, serialize_completion_set
 from uarg.incomplete import _horn_closed_masks, _induced_completions, _own_bits
-from uarg.kernels import DEP_IMPLY
 
 from framework_gen import (
     GEN_LIMITS,
@@ -278,6 +279,19 @@ class TestSatisfies:
         assert satisfies({"b"}, Nand(["b", "c"]))
         assert not satisfies({"b", "c"}, Nand(["b", "c"]))
 
+    def test_clause_matches_satisfies(self):
+        # A subset falsifies the clause (pos, neg) iff it holds all of pos
+        # and none of neg; the overlapping ImplyDisj is a tautology.
+        universe = ["a", "b", "c", "d"]
+        deps = [ImplyDisj(["a", "b"], ["c", "d"]), ImplyDisj(["a"], ["d"]),
+                ImplyDisj(["a", "b"], ["b", "c"]), Or(["b", "d"]), Or(["c"]),
+                Nand(["a", "c", "d"]), Nand(["b"])]
+        for dep in deps:
+            pos, neg = dep.clause()
+            for present in map(set, powerset(universe)):
+                assert satisfies(present, dep) == \
+                    (not pos <= present or bool(neg & present)), (dep, present)
+
     def test_member_sets_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Or([])
@@ -410,7 +424,7 @@ class TestDependencyFiltering:
             deps = []
             for _ in range(rng.randint(n, 3 * n)):
                 body = rng.sample(range(n), rng.randint(1, min(n, 3)))
-                deps.append((DEP_IMPLY, sum(1 << i for i in body),
+                deps.append((sum(1 << i for i in body),
                              1 << rng.randrange(n)))
             assert _horn_closed_masks(n, deps, 20) == \
                 fixpoint_horn_closed_masks(n, deps, 20), (n, deps)
@@ -422,7 +436,7 @@ class TestDependencyFiltering:
         # all the others adds exactly one, the full set.
         k = 4
         assert len(enumerate_closed(k, [], k)) == 1 << k
-        deps = [(DEP_IMPLY, 1 << k, 1 << i) for i in range(k)]
+        deps = [(1 << k, 1 << i) for i in range(k)]
         assert len(enumerate_closed(k + 1, deps, k + 1)) == (1 << k) + 1
         with pytest.raises(UncertaintyBoundExceededError,
                            match=r"more than 2\^4 = 16 dependency-satisfying "
@@ -535,3 +549,30 @@ class TestIafTextFormat:
         diaf = DepArgIAF(ArgIAF(["p"], ["[]=d>q"], []),
                          [Or(["[]=d>q"])])
         assert parse_iaf(serialize_iaf(diaf)) == diaf
+
+    @pytest.mark.parametrize("dep", [Or(["[a]", "[b"]), Nand(["[a]", "[b"])])
+    def test_one_list_holding_bracket_comma_bracket(self, dep):
+        # written as or([[a],[b]). / nand([[a],[b]).: one list, not two
+        diaf = DepArgIAF(ArgIAF([], ["[a]", "[b"], []), [dep])
+        assert "[[a],[b])." in serialize_iaf(diaf)
+        assert parse_iaf(serialize_iaf(diaf)) == diaf
+
+    def test_imply_still_splits_on_bracket_comma_bracket(self):
+        # imply([[a],[b],[c]). splits into three lists, not two
+        diaf = DepArgIAF(ArgIAF([], ["[a]", "[b", "c"], []),
+                         [ImplyDisj(["[a]", "[b"], ["c"])])
+        assert "imply([[a],[b],[c])." in serialize_iaf(diaf)
+        with pytest.raises(ParseError, match="two lists"):
+            parse_iaf(serialize_iaf(diaf))
+
+    def test_att_names_may_carry_whitespace(self):
+        for text in ("arg(a).\narg(b).\natt(a ,b).\n",
+                     "arg(a).\narg(b).\natt( a,\tb ).\n"):
+            assert parse_af(text) == AbstractAF(["a", "b"], [("a", "b")])
+            assert parse_iaf(text).base.full_af() == parse_af(text)
+
+    def test_arg_body_is_taken_verbatim(self):
+        for parse in (parse_af, parse_iaf):
+            with pytest.raises(ParseError) as info:
+                parse("arg(a).\n  arg( b).\n")
+            assert (info.value.line, info.value.column) == (2, 3)

@@ -30,14 +30,17 @@ def random_masks(rng, n, density=0.3):
 
 
 def random_clause(rng, n):
-    """One encoded dependency over bits 0..n-1; an IMPLY may have several
-    consequents and may overlap its antecedent."""
+    """The (pos, neg) clause of one IMPLY, OR or NAND dependency over bits
+    0..n-1; an IMPLY may have several consequents and may overlap its
+    antecedent."""
     def some_bits():
         return sum(1 << i for i in rng.sample(range(n),
                                               rng.randint(1, min(n, 4))))
 
-    kind = rng.choice((kernels.DEP_IMPLY, kernels.DEP_OR, kernels.DEP_NAND))
-    return kind, some_bits(), some_bits() if kind == kernels.DEP_IMPLY else 0
+    kind = rng.choice(("imply", "or", "nand"))
+    xmask, ymask = some_bits(), some_bits() if kind == "imply" else 0
+    return ((xmask, ymask) if kind == "imply" else (0, xmask) if kind == "or"
+            else (xmask, 0))
 
 
 class TestKernelCorrectness:
@@ -71,15 +74,14 @@ class TestKernelCorrectness:
                 scanned_dependency_masks(n, deps), (n, deps)
         # a clause over no bits is false under every mask
         for n in (0, 3):
-            assert kernels.dependency_masks(n, [(kernels.DEP_OR, 0, 0)]) == \
-                scanned_dependency_masks(n, [(kernels.DEP_OR, 0, 0)]) == []
+            assert kernels.dependency_masks(n, [(0, 0)]) == \
+                scanned_dependency_masks(n, [(0, 0)]) == []
 
     def test_dependency_clause_on_bit_zero_only(self):
         # decided at the last level of the search, just above the leaves
         for n in range(1, 6):
-            for deps in ([(kernels.DEP_OR, 1, 0)], [(kernels.DEP_NAND, 1, 0)],
-                         [(kernels.DEP_IMPLY, 1, 1)],
-                         [(kernels.DEP_IMPLY, 1 << n - 1, 1)]):
+            # OR, NAND, a tautological IMPLY, and an IMPLY from the top bit
+            for deps in ([(0, 1)], [(1, 0)], [(1, 1)], [(1 << n - 1, 1)]):
                 assert kernels.dependency_masks(n, deps) == \
                     scanned_dependency_masks(n, deps), (n, deps)
 
