@@ -8,12 +8,19 @@ deduplicating yields the completion set all expressivity comparisons run on.
 That set is built without regenerating any completion: each is the maximal
 completion's defeat graph restricted to the arguments whose uncertain load
 the subset contains.
+
+The maximal completion, its arguments, its defeat graph and every
+argument's load form the framework's load model (``_model``).  It is
+compiled once per framework and ``limits`` and kept in the framework's own
+``__dict__``, out of ``==``, ``repr`` and ``dataclasses.replace``; the
+completion sets, ``saf_max``, and the implicative abstraction and tidying
+in ``translate`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 from .aspic import (
     SAF,
@@ -112,20 +119,6 @@ def _completion(x: RulISAF | PremISAF, theory: ArgumentationTheory,
     return SAF(theory, preferences), arguments
 
 
-def _maximal(x: RulISAF | PremISAF, limits: Limits,
-             ) -> tuple[SAF, tuple[StructuredArgument, ...]]:
-    """Maximal completion; every declared preference must name one of its
-    arguments."""
-    saf, arguments = _completion(x, x.theory, limits)
-    _check_preference_domain(x.preferences, {arg.text for arg in arguments})
-    return saf, arguments
-
-
-def saf_max(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
-    """Maximal completion: all uncertain rules/premises accepted."""
-    return _maximal(x, limits)[0]
-
-
 def _completion_theory(x: RulISAF | PremISAF, chosen: frozenset,
                        ) -> ArgumentationTheory:
     if isinstance(x, RulISAF):
@@ -153,23 +146,49 @@ def _load(x: RulISAF | PremISAF, argument: StructuredArgument) -> frozenset:
     return argument.premises & x.uncertain_knowledge
 
 
-def _maximal_graph(x: RulISAF | PremISAF, limits: Limits,
-                   ) -> tuple[AbstractAF, dict[str, int]]:
-    """Defeat graph of the maximal completion, and each argument's load: a
-    mask over the sorted uncertain elements it uses.  Preferences compare
-    only an attacker and a locus, so restricting this graph to the
-    arguments whose load lies in m yields the completion for m."""
-    saf, arguments = _maximal(x, limits)
-    bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
-    load = {arg.text: sum(bit[e] for e in _load(x, arg)) for arg in arguments}
-    return _generated_af(saf, arguments, limits), load
+class _LoadModel(NamedTuple):
+    """The maximal completion, its generated arguments, its defeat graph,
+    and each argument's load: a mask over the sorted uncertain elements it
+    uses.  Preferences compare only an attacker and a locus, so restricting
+    the graph to the arguments whose load lies in m yields the completion
+    for m."""
+
+    saf: SAF
+    arguments: tuple[StructuredArgument, ...]
+    graph: AbstractAF
+    load: dict[str, int]
+
+
+def _model(x: RulISAF | PremISAF, limits: Limits) -> _LoadModel:
+    """The load model of x under limits, built on the first call.  Every
+    declared preference must name an argument of the maximal completion.
+    A build that raises stores nothing, so it raises again on every call;
+    concurrent first calls may each build one, and the last one stored
+    wins (they are equal)."""
+    models = x.__dict__.setdefault("_models", {})
+    model = models.get(limits)
+    if model is None:
+        saf, arguments = _completion(x, x.theory, limits)
+        _check_preference_domain(x.preferences,
+                                 {arg.text for arg in arguments})
+        bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
+        load = {arg.text: sum(bit[e] for e in _load(x, arg))
+                for arg in arguments}
+        model = models[limits] = _LoadModel(
+            saf, arguments, _generated_af(saf, arguments, limits), load)
+    return model
+
+
+def saf_max(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
+    """Maximal completion: all uncertain rules/premises accepted."""
+    return _model(x, limits).saf
 
 
 def _completion_items(x: RulISAF | PremISAF, limits: Limits,
                       ) -> list[tuple[SAF, tuple[StructuredArgument, ...]]]:
     """One (completion, generated arguments) pair per uncertainty subset,
     in subset-mask order, each regenerated from its own theory."""
-    _maximal(x, limits)  # preference domain and generation limits only
+    _model(x, limits)  # preference domain and generation limits only
     elements = _uncertain_elements(x)
     _check_uncertain_bound(len(elements), limits)
     items = []
@@ -198,10 +217,10 @@ def saf_fixed(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
 
 
 def _induced(x: RulISAF | PremISAF, limits: Limits) -> CompletionSet:
-    full, load = _maximal_graph(x, limits)
+    model = _model(x, limits)
     k = len(_uncertain_elements(x))
     _check_uncertain_bound(k, limits)
-    return _induced_completions(full, load, range(1 << k))
+    return _induced_completions(model.graph, model.load, range(1 << k))
 
 
 def completions_rul(r: RulISAF, limits: Limits = DEFAULT_LIMITS) -> CompletionSet:

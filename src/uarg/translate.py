@@ -25,7 +25,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF, check_argument_id
 from .errors import InvalidTheoryError
 from .incomplete import ArgIAF, CompletionSet, DepArgIAF, ImplyDisj
-from .isaf import PremISAF, RulISAF, _maximal, _maximal_graph, is_tidy
+from .isaf import PremISAF, RulISAF, _model, is_tidy
 
 PRIME_SUFFIX = "'"
 
@@ -77,23 +77,18 @@ class Witness:
         second = then.mapping
         return Witness({src: second[mid] for src, mid in self.pairs})
 
-    def _relabel(self, afs: Iterable[AbstractAF]) -> list[AbstractAF]:
-        """Images of ``afs``.  The image of each argument in use is checked
-        once; one outside the domain raises KeyError.  A non-injective
-        witness merges arguments and defeats."""
-        m = self.mapping
-        for name in sorted({a for af in afs for a in af.args}):
-            check_argument_id(m[name])
-        return [AbstractAF._canonical(
-                    tuple(sorted({m[a] for a in af.args})),
-                    tuple(sorted({(m[s], m[t]) for s, t in af.defeats})))
-                for af in afs]
-
-    def apply_af(self, af: AbstractAF) -> AbstractAF:
-        return self._relabel((af,))[0]
-
     def apply(self, completions: CompletionSet) -> CompletionSet:
-        return CompletionSet(self._relabel(completions))
+        """Image of every member.  The image of each argument in use is
+        checked once; one outside the domain raises KeyError.  A
+        non-injective witness merges arguments and defeats."""
+        m = self.mapping
+        for name in sorted({a for af in completions for a in af.args}):
+            check_argument_id(m[name])
+        return CompletionSet(
+            AbstractAF._canonical(
+                tuple(sorted({m[a] for a in af.args})),
+                tuple(sorted({(m[s], m[t]) for s, t in af.defeats})))
+            for af in completions)
 
     def to_json(self) -> dict:
         return {"map": [list(pair) for pair in self.pairs]}
@@ -230,7 +225,8 @@ def _structured_to_imp_arg_iaf(x: RulISAF | PremISAF, limits: Limits,
                                ) -> tuple[DepArgIAF, Witness]:
     # The maximal graph comes from a validated theory: its argument and
     # defeat tuples are canonical, and so are their sub-sequences.
-    full_af, load = _maximal_graph(x, limits)
+    model = _model(x, limits)
+    full_af, load = model.graph, model.load
     fixed_ids = tuple(a for a in full_af.args if not load[a])
     uncertain_ids = tuple(a for a in full_af.args if load[a])
     base = ArgIAF._canonical(fixed_ids, uncertain_ids, full_af.defeats)
@@ -304,7 +300,7 @@ def _tidy(p: PremISAF, limits: Limits,
           ) -> tuple[PremISAF, Witness, tuple[StructuredArgument, ...]]:
     """tidy, plus the arguments of the tidied framework's theory."""
     theory = p.theory
-    args_max = _maximal(p, limits)[1]
+    args_max = _model(p, limits).arguments
     premiseless_heads = {rule.head for rule in theory.rules if not rule.body}
     rep = theory.knowledge_base & premiseless_heads
     if not rep:

@@ -284,7 +284,7 @@ class TestDefeats:
 
 class TestAssociatedAF:
     def test_generated_graph_matches_validated_lifting(self):
-        # the canonical build of isaf._maximal_graph against the public
+        # the canonical build of isaf._model's graph against the public
         # constructor, on the same generated arguments
         from uarg.aspic import _generated_af
 

@@ -117,7 +117,8 @@ def _restriction_cases():
     cases = []
     for i in range(40):
         x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
-        full, load = isaf._maximal_graph(x, GEN_LIMITS)
+        model = isaf._model(x, GEN_LIMITS)
+        full, load = model.graph, model.load
         k = len(isaf._uncertain_elements(x))
         cases.append((full, load, range(1 << k)))
     iafs = [random_arg_iaf(rng, max_args=6) for _ in range(40)]

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -26,13 +29,26 @@ from uarg import (
 )
 from uarg.errors import (
     ArgumentNotOfTheoryError,
+    GenerationLimitExceededError,
     MixedUncertaintyError,
+    PreferenceUnknownArgumentError,
     UncertaintyBoundExceededError,
 )
-from uarg import Limits, associated_af
+from uarg import (
+    DEFAULT_LIMITS,
+    Limits,
+    associated_af,
+    completion_set_of,
+    prem_isaf_to_imp_arg_iaf,
+    prem_isaf_to_rul_isaf,
+    rul_isaf_to_imp_arg_iaf,
+    tidy,
+)
+from uarg import aspic
+from uarg import isaf as isaf_module
 from uarg.documents import load_theory_document, build_rul_isaf
 
-from framework_gen import random_prem_isaf, random_rul_isaf
+from framework_gen import GEN_LIMITS, random_prem_isaf, random_rul_isaf
 
 
 def text_index(theory):
@@ -227,6 +243,156 @@ class TestRestrictionMatchesRegeneration:
         # the sample must hold named rules, and preferences that remove
         # defeats from the maximal graph
         assert named and preferences_matter
+
+
+# A completion set followed by a translation of the same framework.
+MODEL_PAIRS = {
+    "rul-imp": ("rul", completions_rul, rul_isaf_to_imp_arg_iaf),
+    "prem-imp": ("prem", completions_prem, prem_isaf_to_imp_arg_iaf),
+    "prem-rul": ("prem", completions_prem, prem_isaf_to_rul_isaf),
+}
+
+
+def _model_frameworks(side):
+    """The side's fixture and random frameworks; on the premise side every
+    other one is untidy, so prem_isaf_to_rul_isaf tidies it first."""
+    rng = random.Random(83)
+    if side == "rul":
+        return [fixtures.get("thm10_rul")] + [
+            random_rul_isaf(rng, max_uncertain=4) for _ in range(12)]
+    return [fixtures.get("thm7_prem")] + [
+        random_prem_isaf(rng, max_uncertain=4, force_clash=bool(i % 2))
+        for i in range(12)]
+
+
+class TestLoadModel:
+    """A structured framework compiles its maximal completion once per
+    limits; completion sets, saf_max, the implicative abstraction and
+    tidying read that one model."""
+
+    @pytest.mark.parametrize("order", ["completions-first",
+                                       "translation-first"])
+    @pytest.mark.parametrize("pair", sorted(MODEL_PAIRS))
+    def test_source_theory_generated_once(self, pair, order, monkeypatch):
+        side, complete, translate_fn = MODEL_PAIRS[pair]
+        cold = [(complete(x, GEN_LIMITS), translate_fn(x, GEN_LIMITS))
+                for x in _model_frameworks(side)]
+        seen = []
+        original = aspic.generate_arguments
+
+        def counting(theory, limits=aspic.DEFAULT_LIMITS):
+            seen.append(theory)
+            return original(theory, limits)
+
+        # patch every binding: a module importing the name would bypass a
+        # patch of aspic alone
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("uarg") and \
+                    getattr(module, "generate_arguments", None) is original:
+                monkeypatch.setattr(module, "generate_arguments", counting)
+        untidy = 0
+        for x, (source, translated) in zip(_model_frameworks(side), cold):
+            seen.clear()
+            if order == "completions-first":
+                got = (complete(x, GEN_LIMITS), translate_fn(x, GEN_LIMITS))
+            else:
+                got = tuple(reversed((translate_fn(x, GEN_LIMITS),
+                                      complete(x, GEN_LIMITS))))
+            assert sum(theory == x.theory for theory in seen) == 1, x
+            assert got == (source, translated)
+            untidy += not is_tidy(x)
+        assert untidy or side == "rul"
+
+    def test_stricter_limits_still_raise(self):
+        x = fixtures.get("thm10_rul")
+        model = isaf_module._model(x, GEN_LIMITS)
+        assert isaf_module._model(x, GEN_LIMITS) is model
+        n = len(model.arguments)
+        for strict in (Limits(max_arguments=n - 1),
+                       Limits(max_arguments=n - 1, max_depth=1)):
+            for _ in range(2):
+                with pytest.raises(GenerationLimitExceededError):
+                    completions_rul(x, strict)
+                with pytest.raises(GenerationLimitExceededError):
+                    rul_isaf_to_imp_arg_iaf(x, strict)
+        assert set(x.__dict__["_models"]) == {GEN_LIMITS}
+        assert len(completions_rul(x, Limits(max_arguments=n))) == 5
+
+    def test_uncertain_bound_checked_per_call(self):
+        x = fixtures.get("thm10_rul")
+        assert len(completions_rul(x)) == 5
+        for _ in range(2):
+            with pytest.raises(UncertaintyBoundExceededError):
+                completions_rul(x, Limits(max_uncertain=2))
+
+    @pytest.mark.parametrize("name", ["thm10_rul", "thm7_prem"])
+    def test_unknown_preference_raises_every_call(self, name):
+        x = fixtures.get(name)
+        x = replace(x, preferences=frozenset({("nowhere", "p")}))
+        calls = [saf_max, completion_set_of,
+                 rul_isaf_to_imp_arg_iaf if name == "thm10_rul" else tidy]
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(PreferenceUnknownArgumentError):
+                    call(x)
+        assert not x.__dict__["_models"]
+
+    @pytest.mark.parametrize("side", ["rul", "prem"])
+    def test_replace_builds_its_own_model(self, side):
+        make, complete, oracle = {
+            "rul": (random_rul_isaf, completions_rul, rule_completions),
+            "prem": (random_prem_isaf, completions_prem, premise_completions),
+        }[side]
+        rng = random.Random(89)
+        checked = 0
+        while checked < 5:
+            x = make(rng, max_uncertain=3)
+            if associated_af(saf_max(x)) == associated_af(SAF(x.theory)):
+                continue  # the preferences remove no defeat
+            plain = replace(x, preferences=frozenset())
+            assert "_models" not in plain.__dict__
+            plain_set = complete(plain)
+            ranked = replace(plain, preferences=x.preferences)
+            assert "_models" not in ranked.__dict__
+            assert complete(ranked) == CompletionSet(
+                associated_af(saf) for saf in oracle(ranked))
+            assert complete(ranked) != plain_set
+            assert isaf_module._model(ranked, DEFAULT_LIMITS) is not \
+                isaf_module._model(plain, DEFAULT_LIMITS)
+            assert saf_max(ranked).preferences == x.preferences
+            checked += 1
+
+    def test_concurrent_first_calls_agree(self):
+        x = fixtures.get("thm10_rul")
+        expected = completions_rul(fixtures.get("thm10_rul"))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(
+                target=lambda: results.append(completions_rul(x)))
+                for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [expected] * 8
+        assert set(x.__dict__["_models"]) == {DEFAULT_LIMITS}
+
+    @pytest.mark.parametrize("name", ["thm10_rul", "thm7_prem"])
+    def test_equality_and_repr_ignore_model(self, name):
+        x, y = fixtures.get(name), fixtures.get(name)
+        before = repr(x)
+        completion_set_of(x)
+        saf_max(x, GEN_LIMITS)
+        assert set(x.__dict__["_models"]) == {DEFAULT_LIMITS, GEN_LIMITS}
+        assert "_models" not in y.__dict__
+        assert repr(x) == repr(y) == before
+        assert x == y and y == x
+        assert replace(x) == x and "_models" not in replace(x).__dict__
 
 
 def _forced_everywhere(afs, group_texts, arg_text):
