@@ -120,35 +120,68 @@ def is_admissible(af: AbstractAF, members: Iterable[str]) -> bool:
     return all(s in defeated for s, t in af.defeats if t in members)
 
 
-def _index_masks(af: AbstractAF) -> tuple[list[str], list[int], list[int]]:
-    order = list(af.args)
-    index = {a: i for i, a in enumerate(order)}
-    attackers = [0] * len(order)
-    targets = [0] * len(order)
-    for s, t in af.defeats:
-        attackers[index[t]] |= 1 << index[s]
-        targets[index[s]] |= 1 << index[t]
-    return order, attackers, targets
+class _Compiled:
+    """What ``extensions`` reads of one framework: the argument order,
+    each argument's attackers and targets as masks over it, and, once a
+    semantics other than grounded is asked for, the admissible, complete
+    and stable masks of ``kernels.semantics_masks``."""
+
+    __slots__ = ("order", "attackers", "targets", "masks")
+
+    def __init__(self, af: AbstractAF):
+        self.order = order = af.args
+        index = {a: i for i, a in enumerate(order)}
+        self.attackers = attackers = [0] * len(order)
+        self.targets = targets = [0] * len(order)
+        for s, t in af.defeats:
+            attackers[index[t]] |= 1 << index[s]
+            targets[index[s]] |= 1 << index[t]
+        self.masks: tuple[list[int], list[int], list[int]] | None = None
+
+    def search(self) -> tuple[list[int], list[int], list[int]]:
+        if self.masks is None:
+            self.masks = kernels.semantics_masks(len(self.order),
+                                                 self.attackers, self.targets)
+        return self.masks
 
 
-def _mask_to_extension(mask: int, order: list[str]) -> frozenset[str]:
+def _compiled(af: AbstractAF) -> _Compiled:
+    """The record of af, built on the first call and kept in
+    ``af.__dict__``, out of ``==``, ``hash`` and ``repr``.  Concurrent
+    first calls may each build one; they are equal."""
+    record = af.__dict__.get("_compiled")
+    if record is None:
+        record = af.__dict__["_compiled"] = _Compiled(af)
+    return record
+
+
+def _mask_to_extension(mask: int, order: tuple[str, ...]) -> frozenset[str]:
     return frozenset(order[i] for i in range(len(order)) if mask >> i & 1)
 
 
-def _grounded_mask(n: int, attackers: list[int], targets: list[int]) -> int:
-    mask = 0
-    while True:
-        attacked = 0
-        for i in range(n):
-            if mask >> i & 1:
-                attacked |= targets[i]
-        new = 0
-        for i in range(n):
-            if not (attackers[i] & ~attacked):
-                new |= 1 << i
-        if new == mask:
-            return mask
-        mask = new
+def _grounded_mask(attackers: list[int], targets: list[int]) -> int:
+    """The least fixpoint of the defence function, by worklist: the
+    unattacked arguments go in, their targets go out, and an argument
+    whose attackers are all out goes in."""
+    work = [i for i, a in enumerate(attackers) if not a]
+    grounded, out = sum(1 << i for i in work), 0
+    for i in work:  # the list grows while it is read
+        beaten = targets[i] & ~out
+        out |= beaten
+        reached = 0
+        while beaten:
+            low = beaten & -beaten
+            beaten ^= low
+            reached |= targets[low.bit_length() - 1]
+        reached &= ~(grounded | out)
+        while reached:
+            low = reached & -reached
+            reached ^= low
+            j = low.bit_length() - 1
+            if not attackers[j] & ~out:
+                grounded |= low  # queued once: reached now excludes it
+                work.append(j)
+    return grounded
 
 
 def _maximal_masks(masks: list[int]) -> list[int]:
@@ -164,30 +197,26 @@ def extensions(af: AbstractAF, sigma: str,
                limits: Limits = DEFAULT_LIMITS) -> tuple[frozenset[str], ...]:
     """All sigma-extensions, canonically ordered.
 
-    Admissible, complete and stable sets come from a backtracking search
-    that never extends a set by an argument in conflict with it, so the cost
-    follows the number of conflict-free sets rather than 2^n; grounded is a
-    fixpoint and preferred the maximal complete sets.
+    Admissible, complete and stable sets come from one backtracking search
+    per framework, run on the first call that needs it and kept with the
+    framework.  It never extends a set by an argument in conflict with it
+    and drops a set as soon as one of its attackers can no longer be
+    answered, so its cost follows the admissible sets rather than the
+    conflict-free ones or 2^n.  Grounded is a worklist fixpoint and
+    preferred the maximal complete sets.
     """
     if sigma not in SEMANTICS:
         raise ValueError(f"unknown semantics {sigma!r}; pick one of {SEMANTICS}")
-    order, attackers, targets = _index_masks(af)
-    n = len(order)
+    record = _compiled(af)
     if sigma == "grounded":
-        masks = [_grounded_mask(n, attackers, targets)]
-    elif sigma == "admissible":
-        masks = kernels.semantics_masks(n, attackers, targets,
-                                        kernels.MODE_ADMISSIBLE)
-    elif sigma == "complete":
-        masks = kernels.semantics_masks(n, attackers, targets,
-                                        kernels.MODE_COMPLETE)
-    elif sigma == "stable":
-        masks = kernels.semantics_masks(n, attackers, targets,
-                                        kernels.MODE_STABLE)
-    else:  # preferred = maximal complete (equivalently maximal admissible)
-        complete = kernels.semantics_masks(n, attackers, targets,
-                                           kernels.MODE_COMPLETE)
-        masks = _maximal_masks(complete)
+        masks = [_grounded_mask(record.attackers, record.targets)]
+    else:
+        admissible, complete, stable = record.search()
+        masks = (admissible if sigma == "admissible"
+                 else complete if sigma == "complete"
+                 else stable if sigma == "stable"
+                 else _maximal_masks(complete))
+    order = record.order
     exts = [_mask_to_extension(m, order) for m in masks]
     return tuple(sorted(exts, key=sorted))
 

@@ -622,6 +622,38 @@ def serialize_iaf(value: DepArgIAF | ArgIAF) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _stray_count(iaf: ArgIAF, target: CompletionSet) -> int:
+    """How many members of ``target`` are not completions of ``iaf``,
+    read from the target's union graph and keys, mapped by name onto
+    ``iaf``, with no member built.  A completion holds every fixed
+    argument, no argument outside ``iaf``, and exactly the defeats of
+    ``iaf`` between the arguments it holds."""
+    graph = target._graph
+    n = len(graph.args)
+    bit = {a: 1 << i for i, a in enumerate(graph.args)}
+    if not all(a in bit for a in iaf.fixed_args):
+        return len(target)  # a fixed argument that no member holds
+    fixed = sum(bit[a] for a in iaf.fixed_args)
+    known = set(iaf.fixed_args) | set(iaf.uncertain_args)
+    defeats = set(iaf.defeats)
+    # an argument outside iaf, or the lack of a defeat of iaf
+    wrong = sum(bit[a] for a in graph.args if a not in known) | sum(
+        1 << n + j for j, d in enumerate(graph.defeats) if d in defeats)
+    # (both endpoints, lack bit): a member holding both endpoints and not
+    # the lack bit holds a defeat outside iaf; a defeat of iaf outside the
+    # graph has no lack bit, and every member holding both endpoints lacks
+    # it
+    pairs = [(bit[s] | bit[t], 1 << n + j)
+             for j, (s, t) in enumerate(graph.defeats)
+             if (s, t) not in defeats]
+    held = set(graph.defeats)
+    pairs += [(bit[s] | bit[t], 0) for s, t in iaf.defeats
+              if s in bit and t in bit and (s, t) not in held]
+    return sum(1 for k in target._keys
+               if k & fixed != fixed or k & wrong
+               or any(k & (ends | lack) == ends for ends, lack in pairs))
+
+
 def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
                             minimize: bool = False,
                             limits: Limits = DEFAULT_LIMITS,
@@ -639,15 +671,15 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
     one it excludes, falsifies it, and without it the framework would
     readmit a subset that the target lacks.
     """
-    all_comps = completions_arg_iaf(iaf, limits)
-    stray = [af for af in target if af not in all_comps]
+    uncertain = iaf.uncertain_args
+    _check_uncertain_bound(len(uncertain), limits)
+    stray = _stray_count(iaf, target)
     if stray:
         raise TargetNotSubsetError(
-            f"{len(stray)} target frameworks are not completions of the "
+            f"{stray} target frameworks are not completions of the "
             "framework")
     # Each member is a completion, so its key is its argument mask, and
     # distinct completions keep distinct subsets of uncertain arguments.
-    uncertain = iaf.uncertain_args
     index = {a: i for i, a in enumerate(uncertain)}
     excluded = set(range(1 << len(uncertain))).difference(_or_images(
         [1 << index[a] if a in index else 0 for a in target._graph.args],

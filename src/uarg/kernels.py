@@ -6,15 +6,13 @@ completion filtering.  Both are backtracking searches that decide the bits
 from the highest down, excluding before including, so both return
 ascending mask lists.  Each cuts a branch as soon as the bits it has
 decided break a condition: ``semantics_masks`` only ever extends
-conflict-free sets, and ``dependency_masks`` checks each dependency once,
-when its lowest bit is decided.
+conflict-free sets and drops a set as soon as one of its attackers can no
+longer be answered, so it grows few sets beyond those that lead to an
+admissible one; ``dependency_masks`` checks each dependency once, when its
+lowest bit is decided.
 """
 
 from __future__ import annotations
-
-MODE_ADMISSIBLE = 1
-MODE_COMPLETE = 2
-MODE_STABLE = 3
 
 
 def backend_name() -> str:
@@ -22,37 +20,56 @@ def backend_name() -> str:
 
 
 def semantics_masks(n: int, attackers: list[int], targets: list[int],
-                    mode: int) -> list[int]:
-    """All subset masks satisfying the selected extension condition.
+                    ) -> tuple[list[int], list[int], list[int]]:
+    """The admissible, complete and stable sets, as three ascending mask
+    lists; the complete sets are a sublist of the admissible ones and the
+    stable sets a sublist of the complete ones.
 
     attackers[i] / targets[i]: masks of defeaters of i / of arguments
     defeated by i.  Backtracking decides the arguments from the highest bit
     down, excluding before including, and only includes an argument that
-    neither attacks nor is attacked by the set so far; every leaf is thus a
-    conflict-free set, and leaves come out in ascending order.  The stack
-    holds (undecided count, mask, arguments the mask attacks, arguments
-    attacking the mask).
+    neither attacks nor is attacked by the set so far, so every leaf is a
+    conflict-free set and leaves come out in ascending order.  A branch is
+    cut when an attacker of the set is not counter-attacked yet and none
+    of its attackers can still join: those are the undecided arguments
+    that attack no member, are attacked by none and do not attack
+    themselves.  Every leaf is thus admissible (Nofal, Atkinson & Dunne,
+    Artificial Intelligence 207, 2014).  The stack holds (undecided count,
+    mask, arguments the mask attacks, arguments attacking the mask).
     """
     full = (1 << n) - 1
-    out = []
+    selfish = sum(1 << i for i in range(n) if attackers[i] >> i & 1)
+    admissible: list[int] = []
+    complete: list[int] = []
+    stable: list[int] = []
     stack = [(n, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, mask, attacked, threats = stack.pop()
+        i, mask, attacked, threats = pop()
+        unanswered = threats & ~attacked
+        if unanswered:
+            joinable = ((1 << i) - 1) & ~(attacked | threats | selfish)
+            while unanswered:
+                low = unanswered & -unanswered
+                if not attackers[low.bit_length() - 1] & joinable:
+                    break
+                unanswered ^= low
+            if unanswered:  # an attacker that no joinable argument answers
+                continue
         if i:
             i -= 1
             bit = 1 << i
             if not (attackers[i] | targets[i]) & (mask | bit):
-                stack.append((i, mask | bit, attacked | targets[i],
-                              threats | attackers[i]))
-            stack.append((i, mask, attacked, threats))
-        elif mode == MODE_STABLE:
-            if (mask | attacked) == full:
-                out.append(mask)
-        elif not threats & ~attacked:  # admissible: every threat is answered
-            if mode == MODE_ADMISSIBLE or _closed(full & ~mask, attackers,
-                                                  attacked):
-                out.append(mask)
-    return out
+                push((i, mask | bit, attacked | targets[i],
+                      threats | attackers[i]))
+            push((i, mask, attacked, threats))
+            continue
+        admissible.append(mask)
+        if _closed(full & ~mask, attackers, attacked):
+            complete.append(mask)
+            if mask | attacked == full:
+                stable.append(mask)
+    return admissible, complete, stable
 
 
 def _closed(outside: int, attackers: list[int], attacked: int) -> bool:

@@ -472,6 +472,50 @@ class TestSynthesis:
         with pytest.raises(TargetNotSubsetError):
             synthesize_dependencies(EX1, CompletionSet([AbstractAF(["zz"])]))
 
+    def test_stray_count_matches_membership(self):
+        # members off by one argument or one defeat, each a stray
+        def variants(rng, iaf, m):
+            yield AbstractAF(m.args + ("zz",), m.defeats)
+            yield m.restrict(set(m.args) - set(iaf.fixed_args[:1]))
+            if m.defeats:
+                yield AbstractAF(m.args, m.defeats[1:])
+            if m.args:
+                yield AbstractAF(m.args, set(m.defeats) | {
+                    (rng.choice(m.args), rng.choice(m.args))})
+
+        rng = random.Random(43)
+        for _ in range(150):
+            iaf = random_arg_iaf(rng, 5)
+            members = list(completions_arg_iaf(iaf))
+            chosen = [m for m in members if rng.random() < 0.5]
+            for m in members:
+                chosen += [v for v in variants(rng, iaf, m)
+                           if rng.random() < 0.3]
+            target = CompletionSet(chosen)
+            stray = sum(af not in set(members) for af in target)
+            if not stray:
+                continue
+            with pytest.raises(TargetNotSubsetError,
+                               match=f": {stray} target frameworks "):
+                synthesize_dependencies(iaf, target)
+
+    def test_synthesis_builds_no_member(self):
+        # a lazily built target keeps its members unbuilt
+        rng = random.Random(47)
+        for _ in range(40):
+            iaf = random_arg_iaf(rng, 5)
+            whole = completions_arg_iaf(iaf)
+            with no_member_built():
+                assert synthesize_dependencies(iaf, whole) == frozenset()
+        for diaf, _, _ in nand_cut_cases():
+            target = completions_dep(diaf)
+            with no_member_built():
+                deps = synthesize_dependencies(diaf.base, target)
+            assert completions_dep(DepArgIAF(diaf.base, deps)) == target
+        other = completions_arg_iaf(ArgIAF(["a"], ["b", "c"], [("b", "a")]))
+        with no_member_built(), pytest.raises(TargetNotSubsetError):
+            synthesize_dependencies(EX1, other)
+
     def test_unrepresentable_empty_target(self):
         iaf = ArgIAF(["a"], [], [])
         with pytest.raises(TargetNotRepresentableError):

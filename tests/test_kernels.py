@@ -8,14 +8,31 @@ from uarg.core import SEMANTICS
 
 from oracles import naive_extensions, scanned_dependency_masks
 
-NAMES = "abcdefgh"
-MODES = (kernels.MODE_ADMISSIBLE, kernels.MODE_COMPLETE, kernels.MODE_STABLE)
+NAMES = "abcdefghij"
 
 
 def random_af(rng, n, density):
     defeats = [(NAMES[i], NAMES[j]) for i in range(n) for j in range(n)
                if rng.random() < density]
     return AbstractAF(NAMES[:n], defeats)
+
+
+def shaped_afs():
+    """Frameworks of up to 10 arguments whose shape the pruned search must
+    get right: odd and even cycles (an odd one has no non-empty admissible
+    set), chains, self-attackers and attack-free graphs (every subset
+    admissible)."""
+    for n in range(1, 11):
+        names = NAMES[:n]
+        ring = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        chain = ring[:-1]
+        yield AbstractAF(names, ring)
+        yield AbstractAF(names, chain)
+        yield AbstractAF(names, [(t, s) for s, t in chain])
+        yield AbstractAF(names)
+        yield AbstractAF(names, [(a, a) for a in names[::2]] + chain)
+        yield AbstractAF(names, [(names[0], names[0])]
+                         + [(names[0], a) for a in names[1:]])
 
 
 def random_masks(rng, n, density=0.3):
@@ -54,15 +71,57 @@ class TestKernelCorrectness:
             for sigma in SEMANTICS:
                 assert set(extensions(af, sigma)) == \
                     naive_extensions(af, sigma), (af, sigma)
+        for af in shaped_afs():
+            for sigma in SEMANTICS:
+                assert set(extensions(af, sigma)) == \
+                    naive_extensions(af, sigma), (af, sigma)
 
     def test_masks_ascending(self):
+        # three ascending, duplicate-free lists, each nested in the last
         rng = random.Random(127)
         for _ in range(40):
             n = rng.randint(0, 10)
             attackers, targets = random_masks(rng, n, rng.random() * 0.4)
-            for mode in MODES:
-                masks = kernels.semantics_masks(n, attackers, targets, mode)
+            admissible, complete, stable = kernels.semantics_masks(
+                n, attackers, targets)
+            for masks in (admissible, complete, stable):
                 assert masks == sorted(set(masks))
+            assert set(stable) <= set(complete) <= set(admissible)
+
+    def test_one_search_per_framework(self, monkeypatch):
+        calls = []
+        search = kernels.semantics_masks
+
+        def counted(*args):
+            calls.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(kernels, "semantics_masks", counted)
+        rng = random.Random(137)
+        for trial in range(20):
+            af = random_af(rng, rng.randint(0, 8), 0.2)
+            for sigma in SEMANTICS + SEMANTICS:
+                extensions(af, sigma)
+            assert len(calls) == trial + 1
+        # grounded alone is a fixpoint and runs no search
+        extensions(random_af(rng, 6, 0.2), "grounded")
+        assert len(calls) == 20
+
+    def test_equal_frameworks_answer_alike(self):
+        # each object keeps its own search: of two equal fresh frameworks,
+        # whichever answers first, the other answers the same, and the
+        # record changes neither ==, hash nor repr
+        rng = random.Random(139)
+        for _ in range(20):
+            af = random_af(rng, rng.randint(0, 8), rng.choice((0.0, 0.3)))
+            for sigmas in (SEMANTICS, SEMANTICS[::-1]):
+                first, second = (AbstractAF(af.args, af.defeats)
+                                 for _ in range(2))
+                answers = [extensions(first, sigma) for sigma in sigmas]
+                assert first == second and hash(first) == hash(second)
+                assert repr(first) == repr(second)
+                assert [extensions(second, sigma) for sigma in sigmas] \
+                    == answers
 
     def test_dependency_masks_against_scan(self):
         rng = random.Random(131)
@@ -92,6 +151,17 @@ class TestKernelCorrectness:
         af = AbstractAF(names, [(a, a) for a in names])
         start = time.perf_counter()
         assert extensions(af, "admissible") == (frozenset(),)
+        assert time.perf_counter() - start < 10
+
+    def test_wide_odd_cycle(self):
+        # 2^61 subsets and trillions of conflict-free ones, but only the
+        # empty set is admissible: every other branch is cut early.
+        names = [f"a{i}" for i in range(61)]
+        af = AbstractAF(names, zip(names, names[1:] + names[:1]))
+        start = time.perf_counter()
+        for sigma in SEMANTICS:
+            expected = () if sigma == "stable" else (frozenset(),)
+            assert extensions(af, sigma) == expected, sigma
         assert time.perf_counter() - start < 10
 
     def test_backend_name_reported(self):
