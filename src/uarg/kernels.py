@@ -2,17 +2,20 @@
 
 Subsets of an n-element universe are integers with bit i standing for
 element i.  These loops are the hot spots of semantics enumeration and
-completion filtering.  Both are backtracking searches that decide the bits
-from the highest down, excluding before including, so both return
-ascending mask lists.  Each cuts a branch as soon as the bits it has
-decided break a condition: ``semantics_masks`` only ever extends
+completion filtering, and both return ascending mask lists.
+``semantics_masks`` is a backtracking search that decides the bits from
+the highest down, excluding before including, only ever extends
 conflict-free sets and drops a set as soon as one of its attackers can no
 longer be answered, so it grows few sets beyond those that lead to an
-admissible one; ``dependency_masks`` checks each dependency once, when its
-lowest bit is decided.
+admissible one.  ``dependency_masks`` tests every dependency against all
+2^n subsets at once: it keeps one 2^n-bit integer whose bit m says whether
+subset m is still satisfying, and clears each dependency's falsifiers with
+a few big-integer operations (Knuth, TAOCP Vol. 4A, section 7.1.3).
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 
 def backend_name() -> str:
@@ -84,47 +87,65 @@ def _closed(outside: int, attackers: list[int], attacked: int) -> bool:
 
 
 def dependency_masks(n: int, clauses: list[tuple[int, int]]) -> list[int]:
-    """All subset masks satisfying every clause.
+    """All subset masks satisfying every clause, ascending.
 
     Each clause (pos, neg) is "not (pos <= mask and no bit of neg in
-    mask)", the form of every IMPLY, OR and NAND dependency.  Backtracking
-    decides the bits from the highest down, excluding before including, so
-    results are ascending.  A clause is checked once, on the branch that
-    decides its lowest bit, and only on the side of that bit it can
-    falsify; a subtree below the lowest such bit holds no clause and is
-    emitted as one range.
+    mask)", the form of every IMPLY, OR and NAND dependency.  Bit m of
+    ``good`` stands for mask m.  A clause's falsifiers are the masks that
+    hold every bit of pos and no bit of neg: ``good`` ANDed with the
+    column of each bit of pos and the complement of the column of each
+    bit of neg.  So a tautology (pos and neg overlap) has none, and the
+    empty clause has every mask.
     """
-    excluded: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    included: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    columns = _columns(n)
+    every = (1 << (1 << n)) - 1
+    good = every
     for pos, neg in clauses:
-        if pos & neg:
-            continue  # a tautology: no mask can falsify it
-        care = pos | neg
-        if not care:
-            return []  # the empty clause: every mask falsifies it
-        low = care & -care
-        i = low.bit_length() - 1
-        (included if pos & low else excluded)[i].append((care, pos))
-    free = 0  # bits below the lowest clause: no clause decides them
-    while free < n and not excluded[free] and not included[free]:
-        free += 1
-    out = []
-    stack = [(n, 0)]
-    while stack:
-        i, mask = stack.pop()
-        if i <= free:
-            out.extend(range(mask, mask + (1 << i)))
-            continue
-        i -= 1
-        grown = mask | 1 << i
-        for care, pos in included[i]:
-            if grown & care == pos:
-                break
-        else:
-            stack.append((i, grown))
-        for care, pos in excluded[i]:
-            if mask & care == pos:
-                break
-        else:
-            stack.append((i, mask))
-    return out
+        falsifiers = good
+        while pos:
+            low = pos & -pos
+            falsifiers &= columns[low.bit_length() - 1]
+            pos ^= low
+        while neg:
+            low = neg & -neg
+            falsifiers &= every ^ columns[low.bit_length() - 1]
+            neg ^= low
+        good ^= falsifiers
+        if not good:
+            return []
+    digits = bin(good)[:1:-1]  # digits[m] is bit m
+    # compress passes every mask; finding each 1 costs about 8 times more
+    # per mask found, so it wins below one satisfying mask in 8
+    if good.bit_count() << 3 < len(digits):
+        out = []
+        at = digits.find("1")
+        while at >= 0:
+            out.append(at)
+            at = digits.find("1", at + 1)
+        return out
+    return list(compress(range(len(digits)),
+                         digits.encode().translate(_BITS)))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_COLUMNS: dict[int, list[int]] = {}
+# The columns of every n <= 16 take about 270 kB; wider ones (n integers
+# of 2^n bits) are built per call, so that a wide call retains nothing.
+_CACHED_WIDTH = 16
+
+
+def _columns(n: int) -> list[int]:
+    """Column i is the 2^n-bit integer whose bit m is bit i of m.  Built
+    by doubling: the columns of width w, repeated once at w, and a new
+    column of w zeros then w ones give those of width 2w."""
+    columns = _COLUMNS.get(n)
+    if columns is None:
+        columns = []
+        width = 1
+        for _ in range(n):
+            columns = [c | c << width for c in columns]
+            columns.append(((1 << width) - 1) << width)
+            width <<= 1
+        if n <= _CACHED_WIDTH:
+            _COLUMNS[n] = columns
+    return columns

@@ -36,7 +36,7 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
-from uarg import incomplete, isaf
+from uarg import incomplete, isaf, kernels
 from uarg.documents import parse_completion_set, serialize_completion_set
 from uarg.incomplete import _horn_closed_masks, _induced_completions, _own_bits
 
@@ -378,7 +378,6 @@ class TestDependencyFiltering:
         wide = completions_dep(DepArgIAF(iaf, deps))
         # subset route on the same instance, bound raised explicitly
         from uarg.incomplete import _encode_deps
-        from uarg import kernels
 
         index = {a: i for i, a in enumerate(names)}
         masks = kernels.dependency_masks(len(names), _encode_deps(deps, index))
@@ -417,6 +416,29 @@ class TestDependencyFiltering:
                            match=r"2\^10 = 1024 .*--max-uncertain or "
                                  "UARG_MAX_UNCERTAIN"):
             completions_dep(DepArgIAF(iaf, deps), Limits(max_uncertain=10))
+
+    def test_alternating_chain_takes_the_bounded_scan(self, monkeypatch):
+        # or/nand on each neighbouring pair is not implicative, so however
+        # wide the chain it takes the 2^n kernel, and the uncertainty bound
+        # (20 by default) is checked before the kernel runs.
+        def chain(n):
+            names = [f"u{i}" for i in range(n)]
+            pairs = [names[i:i + 2] for i in range(n - 1)]
+            deps = [Or(p) for p in pairs] + [Nand(p) for p in pairs]
+            return names, DepArgIAF(ArgIAF([], names, []), deps)
+
+        names, diaf = chain(20)
+        assert subset_names(completions_dep(diaf)) == sorted(
+            tuple(sorted(names[i::2])) for i in (0, 1))
+
+        def refuse(n, clauses):
+            raise AssertionError(f"kernel called at n={n}")
+
+        monkeypatch.setattr(kernels, "dependency_masks", refuse)
+        with pytest.raises(UncertaintyBoundExceededError,
+                           match=r"^UNCERTAINTY_BOUND_EXCEEDED: 21 uncertain "
+                                 r"elements exceed the bound 20 \(2\^21 "):
+            completions_dep(chain(21)[1])
 
     def test_horn_closure_against_fixpoint_enumeration(self):
         rng = random.Random(37)

@@ -131,13 +131,57 @@ class TestKernelCorrectness:
                     if n else [])
             assert kernels.dependency_masks(n, deps) == \
                 scanned_dependency_masks(n, deps), (n, deps)
-        # a clause over no bits is false under every mask
-        for n in (0, 3):
-            assert kernels.dependency_masks(n, [(0, 0)]) == \
-                scanned_dependency_masks(n, [(0, 0)]) == []
+        # wider sets, with clauses repeated
+        for n in (13, 14, 15, 16, 16):
+            deps = [random_clause(rng, n) for _ in range(rng.randint(1, 4))]
+            deps += rng.sample(deps, rng.randint(1, len(deps)))
+            assert kernels.dependency_masks(n, deps) == \
+                scanned_dependency_masks(n, deps), (n, deps)
+        # a clause over no bits is false under every mask, tautologies
+        # (pos and neg overlap) around it or not
+        assert kernels.dependency_masks(0, [(0, 0)]) == \
+            scanned_dependency_masks(0, [(0, 0)]) == []
+        for n in (1, 3, 9):
+            top = 1 << n - 1
+            for deps in ([(0, 0)], [(top, top), (0, 0)],
+                         [(0, 0), (1, 1), (top, top | 1)]):
+                assert kernels.dependency_masks(n, deps) == \
+                    scanned_dependency_masks(n, deps) == []
+            taut = [(top, top), (1, 1)] * 2
+            assert kernels.dependency_masks(n, taut) == list(range(1 << n))
+        # clauses on the top bit only split the masks into two halves
+        for n in (1, 5, 12, 16):
+            top = 1 << n - 1
+            for deps in ([(0, top)], [(top, 0)], [(top, top)],
+                         [(top, 0), (0, top)]):
+                assert kernels.dependency_masks(n, deps) == \
+                    scanned_dependency_masks(n, deps), (n, deps)
+        # k single-bit ORs keep one mask in 2^k, spread over all 2^n, so the
+        # outputs run from every mask to one, across any switch between a
+        # dense and a sparse way of reading them out; the same k ORs on the
+        # top bits keep the top 2^(n-k) masks in one block.
+        for n in (1, 6, 12, 16):
+            for k in range(n + 1):
+                for shift in (0, n - k):
+                    deps = [(0, 1 << i + shift) for i in range(k)]
+                    masks = kernels.dependency_masks(n, deps)
+                    assert masks == scanned_dependency_masks(n, deps), \
+                        (n, deps)
+                    assert len(masks) == 1 << n - k
+        # synthesized sets: every clause names all n bits, so each excludes
+        # exactly the one mask equal to its pos
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            for count in sorted({0, 1, 2, full // 2, full - 1, full}):
+                left_out = rng.sample(range(1 << n), count)
+                deps = [(m, full ^ m) for m in left_out]
+                masks = kernels.dependency_masks(n, deps)
+                assert masks == scanned_dependency_masks(n, deps), (n, deps)
+                assert masks == sorted(set(range(1 << n)) - set(left_out))
 
     def test_dependency_clause_on_bit_zero_only(self):
-        # decided at the last level of the search, just above the leaves
+        # bit 0 alternates from each mask to the next, the finest pattern
+        # a clause can select
         for n in range(1, 6):
             # OR, NAND, a tautological IMPLY, and an IMPLY from the top bit
             for deps in ([(0, 1)], [(1, 0)], [(1, 1)], [(1 << n - 1, 1)]):
