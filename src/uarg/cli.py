@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import click
 
 from . import documents, equivalence, fixtures, translate
-from .aspic import SAF
-from .config import Limits, load_limits, read_text
-from .core import SEMANTICS, AbstractAF, extensions, parse_af, serialize_af
+from .config import Limits, load_limits, read_text, write_text
+from .core import SEMANTICS, AbstractAF, extensions, parse_af
 from .errors import (
     RESOURCE_ERRORS,
     InputError,
@@ -27,22 +27,29 @@ from .errors import (
     UnsupportedDirectionError,
 )
 from .incomplete import (
-    ArgIAF,
     CompletionSet,
     DepArgIAF,
     serialize_iaf,
     synthesize_dependencies,
 )
-from .isaf import PremISAF, RulISAF, completion_set_of
+from .isaf import completion_set_of
 
 
 def _limits(ctx: click.Context) -> Limits:
     return ctx.obj["limits"]
 
 
-def _fail(error: UargError) -> None:
-    click.echo(str(error), err=True)
-    sys.exit(3 if isinstance(error, RESOURCE_ERRORS) else 2)
+class _Boundary(click.Group):
+    """The one place a UargError leaves the program: its ``CODE: message``
+    line on stderr, then exit 3 for an exceeded resource bound and 2 for
+    anything else."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except UargError as error:
+            click.echo(str(error), err=True)
+            ctx.exit(3 if isinstance(error, RESOURCE_ERRORS) else 2)
 
 
 def _fixture(name: str) -> fixtures.Fixture:
@@ -53,43 +60,39 @@ def _fixture(name: str) -> fixtures.Fixture:
                          f"list`") from None
 
 
-def _read_input(spec: str, kind: str | None):
+def _read_input(spec: str, kind: str | None, accept: Sequence[str],
+                default: str | None = None):
+    """The framework ``spec`` names.  A ``fixture:<name>`` must be of one
+    of the ``accept`` kinds, and of ``kind`` when one is given; a file is
+    read as ``kind``, else as ``default``."""
     if spec.startswith("fixture:"):
         name = spec[len("fixture:"):]
         entry = _fixture(name)
-        value = entry.build()
-        if kind is not None and entry.kind != kind:
-            raise InputError(f"fixture {name} has kind {entry.kind}, not {kind}")
-        return value
+        wanted = (kind,) if kind else accept
+        if entry.kind not in wanted:
+            raise InputError(f"fixture {name} has kind {entry.kind}, not "
+                             f"{' or '.join(wanted)}")
+        return entry.build()
+    kind = kind or default
     if kind is None:
         raise InputError("--kind is required for file inputs")
     return documents.load_framework(read_text(spec), kind)
 
 
-def _fixture_kind(spec: str) -> str | None:
-    if spec.startswith("fixture:"):
-        return _fixture(spec[len("fixture:"):]).kind
-    return None
-
-
-@click.group()
+@click.group(cls=_Boundary)
 @click.option("--config", "config_path", type=click.Path(exists=True),
               default=None, help="Config file with key=value lines.")
 @click.option("--max-uncertain", type=int, default=None)
 @click.option("--max-arguments", type=int, default=None)
 @click.option("--max-depth", type=int, default=None)
 @click.option("--max-equiv-args", type=int, default=None)
-@click.option("--max-search-args", type=int, default=None)
 @click.pass_context
 def main(ctx, config_path, **overrides):
     """Reason about argumentation frameworks under qualitative uncertainty:
     enumerate completions, translate between formalisms, and decide
     completion-set equivalence."""
     ctx.ensure_object(dict)
-    try:
-        ctx.obj["limits"] = load_limits(config_path, overrides)
-    except UargError as error:
-        _fail(error)
+    ctx.obj["limits"] = load_limits(config_path, overrides)
 
 
 @main.command()
@@ -101,18 +104,14 @@ def main(ctx, config_path, **overrides):
 @click.pass_context
 def completions(ctx, input_spec, kind, count, out):
     """Enumerate the completion set of a framework."""
-    try:
-        kind = kind or _fixture_kind(input_spec)
-        framework = _read_input(input_spec, kind)
-        completion_set = completion_set_of(framework, _limits(ctx))
-    except UargError as error:
-        _fail(error)
+    framework = _read_input(input_spec, kind, documents.FRAMEWORK_KINDS)
+    completion_set = completion_set_of(framework, _limits(ctx))
     if count:
         click.echo(str(len(completion_set)))
         return
     text = documents.serialize_completion_set(completion_set)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     else:
         click.echo(text, nl=False)
 
@@ -144,38 +143,35 @@ def translate_cmd(ctx, input_spec, from_kind, to_kind, verify,
     """Run one of the six constructive translations; emits the target
     framework document and the certifying witness."""
     limits = _limits(ctx)
-    try:
-        handler = _DIRECTIONS.get((from_kind, to_kind))
-        if handler is None:
-            raise UnsupportedDirectionError(
-                f"no translation from {from_kind} to {to_kind}")
-        source = _read_input(input_spec, from_kind)
-        # the arg-iaf encodings generate nothing, so take no limits
-        if from_kind == "arg-iaf":
-            target, witness = handler(source)
-        else:
-            target, witness = handler(source, limits)
-        framework_text = documents.serialize_framework(target)
-        witness_text = json.dumps(witness.to_json(), sort_keys=True) + "\n"
-        if out_framework:
-            Path(out_framework).write_text(framework_text, encoding="utf-8")
-        if out_witness:
-            Path(out_witness).write_text(witness_text, encoding="utf-8")
-        if not out_framework:
-            click.echo(framework_text, nl=False)
-            click.echo("=== witness ===")
-            click.echo(witness_text, nl=False)
-        if verify:
-            source_set = completion_set_of(source, limits)
-            target_set = completion_set_of(target, limits)
-            if not equivalence.check_witness(source_set, target_set, witness):
-                click.echo("verification failed: completion sets are not "
-                           "equivalent under the witness", err=True)
-                sys.exit(1)
-            click.echo("verified: completion sets equivalent under witness",
-                       err=True)
-    except UargError as error:
-        _fail(error)
+    handler = _DIRECTIONS.get((from_kind, to_kind))
+    if handler is None:
+        raise UnsupportedDirectionError(
+            f"no translation from {from_kind} to {to_kind}")
+    source = _read_input(input_spec, from_kind, documents.FRAMEWORK_KINDS)
+    # the arg-iaf encodings generate nothing, so take no limits
+    if from_kind == "arg-iaf":
+        target, witness = handler(source)
+    else:
+        target, witness = handler(source, limits)
+    framework_text = documents.serialize_framework(target)
+    witness_text = json.dumps(witness.to_json(), sort_keys=True) + "\n"
+    if out_framework:
+        write_text(out_framework, framework_text)
+    if out_witness:
+        write_text(out_witness, witness_text)
+    if not out_framework:
+        click.echo(framework_text, nl=False)
+        click.echo("=== witness ===")
+        click.echo(witness_text, nl=False)
+    if verify:
+        source_set = completion_set_of(source, limits)
+        target_set = completion_set_of(target, limits)
+        if not equivalence.check_witness(source_set, target_set, witness):
+            click.echo("verification failed: completion sets are not "
+                       "equivalent under the witness", err=True)
+            sys.exit(1)
+        click.echo("verified: completion sets equivalent under witness",
+                   err=True)
 
 
 def _read_completion_set(path_spec: str):
@@ -210,13 +206,10 @@ def equiv(ctx, left, right, identity_only):
     """Decide completion-set equivalence of two completion-set documents
     (files of AF texts separated by --- lines, or directories of .apx
     files)."""
-    try:
-        left_set = _read_completion_set(left)
-        right_set = _read_completion_set(right)
-        result = equivalence.equivalent(left_set, right_set, _limits(ctx),
-                                        identity_only=identity_only)
-    except UargError as error:
-        _fail(error)
+    left_set = _read_completion_set(left)
+    right_set = _read_completion_set(right)
+    result = equivalence.equivalent(left_set, right_set, _limits(ctx),
+                                    identity_only=identity_only)
     payload = {
         "verdict": result.verdict,
         "witness": result.witness.to_json() if result.witness else None,
@@ -232,14 +225,8 @@ def equiv(ctx, left, right, identity_only):
 @click.pass_context
 def semantics(ctx, input_spec, sigma):
     """List the extensions of an abstract framework under a semantics."""
-    try:
-        kind = _fixture_kind(input_spec) or "af"
-        framework = _read_input(input_spec, kind)
-        if not isinstance(framework, AbstractAF):
-            raise InputError("semantics expects an abstract framework")
-        exts = extensions(framework, sigma, _limits(ctx))
-    except UargError as error:
-        _fail(error)
+    framework = _read_input(input_spec, None, ("af",), "af")
+    exts = extensions(framework, sigma, _limits(ctx))
     click.echo(json.dumps({
         "semantics": sigma,
         "extensions": [sorted(ext) for ext in exts],
@@ -249,26 +236,16 @@ def semantics(ctx, input_spec, sigma):
 @main.command(name="synth-deps")
 @click.argument("input_spec", metavar="INPUT")
 @click.argument("target", metavar="TARGET")
-@click.option("--minimize", is_flag=True,
-              help="Drop dependencies whose removal keeps the completion "
-                   "set; no synthesized one qualifies, so the output is "
-                   "unchanged.")
 @click.pass_context
-def synth_deps(ctx, input_spec, target, minimize):
+def synth_deps(ctx, input_spec, target):
     """Synthesize dependencies so the framework's completions become exactly
     the target set; prints the resulting dependency-extended document."""
-    try:
-        kind = _fixture_kind(input_spec) or "arg-iaf"
-        framework = _read_input(input_spec, kind)
-        if isinstance(framework, DepArgIAF):
-            framework = framework.base
-        if not isinstance(framework, ArgIAF):
-            raise InputError("synth-deps expects an arg-iaf input")
-        target_set = _read_completion_set(target)
-        deps = synthesize_dependencies(framework, target_set,
-                                       minimize=minimize, limits=_limits(ctx))
-    except UargError as error:
-        _fail(error)
+    framework = _read_input(input_spec, None, ("arg-iaf", "dep-arg-iaf"),
+                            "arg-iaf")
+    if isinstance(framework, DepArgIAF):
+        framework = framework.base
+    target_set = _read_completion_set(target)
+    deps = synthesize_dependencies(framework, target_set, limits=_limits(ctx))
     click.echo(serialize_iaf(DepArgIAF(framework, deps)), nl=False)
 
 
@@ -295,18 +272,16 @@ def _to_dot(framework) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DOT_KINDS = ("af", "arg-iaf", "dep-arg-iaf")
+
+
 @main.command(name="export-dot")
 @click.argument("input_spec", metavar="INPUT")
-@click.option("--kind", type=click.Choice(["af", "arg-iaf", "dep-arg-iaf"]),
-              default=None)
-@click.pass_context
-def export_dot(ctx, input_spec, kind):
-    """Emit a DOT graph; uncertain arguments are rendered dashed."""
-    try:
-        kind = kind or _fixture_kind(input_spec) or "af"
-        framework = _read_input(input_spec, kind)
-    except UargError as error:
-        _fail(error)
+@click.option("--kind", type=click.Choice(_DOT_KINDS), default=None)
+def export_dot(input_spec, kind):
+    """Emit a DOT graph of an af, arg-iaf or dep-arg-iaf; uncertain
+    arguments are rendered dashed."""
+    framework = _read_input(input_spec, kind, _DOT_KINDS, "af")
     click.echo(_to_dot(framework), nl=False)
 
 
@@ -322,38 +297,28 @@ def fixtures_list():
         click.echo(f"{name}\t{entry.kind}\t{entry.description}")
 
 
-def _fixture_document(value) -> str:
-    if isinstance(value, (AbstractAF, ArgIAF, DepArgIAF, SAF, RulISAF,
-                          PremISAF)):
-        return documents.serialize_framework(value)
-    raise click.UsageError("fixture has no single-document form")
-
-
 @fixtures_group.command(name="emit")
 @click.argument("name")
 @click.option("--out", type=click.Path(), default=None)
 def fixtures_emit(name, out):
-    try:
-        entry = _fixture(name)
-    except UargError as error:
-        _fail(error)
+    entry = _fixture(name)
     value = entry.build()
     if entry.kind == "completion-set-pair":
         left, right = value
         left_text = documents.serialize_completion_set(left)
         right_text = documents.serialize_completion_set(right)
         if out:
-            Path(f"{out}.left").write_text(left_text, encoding="utf-8")
-            Path(f"{out}.right").write_text(right_text, encoding="utf-8")
+            write_text(f"{out}.left", left_text)
+            write_text(f"{out}.right", right_text)
         else:
             click.echo("%% left")
             click.echo(left_text, nl=False)
             click.echo("%% right")
             click.echo(right_text, nl=False)
         return
-    text = _fixture_document(value)
+    text = documents.serialize_framework(value)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     else:
         click.echo(text, nl=False)
 

@@ -21,7 +21,6 @@ class Limits:
     max_arguments: int = 10_000  # generated structured arguments
     max_depth: int = 50          # structured argument height
     max_equiv_args: int = 16     # union size for equivalence search
-    max_search_args: int = 6     # framework size for negative certification
 
     def __post_init__(self):
         for f in fields(self):
@@ -42,6 +41,16 @@ def read_text(path: str | os.PathLike) -> str:
     except (OSError, UnicodeDecodeError) as error:
         reason = getattr(error, "strerror", None) or error
         raise InputError(f"cannot read {str(path)!r}: {reason}") from None
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` as UTF-8; a file that cannot be written is an
+    InputError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as error:
+        reason = error.strerror or error
+        raise InputError(f"cannot write {str(path)!r}: {reason}") from None
 
 
 def parse_config_text(text: str) -> dict[str, int]:

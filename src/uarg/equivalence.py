@@ -332,11 +332,6 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
     of the target is built; the candidate's completion set is compared
     with the target under the identity mapping.
     """
-    if max_args > limits.max_search_args:
-        raise SearchBoundExceededError(
-            f"max_args={max_args} exceeds max_search_args="
-            f"{limits.max_search_args}; raise it with --max-search-args "
-            "or UARG_MAX_SEARCH_ARGS")
     if len(target) == 0:
         return True  # every argument-incomplete framework has a completion
     graph, keys = target._graph, target._keys

@@ -548,7 +548,9 @@ def parse_iaf(text: str) -> DepArgIAF:
 
     Extends the AF format with ?arg(x). for uncertain arguments and
     imply([..],[..]). / or([..]). / nand([..]). dependency lines; list
-    items are comma-separated identifiers.
+    items are comma-separated identifiers.  An imply line whose lists hold
+    bracketed identifiers may mark the boundary between them with ',,':
+    imply([..],,[..]).
     """
     fixed: set[str] = set()
     uncertain: set[str] = set()
@@ -583,9 +585,11 @@ def parse_iaf(text: str) -> DepArgIAF:
                 f"{kind} arguments must be bracketed lists: {body!r}",
                 lineno, 1)
         if kind == "imply":
-            # Identifiers cannot contain commas, so '],[' splits the two
-            # lists unambiguously even though ids may contain brackets.
-            lists = body[1:-1].split("],[")
+            # Identifiers are never empty and never contain commas, so
+            # '],,[' can only be the mark serialize_dependency puts between
+            # two lists that '],[' would not split unambiguously.
+            mark = "],,[" if "],,[" in body else "],["
+            lists = body[1:-1].split(mark)
             if len(lists) != 2:
                 raise ParseError("imply needs exactly two lists", lineno, 1)
             deps.append(ImplyDisj(_split_ids(lists[0], lineno, 1),
@@ -604,7 +608,10 @@ def serialize_dependency(dep: Dependency) -> str:
         return "[" + ",".join(sorted(values)) + "]"
 
     if isinstance(dep, ImplyDisj):
-        return f"imply({fmt(dep.all_of)},{fmt(dep.any_of)})."
+        body = f"{fmt(dep.all_of)},{fmt(dep.any_of)}"
+        if body.count("],[") > 1:  # ids with brackets: mark the boundary
+            body = f"{fmt(dep.all_of)},,{fmt(dep.any_of)}"
+        return f"imply({body})."
     if isinstance(dep, Or):
         return f"or({fmt(dep.any_of)})."
     if isinstance(dep, Nand):

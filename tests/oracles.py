@@ -299,15 +299,20 @@ def recheck_equivalent(source, target, limits=DEFAULT_LIMITS):
                              stats["nodes"], stats["prunes"])
 
 
+#: The enumeration visits up to max_args! relabellings, each with every
+#: choice of uncertain arguments, so it refuses larger frameworks.
+ENUMERATION_MAX_ARGS = 6
+
+
 def enumerated_no_equivalent_arg_iaf(target, max_args,
                                      limits=DEFAULT_LIMITS) -> bool:
     """Negative certification by enumeration: every relabelling of the
     target's one full member onto the target's names, with every choice
     of uncertain arguments, is checked with the equivalence search."""
-    if max_args > limits.max_search_args:
+    if max_args > ENUMERATION_MAX_ARGS:
         raise SearchBoundExceededError(
-            f"max_args={max_args} exceeds max_search_args="
-            f"{limits.max_search_args}")
+            f"max_args={max_args} exceeds ENUMERATION_MAX_ARGS="
+            f"{ENUMERATION_MAX_ARGS}")
     if len(target) == 0:
         return True  # completion sets are never empty
     union = sorted(target.argument_union())

@@ -343,6 +343,26 @@ class TestFixturesCommands:
         assert result.output.strip() == "4"
 
 
+class TestFixtureSweep:
+    """Every registered fixture through every command that reads one
+    framework: a wrong kind is bad input, never an escaping exception."""
+
+    @pytest.mark.parametrize("name", sorted(uarg.fixtures.REGISTRY))
+    def test_no_exception_escapes(self, name):
+        spec = f"fixture:{name}"
+        kind = uarg.fixtures.REGISTRY[name].kind
+        runs = [["completions", spec, "--count"], ["export-dot", spec],
+                ["semantics", spec, "--sigma", "grounded"]]
+        runs += [["translate", spec, "--from", kind, "--to", to, "--verify"]
+                 for to in ("rul-isaf", "prem-isaf", "imp-arg-iaf",
+                            "tidy-prem-isaf")]
+        for argv in runs:
+            result = run(*argv)
+            assert result.exception is None \
+                or isinstance(result.exception, SystemExit), argv
+            assert result.exit_code in (0, 2), argv
+
+
 class TestConfigLayers:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "uarg.cfg"
@@ -401,6 +421,16 @@ class TestErrorContract:
          "UNDECLARED_ARGUMENT"),
         (["equiv", "{empty}", "{one}"], {}, "INPUT_ERROR"),
         (["synth-deps", "fixture:example1", "{empty}"], {}, "INPUT_ERROR"),
+        (["export-dot", "fixture:thm3_rul"], {}, "INPUT_ERROR"),
+        (["completions", "fixture:remark_weak_equiv"], {}, "INPUT_ERROR"),
+        (["completions", "fixture:example1", "--out", "{missing}/x.txt"], {},
+         "INPUT_ERROR"),
+        (["translate", "fixture:example1", "--from", "arg-iaf", "--to",
+          "rul-isaf", "--out-framework", "{missing}/x.json"], {},
+         "INPUT_ERROR"),
+        (["fixtures", "emit", "example1", "--out", "{missing}/x.iaf"], {},
+         "INPUT_ERROR"),
+        (["--config", "{search_cfg}", "fixtures", "list"], {}, "PARSE_ERROR"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
@@ -408,10 +438,15 @@ class TestErrorContract:
             "theory-rule-without-head", "theory-null-rules",
             "config-directory", "config-not-utf8", "equiv-dir-unparsable",
             "equiv-dir-undeclared-argument", "equiv-dir-empty",
-            "synth-deps-dir-empty"])
+            "synth-deps-dir-empty", "export-dot-structured",
+            "completions-pair-fixture", "completions-out-unwritable",
+            "translate-out-unwritable", "fixtures-emit-out-unwritable",
+            "config-max-search-args"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
+        search_cfg = tmp_path / "search.cfg"
+        search_cfg.write_text("max_search_args = 6\n", encoding="utf-8")
         bad = tmp_path / "bad.afs"
         bad.write_text("arg(a\x01).\n---\n", encoding="utf-8")
         headless = tmp_path / "headless.json"
@@ -435,13 +470,23 @@ class TestErrorContract:
         formatted = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
                               headless=headless, null_rules=null_rules,
                               dir=tmp_path, latin1=latin1, one=one,
-                              empty=empty, **dirs)
+                              empty=empty, search_cfg=search_cfg, **dirs)
                      for a in argv]
         line = self.assert_one_line(formatted, env, 2, code)
         if "{empty}" in argv:  # names the empty input
             assert str(empty) in line
         if any(a.endswith("_dir}") for a in argv):  # names the bad file
             assert "x.apx" in line and "ok.apx" not in line
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--max-search-args", "6", "fixtures", "list"], "--max-search-args"),
+        (["synth-deps", "fixture:example2", "t.afs", "--minimize"],
+         "--minimize"),
+    ], ids=["max-search-args", "synth-deps-minimize"])
+    def test_removed_option_is_a_usage_error(self, argv, option):
+        result = run(*argv)
+        assert result.exit_code == 2
+        assert f"No such option '{option}'" in result.output
 
     def test_exit_three_on_search_bound(self, tmp_path):
         doc = tmp_path / "two.afs"

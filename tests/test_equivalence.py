@@ -18,7 +18,11 @@ from uarg import (
     no_equivalent_arg_iaf,
 )
 from uarg.equivalence import _KeyTables
-from uarg.errors import DomainMismatchError, SearchBoundExceededError
+from uarg.errors import (
+    DomainMismatchError,
+    SearchBoundExceededError,
+    UncertaintyBoundExceededError,
+)
 
 from framework_gen import nand_cut_cases, no_member_built, random_arg_iaf
 from oracles import (
@@ -601,6 +605,15 @@ class TestNoEquivalentArgIaf:
         iaf = ArgIAF(["a"], ["b"], [("b", "a")])
         assert not no_equivalent_arg_iaf(completions_arg_iaf(iaf), 2)
 
+    def test_max_args_has_no_bound_of_its_own(self):
+        # the candidate is read from the target's keys, so only its
+        # completions cost 2^k, under max_uncertain
+        iaf = ArgIAF(["a"], ["b", "c"], [("b", "a")])
+        target = completions_arg_iaf(iaf)
+        assert not no_equivalent_arg_iaf(target, 64)
+        with pytest.raises(UncertaintyBoundExceededError):
+            no_equivalent_arg_iaf(target, 64, Limits(max_uncertain=1))
+
     def test_reads_the_target_without_building_members(self):
         # fixed arguments, count and the full member all come from keys
         iaf = ArgIAF(["a"], ["b", "c"], [("a", "b"), ("c", "a")])
@@ -634,14 +647,6 @@ class TestNoEquivalentArgIaf:
         for _ in range(25):
             target = completions_arg_iaf(random_arg_iaf(rng, max_args=2))
             assert no_equivalent_arg_iaf(target, 2) == brute(target)
-
-    def test_bound_check(self):
-        t3 = completion_set_of(fixtures.get("thm3_rul"))
-        with pytest.raises(SearchBoundExceededError,
-                           match="max_args=7 exceeds max_search_args=6; "
-                                 "raise it with --max-search-args or "
-                                 "UARG_MAX_SEARCH_ARGS"):
-            no_equivalent_arg_iaf(t3, 7)
 
     def test_matches_enumeration_oracle(self):
         # Each target as-is, with one defeat toggled, with one member

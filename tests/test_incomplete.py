@@ -625,12 +625,22 @@ class TestIafTextFormat:
         assert parse_iaf(serialize_iaf(diaf)) == diaf
 
     def test_imply_still_splits_on_bracket_comma_bracket(self):
-        # imply([[a],[b],[c]). splits into three lists, not two
-        diaf = DepArgIAF(ArgIAF([], ["[a]", "[b", "c"], []),
-                         [ImplyDisj(["[a]", "[b"], ["c"])])
-        assert "imply([[a],[b],[c])." in serialize_iaf(diaf)
-        with pytest.raises(ParseError, match="two lists"):
-            parse_iaf(serialize_iaf(diaf))
+        # A line without the ',,' mark splits at every '],[', so the
+        # serializer marks the boundary exactly when '],[' is ambiguous:
+        # in the first list, in the second, or in neither (sorted, the
+        # second list here is [c,b]).
+        base = ArgIAF([], ["[a]", "[a", "[b]", "[b", "b]", "[c", "c"], [])
+        for dep, line in (
+                (ImplyDisj(["[a]", "[b"], ["c"]), "imply([[a],[b],,[c])."),
+                (ImplyDisj(["[a"], ["[b]", "[c"]),
+                 "imply([[a],,[[b],[c])."),
+                (ImplyDisj(["[a"], ["b]", "[c"]), "imply([[a],[[c,b]]).")):
+            diaf = DepArgIAF(base, [dep])
+            assert line in serialize_iaf(diaf).splitlines()
+            assert parse_iaf(serialize_iaf(diaf)) == diaf
+            if ",," in line:
+                with pytest.raises(ParseError, match="two lists"):
+                    parse_iaf(serialize_iaf(diaf).replace("],,[", "],["))
 
     def test_att_names_may_carry_whitespace(self):
         for text in ("arg(a).\narg(b).\natt(a ,b).\n",
