@@ -106,10 +106,8 @@ def completions(ctx, input_spec, kind, count, out):
     """Enumerate the completion set of a framework."""
     framework = _read_input(input_spec, kind, documents.FRAMEWORK_KINDS)
     completion_set = completion_set_of(framework, _limits(ctx))
-    if count:
-        click.echo(str(len(completion_set)))
-        return
-    text = documents.serialize_completion_set(completion_set)
+    text = (f"{len(completion_set)}\n" if count
+            else documents.serialize_completion_set(completion_set))
     if out:
         write_text(out, text)
     else:

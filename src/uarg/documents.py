@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Any
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Iterator
 
 from .aspic import (
     DEFEASIBLE,
@@ -21,9 +22,23 @@ from .aspic import (
     is_valid_formula,
     make_theory,
 )
-from .core import AbstractAF, parse_af, serialize_af
+from .core import (
+    AbstractAF,
+    _declared_defeats,
+    _read_graph_line,
+    _read_lines,
+    parse_af,
+    serialize_af,
+)
 from .errors import InvalidTheoryError, MixedUncertaintyError, ParseError
-from .incomplete import ArgIAF, CompletionSet, DepArgIAF, parse_iaf, serialize_iaf
+from .incomplete import (
+    ArgIAF,
+    CompletionSet,
+    DepArgIAF,
+    _key_columns,
+    parse_iaf,
+    serialize_iaf,
+)
 from .isaf import PremISAF, RulISAF
 
 FRAMEWORK_KINDS = ("af", "arg-iaf", "dep-arg-iaf", "rul-isaf", "prem-isaf", "saf")
@@ -253,37 +268,94 @@ def theory_document_of(framework: SAF | RulISAF | PremISAF) -> dict:
     }
 
 
+def _graph_entry(line: str, lineno: int) -> str | tuple[str, str] | bool:
+    """What one line of an AF text declares: the identifier of an arg
+    line, the pair of an att line, or False for a blank line or a
+    comment."""
+    for _, column, kind, body in _read_lines(line, ("arg", "att"), lineno):
+        names = _read_graph_line(kind, body, lineno, column)
+        return names[0] if kind == "arg" else (names[0], names[1])
+    return False
+
+
 def parse_completion_set(text: str) -> CompletionSet:
-    """Errors give the line within the whole document."""
-    sections: list[tuple[int, str]] = []  # (first line, section text)
-    current: list[str] = []
-    first = 1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.strip() == "---":
-            sections.append((first, "\n".join(current)))
-            current = []
-            first = lineno + 1
-        else:
-            current.append(line)
-    tail = "\n".join(current)
-    if tail.strip():
-        sections.append((first, tail))
-    return CompletionSet(parse_af(section, first_line=first)
-                         for first, section in sections)
+    """Errors give the line within the whole document.
+
+    Every ``---`` line closes a member, an empty one too; the lines after
+    the last one are a member iff one of them is not blank (a comment
+    counts).  Each distinct line is read and validated once.  A member's
+    att lines are checked against its own arg lines when it closes, so
+    every error names the line that reading the sections one by one with
+    ``parse_af`` would name."""
+    lines = text.splitlines()
+    read: dict[str, str | tuple[str, str] | bool] = {}  # True for ---
+    members: list[AbstractAF] = []
+    args: list[str] = []
+    atts: list[tuple[str, str]] = []
+    first = 0  # the index of the open member's first line
+
+    def close(end: int) -> AbstractAF:
+        declared = set(args)
+        if not declared.issuperset(chain.from_iterable(atts)):
+            _declared_defeats([(k + 1, *read[lines[k]])
+                               for k in range(first, end)
+                               if read[lines[k]].__class__ is tuple], declared)
+        return AbstractAF._canonical(tuple(sorted(declared)),
+                                     tuple(sorted(set(atts))))
+
+    for i, line in enumerate(lines):
+        entry = read.get(line)
+        if entry is None:
+            entry = read[line] = (line.strip() == "---"
+                                  or _graph_entry(line, i + 1))
+        if entry is True:
+            members.append(close(i))
+            args, atts, first = [], [], i + 1
+        elif entry.__class__ is str:
+            args.append(entry)
+        elif entry:
+            atts.append(entry)
+    if any(map(str.strip, lines[first:])):
+        members.append(close(len(lines)))
+    return CompletionSet(members)
 
 
 def serialize_completion_set(completions: CompletionSet) -> str:
-    """Each member's ``serialize_af`` text followed by a ``---`` line.
-    Every arg(..) and att(..) line of the set's union graph is formatted
-    once, and each member selects its lines by its key, so no member is
-    built."""
-    graph = completions._graph
-    lines = [f"arg({a}).\n" for a in graph.args]
-    lines += [f"att({s},{t}).\n" for s, t in graph.defeats]
-    parts: list[str] = []
-    for keep in completions._selectors():
-        parts += compress(lines, keep)
-        parts.append("---\n")
+    """Each member's ``serialize_af`` text followed by a ``---`` line,
+    written a column at a time, so no member is built and nothing loops
+    over the members in Python.
+
+    The column of a graph line holds one byte per member: 1 where the
+    member holds that argument or defeat, else 0.  The lines go eight at
+    a time; their columns, shifted by 0 to 7 and ORed, give each member a
+    byte whose bits pick its lines of the run, and a table of the joins
+    of every subset of those lines turns that byte into its text."""
+    graph, keys = completions._graph, completions._keys
+    args, defeats = graph.args, graph.defeats
+    column = _key_columns(keys, len(args) + len(defeats))
+    held = dict(zip(args, map(column, range(len(args)))))
+
+    def line_columns() -> Iterator[int]:
+        yield from held.values()
+        for j, (s, t) in enumerate(defeats, len(args)):
+            # both endpoints held, and key bit j (the defeat lacked) clear
+            yield held[s] & held[t] & ~column(j)
+
+    lines = [f"arg({a}).\n" for a in args]
+    lines += [f"att({s},{t}).\n" for s, t in defeats]
+    pending = line_columns()
+    step = (len(lines) + 7) // 8 + 1  # a member's runs, then its ---
+    parts = ["---\n"] * (step * len(keys))
+    for run, low in enumerate(range(0, len(lines), 8)):
+        table = [""]  # table[v]: the run's lines at the set bits of v
+        for line in lines[low:low + 8]:
+            table += [t + line for t in table]
+        byte = 0
+        for k, held_by in zip(range(8), pending):
+            byte |= held_by << k
+        # the leading 0 keeps a tuple when there is one member
+        parts[run::step] = itemgetter(0, *byte.to_bytes(len(keys),
+                                                        "little"))(table)[1:]
     return "".join(parts)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -339,8 +339,8 @@ def _union_of(graph: AbstractAF, masks: tuple[int, ...]) -> tuple[
     over it, in the same order.  A defeat is held iff one mask keeps both
     its endpoints."""
     args = graph.args
-    column = dict(zip(args, _columns(masks, len(args),
-                                     (len(args) + 7) // 8)))
+    column = dict(zip(args, map(_key_columns(masks, len(args)),
+                                range(len(args)))))
     kept = tuple(a for a in args if column[a])
     if len(kept) < len(args):  # renumber the bits of the kept arguments
         place = dict.fromkeys(args, 0)
@@ -348,6 +348,20 @@ def _union_of(graph: AbstractAF, masks: tuple[int, ...]) -> tuple[
         masks = tuple(_or_images([place[a] for a in args], masks))
     return AbstractAF._canonical(kept, tuple(
         (s, t) for s, t in graph.defeats if column[s] & column[t])), masks
+
+
+def _key_columns(keys: Sequence[int], bits: int) -> Callable[[int], int]:
+    """The column of key bit i, for i below ``bits``: an integer whose
+    byte r is 1 where key r has bit i, else 0.  The keys are packed once
+    into one byte string, ``(bits + 7) // 8`` little-endian bytes each, so
+    that byte b of every key is the stride slice ``packed[b::width]``.
+    Every key must fit its bytes."""
+    width = (bits + 7) // 8
+    packed = b"".join(map(int.to_bytes, keys, repeat(width),
+                          repeat("little")))
+    rows = [int.from_bytes(packed[b::width], "little") for b in range(width)]
+    ones = int.from_bytes(b"\1" * len(keys), "little")
+    return lambda i: rows[i >> 3] >> (i & 7) & ones
 
 
 def _columns(masks: Sequence[int], bits: int, width: int) -> list[int]:

@@ -17,10 +17,13 @@ calls ``uarg.completions_dep``, ``covering_imp_arg_iaf`` builds the
 implicative abstraction from the public structured-layer functions,
 ``applied_check_witness`` relabels through ``uarg.Witness.apply``, and
 ``charwise_is_valid_argument_id`` and ``charwise_is_valid_formula`` test
-one character at a time.
+one character at a time, ``per_member_serialize_completion_set`` selects
+each member's lines of the union graph through
+``uarg.CompletionSet._selectors``, and ``sectioned_parse_completion_set``
+reads each section of a document with ``uarg.parse_af``.
 """
 
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations
 
 from uarg import (
     DEFAULT_LIMITS,
@@ -36,6 +39,7 @@ from uarg import (
     completions_dep,
     equivalent,
     generate_arguments,
+    parse_af,
     saf_max,
     satisfies,
     uncertain_premises_of,
@@ -451,3 +455,38 @@ def covering_imp_arg_iaf(x, limits=DEFAULT_LIMITS) -> DepArgIAF:
                 deps.append(ImplyDisj(antecedent, (implied,)))
     fixed = [a for a in af.args if not load[a]]
     return DepArgIAF(ArgIAF(fixed, uncertain, af.defeats), deps)
+
+
+def per_member_serialize_completion_set(completions: CompletionSet) -> str:
+    """The completion-set document one member at a time: every arg(..)
+    and att(..) line of the union graph is formatted once, and each
+    member's key selects its lines, so no member is built."""
+    graph = completions._graph
+    lines = [f"arg({a}).\n" for a in graph.args]
+    lines += [f"att({s},{t}).\n" for s, t in graph.defeats]
+    parts: list[str] = []
+    for keep in completions._selectors():
+        parts += compress(lines, keep)
+        parts.append("---\n")
+    return "".join(parts)
+
+
+def sectioned_parse_completion_set(text: str) -> CompletionSet:
+    """The document cut at its ``---`` lines, each section read with
+    ``parse_af`` numbering its lines from where it starts; the text after
+    the last ``---`` is a section iff it is not blank."""
+    sections: list[tuple[int, str]] = []  # (first line, section text)
+    current: list[str] = []
+    first = 1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip() == "---":
+            sections.append((first, "\n".join(current)))
+            current = []
+            first = lineno + 1
+        else:
+            current.append(line)
+    tail = "\n".join(current)
+    if tail.strip():
+        sections.append((first, tail))
+    return CompletionSet(parse_af(section, first_line=first)
+                         for first, section in sections)

@@ -44,6 +44,15 @@ class TestCompletionsCommand:
         assert result.output.count("---") == 4
         assert "att(b,a)." in result.output
 
+    def test_count_goes_to_out(self, tmp_path):
+        # --out takes the count line as it takes the document
+        out = tmp_path / "count.txt"
+        result = run("completions", "fixture:example1", "--count",
+                     "--out", str(out))
+        assert result.exit_code == 0
+        assert result.output == ""
+        assert out.read_text(encoding="utf-8") == "4\n"
+
     def test_determinism(self):
         first = run("completions", "fixture:example4")
         second = run("completions", "fixture:example4")

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from uarg import (
     AbstractAF,
     CompletionSet,
+    DepArgIAF,
+    ImplyDisj,
+    Nand,
+    Or,
     completions_arg_iaf,
+    completions_dep,
     fixtures,
     parse_af,
     parse_iaf,
@@ -30,9 +35,18 @@ from uarg.documents import (
     serialize_framework,
     theory_document_of,
 )
-from uarg.errors import InvalidTheoryError, ParseError, UargError
+from uarg.errors import (
+    InvalidTheoryError,
+    ParseError,
+    UargError,
+    UndeclaredArgumentError,
+)
 
-from framework_gen import random_arg_iaf
+from framework_gen import nand_cut_cases, no_member_built, random_arg_iaf
+from oracles import (
+    per_member_serialize_completion_set,
+    sectioned_parse_completion_set,
+)
 
 # A fixed premise p that an empty-bodied rule also derives.
 UNTIDY_DOC = {"close_negation": True,
@@ -240,6 +254,154 @@ class TestCompletionSetDocuments:
         text = "arg(a).\n---\narg(b)."
         cs = parse_completion_set(text)
         assert cs == CompletionSet([AbstractAF(["a"]), AbstractAF(["b"])])
+
+
+def _random_dep_arg_iaf(rng: random.Random) -> DepArgIAF:
+    """An arg-IAF of up to 7 arguments with up to 3 random dependencies
+    over its uncertain arguments."""
+    iaf = random_arg_iaf(rng, max_args=7)
+    uncertain = list(iaf.uncertain_args)
+    deps = []
+    for _ in range(rng.randint(0, 3) if uncertain else 0):
+        first, second = (rng.sample(uncertain, rng.randint(1, len(uncertain)))
+                         for _ in range(2))
+        deps.append(rng.choice([ImplyDisj(first, second), Or(first),
+                                Nand(first)]))
+    return DepArgIAF(iaf, deps)
+
+
+def _union_of_lines(count: int) -> CompletionSet:
+    """A set whose union graph has ``count`` lines: about half of them
+    arguments, the rest a ring of defeats and self-defeats.  Its members
+    are the whole graph, the graph with its first defeat lacking, the
+    first half and every other argument with induced defeats, one lone
+    argument and the empty framework."""
+    names = [f"a{i}" for i in range(count // 2 + 1)]
+    ring = [(a, names[(i + 1) % len(names)]) for i, a in enumerate(names)]
+    defeats = (ring + [(a, a) for a in names])[:count - len(names)]
+    whole = AbstractAF(names, defeats)
+    return CompletionSet([whole, AbstractAF(names, defeats[1:]),
+                          whole.restrict(names[:len(names) // 2]),
+                          whole.restrict(names[::2]),
+                          whole.restrict(names[-1:]), AbstractAF()])
+
+
+def _writer_cases() -> list[CompletionSet]:
+    rng = random.Random(20)
+    cases = [CompletionSet(), CompletionSet([AbstractAF()]),
+             CompletionSet([AbstractAF(["a"], [("a", "a")])])]
+    cases += [completions_dep(_random_dep_arg_iaf(rng)) for _ in range(60)]
+    cases += [completions_arg_iaf(random_arg_iaf(rng, max_args=6))
+              for _ in range(40)]
+    for _ in range(40):  # members lacking defeats of the union graph
+        names = rng.sample("abcdef", rng.randint(1, 6))
+        members = []
+        for _ in range(rng.randint(1, 12)):
+            args = rng.sample(names, rng.randint(0, len(names)))
+            pairs = [(s, t) for s in args for t in args]
+            members.append(AbstractAF(args, rng.sample(
+                pairs, rng.randint(0, len(pairs)))))
+        cases.append(CompletionSet(members))
+    cases += [completions_dep(diaf) for diaf, _, _ in nand_cut_cases()]
+    cases += [_union_of_lines(n) for n in (7, 8, 9, 63, 64, 65)]
+    names = [f"w{i}" for i in range(70)]
+    chain70 = AbstractAF(names, zip(names, names[1:]))
+    cases.append(CompletionSet([chain70, chain70.restrict(names[:40]),
+                                chain70.restrict(names[::3]),
+                                AbstractAF(names[5:])]))
+    return cases
+
+
+class TestColumnWriter:
+    def test_cases_reach_every_shape(self):
+        cases = _writer_cases()
+        n_lines = [len(cs._graph.args) + len(cs._graph.defeats)
+                   for cs in cases]
+        assert {7, 8, 9, 63, 64, 65} <= set(n_lines)
+        assert max(len(cs._graph.args) for cs in cases) == 70
+        # some key has a lack bit: a member without a defeat between two
+        # of its arguments
+        assert any(key >> len(cs._graph.args)
+                   for cs in cases for key in cs._keys)
+        assert any(len(cs) == 1 and cs._graph.args for cs in cases)
+
+    def test_matches_per_member_writer(self):
+        cases = _writer_cases()
+        with no_member_built():
+            texts = [serialize_completion_set(cs) for cs in cases]
+        for cs, text in zip(cases, texts):
+            assert text == per_member_serialize_completion_set(cs)
+            assert text == "".join(serialize_af(af) + "---\n" for af in cs)
+            assert parse_completion_set(text) == cs
+
+
+# Lines for random completion-set documents, with their weights: valid
+# graph lines, which repeat, an att line that no arg line declares, a few
+# bad lines, comments, blank lines and separators with whitespace around
+# them.
+_DOC_LINES = {"arg(a).": 6, "arg(b).": 6, " arg(c).": 6, "att(a,b).": 3,
+              "att(b, a).": 3, "att(c,a).": 3, "att(a,a).": 3,
+              "att(a,d).": 1, "arg(a": 0.3, "att(a).": 0.3,
+              "arg(b\x00).": 0.3, "x": 0.3, "% note": 1, "": 1, "  ": 1,
+              "---": 5, " ---\t": 2}
+
+
+class TestLineOnceReader:
+    def test_empty_sections(self):
+        text = "---\n---\narg(a).\n---\n\n---\n"
+        assert parse_completion_set(text) == CompletionSet(
+            [AbstractAF(), AbstractAF(["a"])])
+
+    def test_comment_only_tail_is_a_member(self):
+        assert parse_completion_set("arg(a).\n---\n% note\n") == \
+            CompletionSet([AbstractAF(["a"]), AbstractAF()])
+        assert len(parse_completion_set("% note")) == 1
+
+    def test_whitespace_only_tail_is_no_member(self):
+        assert parse_completion_set("arg(a).\n---\n  \n\t\n") == \
+            CompletionSet([AbstractAF(["a"])])
+        assert len(parse_completion_set(" \n\n")) == 0
+
+    def test_separator_with_whitespace(self):
+        assert parse_completion_set("arg(a).\n  ---\t\narg(b).\n") == \
+            CompletionSet([AbstractAF(["a"]), AbstractAF(["b"])])
+
+    def test_line_valid_once_is_checked_in_each_member(self):
+        text = ("arg(a).\narg(b).\natt(a,b).\n---\n"
+                "arg(a).\natt(a,b).\n---\n")
+        with pytest.raises(UndeclaredArgumentError, match="line 6: ") as info:
+            parse_completion_set(text)
+        assert "'b'" in str(info.value)
+
+    def test_bad_line_keeps_document_position(self):
+        # first seen in the second member, after a valid repeated line
+        with pytest.raises(ParseError) as info:
+            parse_completion_set("arg(a).\n---\narg(a).\n   att(a).\n")
+        assert (info.value.line, info.value.column) == (4, 4)
+        # a member's own bad line comes before its undeclared endpoint
+        with pytest.raises(ParseError) as info:
+            parse_completion_set("att(a,b).\narg(a\n")
+        assert (info.value.line, info.value.column) == (2, 1)
+        # an earlier member's undeclared endpoint comes before a later
+        # member's bad line
+        with pytest.raises(UndeclaredArgumentError, match="line 1: "):
+            parse_completion_set("att(a,b).\n---\narg(a\n")
+
+    def test_matches_sectioned_reader(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            text = "\n".join(rng.choices(list(_DOC_LINES),
+                                          list(_DOC_LINES.values()),
+                                          k=rng.randint(0, 24)))
+            text += rng.choice(["", "\n"])
+            results = []
+            for read in (parse_completion_set,
+                         sectioned_parse_completion_set):
+                try:
+                    results.append(read(text))
+                except UargError as error:
+                    results.append((type(error), str(error)))
+            assert results[0] == results[1], text
 
 
 class TestCompletionSetFuzz:
