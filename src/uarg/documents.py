@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, starmap
 from operator import itemgetter
 from typing import Any, Iterator
 
@@ -35,6 +35,7 @@ from .incomplete import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
+    _key_coder,
     _key_columns,
     parse_iaf,
     serialize_iaf,
@@ -286,22 +287,23 @@ def parse_completion_set(text: str) -> CompletionSet:
     counts).  Each distinct line is read and validated once.  A member's
     att lines are checked against its own arg lines when it closes, so
     every error names the line that reading the sections one by one with
-    ``parse_af`` would name."""
+    ``parse_af`` would name.  Every line read belongs to a member, so the
+    union graph is what was read, and each member is keyed over it from
+    its lines without being built."""
     lines = text.splitlines()
     read: dict[str, str | tuple[str, str] | bool] = {}  # True for ---
-    members: list[AbstractAF] = []
+    members: list[tuple[list[str], list[tuple[str, str]]]] = []
     args: list[str] = []
     atts: list[tuple[str, str]] = []
     first = 0  # the index of the open member's first line
 
-    def close(end: int) -> AbstractAF:
+    def close(end: int) -> tuple[list[str], list[tuple[str, str]]]:
         declared = set(args)
         if not declared.issuperset(chain.from_iterable(atts)):
             _declared_defeats([(k + 1, *read[lines[k]])
                                for k in range(first, end)
                                if read[lines[k]].__class__ is tuple], declared)
-        return AbstractAF._canonical(tuple(sorted(declared)),
-                                     tuple(sorted(set(atts))))
+        return args, atts
 
     for i, line in enumerate(lines):
         entry = read.get(line)
@@ -317,7 +319,11 @@ def parse_completion_set(text: str) -> CompletionSet:
             atts.append(entry)
     if any(map(str.strip, lines[first:])):
         members.append(close(len(lines)))
-    return CompletionSet(members)
+    entries = set(read.values())
+    graph = AbstractAF._canonical(
+        tuple(sorted(e for e in entries if e.__class__ is str)),
+        tuple(sorted(e for e in entries if e.__class__ is tuple)))
+    return CompletionSet._keyed(graph, starmap(_key_coder(graph), members))
 
 
 def serialize_completion_set(completions: CompletionSet) -> str:

@@ -223,34 +223,32 @@ class CompletionSet:
     graph's i-th argument, and bit n + j is the graph's j-th defeat when
     the member holds both its endpoints but not the defeat.  A member
     restricted from one graph lacks no such defeat, so its key is its
-    argument mask.  Members are built from the keys on their first use and
-    cached; the constructor caches the members it is given."""
+    argument mask.  Every set is built by ``_keyed``; members are built
+    from the keys on their first use and cached."""
 
     __slots__ = ("_graph", "_keys", "_members", "_index")
 
-    def __init__(self, members: Iterable[AbstractAF] = ()):
-        unique = {(af.args, af.defeats): af for af in members}
-        ordered = tuple(unique[key] for key in sorted(unique))
-        self._graph = graph = AbstractAF._canonical(
-            tuple(sorted(set().union(*(af.args for af in ordered)))),
-            tuple(sorted(set().union(*(af.defeats for af in ordered)))))
-        self._keys = tuple(map(_key_coder(graph), ordered))
-        self._members: tuple[AbstractAF, ...] | None = ordered
-        self._index: tuple[frozenset[int], Callable] | None = None
+    def __new__(cls, members: Iterable[AbstractAF] = ()) -> "CompletionSet":
+        """The set of ``members``, which it caches in member order."""
+        members = tuple(members)
+        graph = AbstractAF._canonical(
+            tuple(sorted(set().union(*(af.args for af in members)))),
+            tuple(sorted(set().union(*(af.defeats for af in members)))))
+        key = _key_coder(graph)
+        by_key = {key(af.args, af.defeats): af for af in members}
+        out = cls._keyed(graph, by_key)
+        out._members = tuple(map(by_key.__getitem__, out._keys))
+        return out
 
     @classmethod
-    def _induced(cls, graph: AbstractAF,
-                 masks: tuple[int, ...]) -> "CompletionSet":
-        """Set of the restrictions of ``graph`` to distinct argument masks
-        given in member order.  Nothing is checked, so only sets derived
-        from one validated framework are built this way."""
-        if (1 << len(graph.args)) - 1 not in masks:
-            # no member holds the whole graph, so it may hold more than
-            # the union
-            graph, masks = _union_of(graph, masks)
+    def _keyed(cls, graph: AbstractAF, keys: Iterable[int]) -> "CompletionSet":
+        """The set whose members have ``keys`` over ``graph``, which must
+        be exactly their union.  The keys may come in any order and
+        repeat.  Nothing is checked, so only sets derived from validated
+        frameworks are built this way."""
         out = object.__new__(cls)
-        out._graph, out._keys, out._members, out._index = \
-            graph, masks, None, None
+        out._graph, out._keys = graph, _member_order(graph, keys)
+        out._members = out._index = None
         return out
 
     @property
@@ -296,7 +294,7 @@ class CompletionSet:
             self._index = (frozenset(self._keys), _key_coder(self._graph))
         keys, key = self._index
         try:
-            return key(af) in keys
+            return key(af.args, af.defeats) in keys
         except KeyError:  # an argument or a defeat outside the union
             return False
 
@@ -311,30 +309,31 @@ class CompletionSet:
         return f"CompletionSet({len(self)} frameworks)"
 
 
-def _key_coder(graph: AbstractAF) -> Callable[[AbstractAF], int]:
-    """The function from a member over ``graph`` to its key; KeyError for
-    a framework with an argument or a defeat outside the graph.  Key bit
-    i is entry i of ``graph.args + graph.defeats``."""
+def _key_coder(graph: AbstractAF) -> Callable[..., int]:
+    """The function from the arguments and defeats of a member over
+    ``graph`` to its key; KeyError for an argument or a defeat outside
+    the graph.  Either may repeat.  Key bit i is entry i of
+    ``graph.args + graph.defeats``."""
     bit = {x: 1 << i for i, x in enumerate(graph.args + graph.defeats)}
-    low = (1 << len(graph.args)) - 1
-    # own[a]: a's bit and its outgoing defeats; into[a]: its incoming ones
-    own, into = {a: bit[a] for a in graph.args}, dict.fromkeys(graph.args, 0)
+    width, low = len(bit), (1 << len(graph.args)) - 1
+    # code[a]: a's bit and its outgoing defeats; above the key width, its
+    # incoming defeats and every argument bit
+    code = {a: bit[a] | low << width for a in graph.args}
     for s, t in graph.defeats:
-        own[s] |= bit[s, t]
-        into[t] |= bit[s, t]
+        code[s] |= bit[s, t]
+        code[t] |= bit[s, t] << width
 
-    def key(af: AbstractAF) -> int:
-        # the member's arguments and the defeats between them, minus the
-        # defeats it holds
-        sources = reduce(or_, map(own.__getitem__, af.args), 0)
-        targets = reduce(or_, map(into.__getitem__, af.args), 0)
-        return sources & (low | targets) ^ sum(map(bit.__getitem__,
-                                                    af.defeats))
+    def key(args: Iterable[str], defeats: Iterable[tuple[str, str]]) -> int:
+        # the member's arguments and the defeats between them (bits that
+        # both halves hold), minus the defeats it holds
+        both = reduce(or_, map(code.__getitem__, args), 0)
+        return both & both >> width ^ reduce(or_, map(bit.__getitem__,
+                                                      defeats), 0)
     return key
 
 
-def _union_of(graph: AbstractAF, masks: tuple[int, ...]) -> tuple[
-        AbstractAF, tuple[int, ...]]:
+def _union_of(graph: AbstractAF, masks: Sequence[int]) -> tuple[
+        AbstractAF, Sequence[int]]:
     """The part of ``graph`` that some argument mask holds, and the masks
     over it, in the same order.  A defeat is held iff one mask keeps both
     its endpoints."""
@@ -390,19 +389,35 @@ def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _member_order(masks: list[int]) -> tuple[int, ...]:
-    """Distinct argument masks in the order of their members.
+def _member_order(graph: AbstractAF, keys: Iterable[int]) -> tuple[int, ...]:
+    """The distinct ``keys`` over ``graph`` in the order of their members.
 
-    Members over one graph compare as their sorted argument tuples, which
-    are sub-sequences of the graph's.  The key of a mask is its binary
-    digits from argument 0 up to its last kept argument (1 kept, 0
+    Members compare as their sorted (args, defeats) tuples, each a
+    sub-sequence of the graph's.  A mask of graph entries sorts by its
+    binary digits from entry 0 up to its last kept entry (1 kept, 0
     dropped), behind a constant 1 that keeps the empty mask first and
-    before a closing 2.  In descending key order a kept argument comes
-    before a dropped one, and a key that closes comes before one that
-    goes on, just as a tuple that ends sorts first."""
-    keys = [bin(m << 1 | 1)[:1:-1] + "2" for m in masks]
-    return tuple(map(masks.__getitem__, sorted(
-        range(len(masks)), key=keys.__getitem__, reverse=True)))
+    before a closing 2.  In descending order a kept entry comes before a
+    dropped one, and a mask that closes comes before one that goes on,
+    just as a tuple that ends sorts first.  Two keys share an argument
+    mask only when one has a lack bit; their digits for the defeats held
+    follow the argument digits and break the tie."""
+    n = len(graph.args)
+    full = (1 << n) - 1
+    digits = {k: bin(k << 1 | 1)[:1:-1] + "2" for k in keys}
+    if digits and max(digits) > full:  # some key has a lack bit
+        # touches[a]: the defeats that argument a takes along when dropped
+        touches = dict.fromkeys(graph.args, 0)
+        for j, (s, t) in enumerate(graph.defeats):
+            touches[s] |= 1 << j
+            touches[t] |= 1 << j
+        every = (1 << len(graph.defeats)) - 1
+        lost = _or_images([*touches.values()], [full & ~k for k in digits])
+        # the arguments kept, then the defeats held: those between kept
+        # arguments, minus the lack bits
+        for k, gone in zip(digits, lost):
+            digits[k] = bin((k & full) << 1 | 1)[:1:-1] + "2" + bin(
+                (every ^ gone ^ k >> n) << 1 | 1)[:1:-1] + "2"
+    return tuple(sorted(digits, key=digits.__getitem__, reverse=True))
 
 
 def _check_uncertain_bound(count: int, limits: Limits) -> None:
@@ -437,8 +452,12 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
         [drop.get(1 << b, 0) for b in range(bits.bit_length())],
         [bits & ~m for m in masks]))
     full = (1 << len(args)) - 1
-    return CompletionSet._induced(
-        full_af, _member_order([full ^ d for d in dropped]))
+    masks = [full ^ d for d in dropped]
+    if full not in masks:
+        # no member holds the whole graph, so it may hold more than the
+        # union
+        full_af, masks = _union_of(full_af, masks)
+    return CompletionSet._keyed(full_af, masks)
 
 
 def _own_bits(iaf: ArgIAF) -> dict[str, int]:

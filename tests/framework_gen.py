@@ -1,5 +1,6 @@
 """Seeded random instance generators for the combinatorial suites, the
-fixed Nand-cut instances, and a guard that no framework is built.
+fixed Nand-cut instances, and a counter of the frameworks built, with a
+guard that none is.
 
 Rule bodies only mention atoms strictly below the head atom in a fixed
 layering, so argument generation always terminates; instances that still
@@ -136,17 +137,33 @@ def random_arg_iaf(rng: random.Random, max_args: int = 4,
 
 
 @contextmanager
-def no_member_built():
-    """Fail on any framework built inside the block, through the public
-    constructor or the unchecked one: a completion set must answer from
-    what it holds, without materialising its members."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a framework was built")
+def frameworks_built():
+    """Count the frameworks built inside the block, through the public
+    constructor or the unchecked one, in the one-item list it yields."""
+    built = [0]
+    init, canonical = AbstractAF.__init__, AbstractAF._canonical.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_canonical(cls, *args):
+        built[0] += 1
+        return canonical(cls, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AbstractAF, "__init__", refuse)
-        patch.setattr(AbstractAF, "_canonical", classmethod(refuse))
+        patch.setattr(AbstractAF, "__init__", counted_init)
+        patch.setattr(AbstractAF, "_canonical", classmethod(counted_canonical))
+        yield built
+
+
+@contextmanager
+def no_member_built():
+    """Fail when a framework is built inside the block: a completion set
+    must answer from what it holds, without materialising its members."""
+    with frameworks_built() as built:
         yield
+    assert built == [0], f"{built[0]} frameworks were built"
 
 
 def nand_cut_cases():

@@ -19,8 +19,10 @@ implicative abstraction from the public structured-layer functions,
 ``charwise_is_valid_argument_id`` and ``charwise_is_valid_formula`` test
 one character at a time, ``per_member_serialize_completion_set`` selects
 each member's lines of the union graph through
-``uarg.CompletionSet._selectors``, and ``sectioned_parse_completion_set``
-reads each section of a document with ``uarg.parse_af``.
+``uarg.CompletionSet._selectors``, ``sectioned_parse_completion_set``
+reads each section of a document with ``uarg.parse_af``, and
+``sorted_completion_set`` keys members through
+``uarg.incomplete._key_coder``.
 """
 
 from itertools import chain, combinations, compress, permutations
@@ -51,6 +53,7 @@ from uarg.errors import (
     SearchBoundExceededError,
     UncertaintyBoundExceededError,
 )
+from uarg.incomplete import _key_coder
 
 
 def powerset(items):
@@ -408,8 +411,8 @@ def fixpoint_horn_closed_masks(n: int, rules: list[tuple[int, int]],
 def dict_induced_completions(full_af: AbstractAF, load: dict[str, int],
                              masks) -> CompletionSet:
     """One restriction of ``full_af`` per mask, each argument and defeat
-    filtered by load, deduplicated and sorted by the public
-    ``CompletionSet`` constructor on (args, defeats) pairs."""
+    filtered by load, deduplicated and sorted by
+    ``sorted_completion_set``."""
     args = [(a, load[a]) for a in full_af.args]
     defeats = [(d, load[d[0]] | load[d[1]]) for d in full_af.defeats]
     graphs: dict[tuple[str, ...], AbstractAF] = {}
@@ -418,7 +421,7 @@ def dict_induced_completions(full_af: AbstractAF, load: dict[str, int],
         if kept not in graphs:
             graphs[kept] = AbstractAF._canonical(
                 kept, tuple(d for d, need in defeats if not need & ~mask))
-    return CompletionSet(graphs.values())
+    return sorted_completion_set(graphs.values())
 
 
 def minimized_by_completions(iaf: ArgIAF, deps, target,
@@ -488,5 +491,21 @@ def sectioned_parse_completion_set(text: str) -> CompletionSet:
     tail = "\n".join(current)
     if tail.strip():
         sections.append((first, tail))
-    return CompletionSet(parse_af(section, first_line=first)
-                         for first, section in sections)
+    return sorted_completion_set(parse_af(section, first_line=first)
+                                 for first, section in sections)
+
+
+def sorted_completion_set(members) -> CompletionSet:
+    """The completion set of ``members`` with no member order of the
+    library's: deduplicated on (args, defeats) pairs and sorted by them,
+    over the union graph taken with ``set().union``."""
+    unique = {(af.args, af.defeats): af for af in members}
+    ordered = tuple(unique[pair] for pair in sorted(unique))
+    graph = AbstractAF._canonical(
+        tuple(sorted(set().union(*(af.args for af in ordered)))),
+        tuple(sorted(set().union(*(af.defeats for af in ordered)))))
+    key = _key_coder(graph)
+    out = object.__new__(CompletionSet)
+    out._graph, out._members, out._index = graph, ordered, None
+    out._keys = tuple(key(af.args, af.defeats) for af in ordered)
+    return out

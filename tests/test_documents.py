@@ -42,10 +42,16 @@ from uarg.errors import (
     UndeclaredArgumentError,
 )
 
-from framework_gen import nand_cut_cases, no_member_built, random_arg_iaf
+from framework_gen import (
+    frameworks_built,
+    nand_cut_cases,
+    no_member_built,
+    random_arg_iaf,
+)
 from oracles import (
     per_member_serialize_completion_set,
     sectioned_parse_completion_set,
+    sorted_completion_set,
 )
 
 # A fixed premise p that an empty-bodied rule also derives.
@@ -332,7 +338,43 @@ class TestColumnWriter:
         for cs, text in zip(cases, texts):
             assert text == per_member_serialize_completion_set(cs)
             assert text == "".join(serialize_af(af) + "---\n" for af in cs)
-            assert parse_completion_set(text) == cs
+            with frameworks_built() as built:
+                read = parse_completion_set(text)
+            # the union graph, whatever the member count, and no member
+            assert built == [1] and read._members is None
+            assert read == cs
+
+
+class TestKeyedConstructor:
+    def test_matches_sorted_oracle(self):
+        rng = random.Random(21)
+        for cs in _writer_cases():
+            members = list(cs)
+            rng.shuffle(members)
+            expected = sorted_completion_set(members)
+            keys = [*cs._keys, *cs._keys]
+            rng.shuffle(keys)
+            got = CompletionSet._keyed(cs._graph, keys)
+            assert got._graph == expected._graph
+            assert got._keys == expected._keys
+            assert list(got) == list(expected)
+            assert serialize_completion_set(got) == \
+                serialize_completion_set(expected)
+            assert hash(got) == hash(expected)
+
+    def test_equal_members_out_of_order(self):
+        lacking = AbstractAF(["a", "b"])
+        members = [AbstractAF(["b"]), AbstractAF(["a", "b"], [("a", "b")]),
+                   lacking, AbstractAF(["a"]), AbstractAF(["a", "b"])]
+        assert members[2] == members[4] and members[2] is not members[4]
+        given = CompletionSet(members)
+        expected = CompletionSet(
+            [AbstractAF(["a"]), lacking,
+             AbstractAF(["a", "b"], [("a", "b")]), AbstractAF(["b"])])
+        assert len(given) == len(expected) == 4
+        assert given._keys == expected._keys
+        assert hash(given) == hash(expected)
+        assert list(given) == list(expected)
 
 
 # Lines for random completion-set documents, with their weights: valid
@@ -361,6 +403,11 @@ class TestLineOnceReader:
         assert parse_completion_set("arg(a).\n---\n  \n\t\n") == \
             CompletionSet([AbstractAF(["a"])])
         assert len(parse_completion_set(" \n\n")) == 0
+
+    def test_repeated_att_line(self):
+        text = "arg(a).\narg(b).\natt(a,b).\natt(a,b).\n---\n"
+        assert parse_completion_set(text) == \
+            CompletionSet([AbstractAF(["a", "b"], [("a", "b")])])
 
     def test_separator_with_whitespace(self):
         assert parse_completion_set("arg(a).\n  ---\t\narg(b).\n") == \
@@ -394,14 +441,18 @@ class TestLineOnceReader:
                                           list(_DOC_LINES.values()),
                                           k=rng.randint(0, 24)))
             text += rng.choice(["", "\n"])
-            results = []
-            for read in (parse_completion_set,
-                         sectioned_parse_completion_set):
-                try:
-                    results.append(read(text))
-                except UargError as error:
-                    results.append((type(error), str(error)))
-            assert results[0] == results[1], text
+            try:
+                with frameworks_built() as built:
+                    got = parse_completion_set(text)
+                # the union graph, whatever the member count, and no member
+                assert built == [1] and got._members is None
+            except UargError as error:
+                got = (type(error), str(error))
+            try:
+                expected = sectioned_parse_completion_set(text)
+            except UargError as error:
+                expected = (type(error), str(error))
+            assert got == expected, text
 
 
 class TestCompletionSetFuzz:

@@ -618,7 +618,7 @@ class TestNoEquivalentArgIaf:
         # fixed arguments, count and the full member all come from keys
         iaf = ArgIAF(["a"], ["b", "c"], [("a", "b"), ("c", "a")])
         target = completions_arg_iaf(iaf)
-        dropped = CompletionSet._induced(target._graph, target._keys[1:])
+        dropped = CompletionSet._keyed(target._graph, target._keys[1:])
         with no_member_built():
             assert not no_equivalent_arg_iaf(target, 3)
             assert no_equivalent_arg_iaf(dropped, 3)
