@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain, count
+from typing import Iterable, NoReturn
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -221,48 +222,121 @@ def extensions(af: AbstractAF, sigma: str,
     return tuple(sorted(exts, key=sorted))
 
 
-def _read_lines(text: str, kinds: tuple[str, ...],
-                first_line: int = 1) -> Iterator[tuple[int, int, str, str]]:
-    """(line, column, kind, body) for each kind(body). line of ``text``,
-    skipping blank lines and % comments; a ParseError for any other line
-    or a kind outside ``kinds``.  Lines are numbered from first_line and
-    columns point at the first character that is not whitespace."""
-    for lineno, line in enumerate(text.splitlines(), start=first_line):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        column = line.index(stripped[0]) + 1
-        kind, paren, rest = stripped.partition("(")
-        if not paren or kind not in kinds:
-            raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
-        if not rest.endswith(")."):
-            raise ParseError(f"line does not end with ').': {stripped!r}",
-                             lineno, column)
-        yield lineno, column, kind, rest[:-2]
+# The identifier pattern leaves out printability, which each reader checks
+# once per distinct identifier.
+_ID = r"[^\s(),.]+"
+# The items of a bracketed list, whitespace around each.  In the lists of
+# an imply line without the ],,[ mark no comma joins "]" to "[", since the
+# lists split at "],[".
+_ITEMS = rf"\s*{_ID}\s*(?:,\s*{_ID}\s*)*"
+_PLAIN_ITEMS = rf"\s*{_ID}\s*(?:(?:(?<!\]),|,(?!\[))\s*{_ID}\s*)*"
+# One line of the AF and IAF formats, whitespace around it.  A blank line
+# or a comment matches with no group; otherwise the last group that
+# matches (``lastindex``) tells the kind, see _KINDS.
+_LINE = re.compile(rf"""\s*(?:(?:
+    %.*
+  | arg\(({_ID})\)\.
+  | \?arg\(({_ID})\)\.
+  | att\(\s*({_ID})\s*,\s*({_ID})\s*\)\.
+  | or\(\[({_ITEMS})\]\)\.
+  | nand\(\[({_ITEMS})\]\)\.
+  | imply\(\[({_PLAIN_ITEMS})\],\[({_PLAIN_ITEMS})\]\)\.
+  | imply\(\[({_ITEMS})\],,\[({_ITEMS})\]\)\.
+)\s*)?""", re.VERBOSE)
+_KINDS = {1: "arg", 2: "?arg", 4: "att", 5: "or", 6: "nand", 8: "imply",
+          10: "imply"}
+_AF_KINDS = ("arg", "att")
+_IAF_KINDS = ("arg", "?arg", "att", "imply", "or", "nand")
+_DEPENDENCY_KINDS = ("imply", "or", "nand")
 
 
-def _split_ids(body: str, lineno: int, column: int) -> list[str]:
-    """The comma-separated identifiers of ``body``, stripped of the
-    whitespace around them; a ParseError if one is not valid."""
-    names = [name.strip() for name in body.split(",")]
-    if not all(map(is_valid_argument_id, names)):
-        raise ParseError(f"invalid identifier in {body!r}", lineno, column)
-    return names
+def _lists_of(match: re.Match) -> tuple[frozenset[str], ...]:
+    """The item sets of a dependency line's match: one for or and nand,
+    two for imply."""
+    i = match.lastindex
+    return tuple(frozenset(map(str.strip, part.split(",")))
+                 for part in (match.group(i - 1, i) if i > 6
+                              else (match[i],)))
 
 
-def _read_graph_line(kind: str, body: str, lineno: int,
-                     column: int) -> list[str]:
-    """The identifier of an arg-like line, taken verbatim, or the two
-    names of an att line."""
-    if kind != "att":
-        if not is_valid_argument_id(body):
-            raise ParseError(f"invalid identifier {body!r}", lineno, column)
-        return [body]
-    names = _split_ids(body, lineno, column)
-    if len(names) != 2:
-        raise ParseError(f"att needs two identifiers: {body!r}",
+def _names(match: re.Match) -> tuple[str, ...]:
+    """The identifiers of a matched line that is not blank: an att line's
+    in order, a dependency line's those of its item sets."""
+    i = match.lastindex
+    if i < 5:
+        return match.group(3, 4) if i == 4 else (match[i],)
+    return tuple(chain.from_iterable(_lists_of(match)))
+
+
+def _column(line: str) -> int:
+    """The column of the first character of ``line`` that is not
+    whitespace."""
+    return len(line) - len(line.lstrip()) + 1
+
+
+def _line_parts(line: str, lineno: int,
+                kinds: tuple[str, ...]) -> tuple[int, str, str]:
+    """(column, kind, body) of a kind(body). line that is not blank; a
+    ParseError if the line is of no kind of ``kinds`` or does not end
+    with ')."."""
+    stripped = line.strip()
+    column = _column(line)
+    kind, paren, rest = stripped.partition("(")
+    if not paren or kind not in kinds:
+        raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
+    if not rest.endswith(")."):
+        raise ParseError(f"line does not end with ').': {stripped!r}",
                          lineno, column)
-    return names
+    return column, kind, rest[:-2]
+
+
+def _body_error(kind: str, body: str, lineno: int, column: int) -> ParseError:
+    """The error of a line whose body ``_LINE`` refuses or holds an
+    identifier that is not printable, found by taking the body apart: an
+    arg body is one identifier, an att body two, and a dependency body
+    one or two bracketed lists."""
+    if kind in ("arg", "?arg"):
+        return ParseError(f"invalid identifier {body!r}", lineno, column)
+    if kind == "att":
+        if all(is_valid_argument_id(name.strip()) for name in body.split(",")):
+            return ParseError(f"att needs two identifiers: {body!r}",
+                              lineno, column)
+        return ParseError(f"invalid identifier in {body!r}", lineno, column)
+    if not (body.startswith("[") and body.endswith("]")):
+        return ParseError(f"{kind} arguments must be bracketed lists: "
+                          f"{body!r}", lineno, column)
+    lists = [body[1:-1]]
+    if kind == "imply":
+        # Identifiers are never empty and never contain commas, so '],,['
+        # can only be the mark serialize_dependency puts between two lists
+        # that '],[' would not split unambiguously.
+        lists = lists[0].split("],,[" if "],,[" in body else "],[")
+        if len(lists) != 2:
+            return ParseError("imply needs exactly two lists", lineno, column)
+    # the body is refused, so if no other list is at fault the last one is
+    bad = next((part for part in lists[:-1] if not all(
+        is_valid_argument_id(name.strip()) for name in part.split(","))),
+        lists[-1])
+    return ParseError(f"invalid identifier in {bad!r}", lineno, column)
+
+
+def _graph_line(line: str, lineno: int) -> str | tuple[str, str] | bool:
+    """What one line of an AF text declares: the identifier of an arg
+    line, the pair of an att line, or False for a blank line or a
+    comment; a ParseError for any other line."""
+    match = _LINE.fullmatch(line)
+    if match is not None:
+        i = match.lastindex
+        if i is None:
+            return False
+        if i == 1 and match[1].isprintable():
+            return match[1]
+        if i == 4:
+            pair = match.group(3, 4)
+            if (pair[0] + pair[1]).isprintable():
+                return pair
+    column, kind, body = _line_parts(line, lineno, _AF_KINDS)
+    raise _body_error(kind, body, lineno, column)
 
 
 def _declared_defeats(atts: list[tuple[int, str, str]],
@@ -277,19 +351,104 @@ def _declared_defeats(atts: list[tuple[int, str, str]],
     return {(s, t) for _, s, t in atts}
 
 
+def _read_document(text: str, *, iaf: bool, first_line: int = 1
+                   ) -> tuple[set[str], set[str], set[tuple[str, str]],
+                              list[tuple[str, tuple[frozenset[str], ...]]]]:
+    """The fixed and uncertain arguments, the defeats and the dependencies
+    (kind, lists) of an IAF text, or of an AF text, which has no ?arg or
+    dependency line.
+
+    Each ``str.splitlines()`` line is matched once against ``_LINE``, and
+    each distinct identifier is checked once for printability: the
+    declared ones here, and every other one by being declared.  A document
+    that fails a check raises what ``_raise_first_error`` finds."""
+    lines = text.splitlines()
+    matches = list(map(_LINE.fullmatch, lines))
+    fixed: set[str] = set()
+    uncertain: set[str] = set()
+    defeats: set[tuple[str, str]] = set()
+    deps: list[tuple[str, tuple[frozenset[str], ...]]] = []
+    if None not in matches:
+        add_fixed, add_defeat = fixed.add, defeats.add
+        for match in matches:
+            i = match.lastindex
+            if i == 1:
+                add_fixed(match[1])
+            elif i == 4:
+                add_defeat(match.group(3, 4))
+            elif i == 2:
+                uncertain.add(match[2])
+            elif i:
+                deps.append((_KINDS[i], _lists_of(match)))
+        declared = fixed | uncertain
+        if ((iaf or not (uncertain or deps))
+                and "".join(declared).isprintable()
+                and fixed.isdisjoint(uncertain)
+                and declared.issuperset(chain.from_iterable(defeats))
+                and uncertain.issuperset(chain.from_iterable(
+                    chain.from_iterable(lists for _, lists in deps)))):
+            return fixed, uncertain, defeats, deps
+    _raise_first_error(lines, matches, _IAF_KINDS if iaf else _AF_KINDS,
+                       first_line)
+
+
+def _raise_first_error(lines: list[str], matches: list[re.Match | None],
+                       kinds: tuple[str, ...], first_line: int) -> NoReturn:
+    """Raise the error that checking ``lines`` one at a time meets first,
+    numbering them from first_line: a line of no kind of ``kinds`` or a
+    malformed or unprintable arg or att line, where it stands; then an
+    argument declared both fixed and uncertain, at the first line that
+    declares it again; then an undeclared att endpoint; then a malformed
+    dependency line; then a dependency on an argument that is not
+    uncertain.  Only called for a document that fails a check."""
+    fixed: set[str] = set()
+    uncertain: set[str] = set()
+    atts: list[tuple[int, str, str]] = []
+    deps: list[tuple[int, tuple[str, ...]]] = []
+    clash_at: tuple[int, int] | None = None
+    dep_error: ParseError | None = None
+    for lineno, line, match in zip(count(first_line), lines, matches):
+        if match is not None:
+            if match.lastindex is None:
+                continue  # blank or a comment
+            kind, names = _KINDS[match.lastindex], _names(match)
+        if (match is None or kind not in kinds
+                or not "".join(names).isprintable()):
+            column, kind, body = _line_parts(line, lineno, kinds)
+            error = _body_error(kind, body, lineno, column)
+            if kind not in _DEPENDENCY_KINDS:
+                raise error
+            dep_error = dep_error or error
+        elif kind == "att":
+            atts.append((lineno, *names))
+        elif kind in _DEPENDENCY_KINDS:
+            deps.append((lineno, names))
+        else:
+            same, other = ((uncertain, fixed) if kind == "?arg"
+                           else (fixed, uncertain))
+            if names[0] in other and clash_at is None:
+                clash_at = (lineno, _column(line))
+            same.add(names[0])
+    if clash_at:
+        raise ParseError("arguments declared both fixed and uncertain: "
+                         f"{sorted(fixed & uncertain)}", *clash_at)
+    _declared_defeats(atts, fixed | uncertain)
+    if dep_error:
+        raise dep_error
+    # every check above passed, so a dependency is what failed
+    lineno, names = next((lineno, names) for lineno, names in deps
+                         if not uncertain.issuperset(names))
+    raise UndeclaredArgumentError(
+        f"line {lineno}: dependency mentions arguments that are not "
+        f"uncertain: {sorted(set(names) - uncertain)}")
+
+
 def parse_af(text: str, *, first_line: int = 1) -> AbstractAF:
     """Parse the AF text format: arg(x). / att(x,y). lines, % comments.
     Errors number the text's lines from first_line."""
-    args: set[str] = set()
-    atts: list[tuple[int, str, str]] = []
-    for lineno, column, kind, body in _read_lines(text, ("arg", "att"),
-                                                  first_line):
-        names = _read_graph_line(kind, body, lineno, column)
-        if kind == "arg":
-            args.add(names[0])
-        else:
-            atts.append((lineno, *names))
-    return AbstractAF(args, _declared_defeats(atts, args))
+    args, _, defeats, _ = _read_document(text, iaf=False,
+                                         first_line=first_line)
+    return AbstractAF._canonical(tuple(sorted(args)), tuple(sorted(defeats)))
 
 
 def serialize_af(af: AbstractAF) -> str:

@@ -25,8 +25,7 @@ from .aspic import (
 from .core import (
     AbstractAF,
     _declared_defeats,
-    _read_graph_line,
-    _read_lines,
+    _graph_line,
     parse_af,
     serialize_af,
 )
@@ -269,16 +268,6 @@ def theory_document_of(framework: SAF | RulISAF | PremISAF) -> dict:
     }
 
 
-def _graph_entry(line: str, lineno: int) -> str | tuple[str, str] | bool:
-    """What one line of an AF text declares: the identifier of an arg
-    line, the pair of an att line, or False for a blank line or a
-    comment."""
-    for _, column, kind, body in _read_lines(line, ("arg", "att"), lineno):
-        names = _read_graph_line(kind, body, lineno, column)
-        return names[0] if kind == "arg" else (names[0], names[1])
-    return False
-
-
 def parse_completion_set(text: str) -> CompletionSet:
     """Errors give the line within the whole document.
 
@@ -309,7 +298,7 @@ def parse_completion_set(text: str) -> CompletionSet:
         entry = read.get(line)
         if entry is None:
             entry = read[line] = (line.strip() == "---"
-                                  or _graph_entry(line, i + 1))
+                                  or _graph_line(line, i + 1))
         if entry is True:
             members.append(close(i))
             args, atts, first = [], [], i + 1

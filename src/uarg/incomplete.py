@@ -20,20 +20,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
-from .core import (
-    AbstractAF,
-    _declared_defeats,
-    _read_graph_line,
-    _read_lines,
-    _split_ids,
-    check_argument_id,
-)
+from .core import AbstractAF, _read_document, check_argument_id
 from .errors import (
-    ParseError,
     TargetNotRepresentableError,
     TargetNotSubsetError,
     UncertaintyBoundExceededError,
-    UndeclaredArgumentError,
 )
 
 # Subset filtering switches from plain enumeration to closure-based
@@ -151,6 +142,14 @@ class Or(Dependency):
     def __init__(self, any_of: Iterable[str]):
         object.__setattr__(self, "any_of", _nonempty_id_set(any_of, "Or.any_of"))
 
+    @classmethod
+    def _canonical(cls, any_of: frozenset[str]) -> "Or":
+        """Dependency from a non-empty set of valid identifiers, unchecked
+        like ``ArgIAF._canonical``."""
+        dep = object.__new__(cls)
+        dep.__dict__["any_of"] = any_of
+        return dep
+
     def sort_key(self) -> tuple:
         return (1, tuple(sorted(self.any_of)))
 
@@ -166,11 +165,22 @@ class Nand(Dependency):
         object.__setattr__(self, "not_all_of",
                            _nonempty_id_set(not_all_of, "Nand.not_all_of"))
 
+    @classmethod
+    def _canonical(cls, not_all_of: frozenset[str]) -> "Nand":
+        """Dependency from a non-empty set of valid identifiers, unchecked
+        like ``ArgIAF._canonical``."""
+        dep = object.__new__(cls)
+        dep.__dict__["not_all_of"] = not_all_of
+        return dep
+
     def sort_key(self) -> tuple:
         return (2, tuple(sorted(self.not_all_of)))
 
     def clause(self) -> tuple[frozenset[str], frozenset[str]]:
         return self.not_all_of, frozenset()
+
+
+_DEPENDENCY_TYPES = {"imply": ImplyDisj, "or": Or, "nand": Nand}
 
 
 def satisfies(args_present: Iterable[str], dep: Dependency) -> bool:
@@ -192,13 +202,13 @@ class DepArgIAF:
     def __init__(self, base: ArgIAF, deps: Iterable[Dependency] = ()):
         deps = frozenset(deps)
         uncertain = set(base.uncertain_args)
+        stray: set[str] = set()
         for dep in deps:
             pos, neg = dep.clause()
-            stray = (pos | neg) - uncertain
-            if stray:
-                raise ValueError(
-                    "dependency mentions arguments that are not "
-                    f"uncertain: {sorted(stray)}")
+            stray.update(pos - uncertain, neg - uncertain)
+        if stray:  # all of them, so the message does not follow set order
+            raise ValueError("dependency mentions arguments that are not "
+                             f"uncertain: {sorted(stray)}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "deps", deps)
 
@@ -585,55 +595,11 @@ def parse_iaf(text: str) -> DepArgIAF:
     bracketed identifiers may mark the boundary between them with ',,':
     imply([..],,[..]).
     """
-    fixed: set[str] = set()
-    uncertain: set[str] = set()
-    atts: list[tuple[int, str, str]] = []
-    dep_lines: list[tuple[int, str, str]] = []
-    clash_at: tuple[int, int] | None = None  # first line re-declaring an arg
-    for lineno, column, kind, body in _read_lines(
-            text, ("arg", "?arg", "att", "imply", "or", "nand")):
-        if kind in ("imply", "or", "nand"):
-            dep_lines.append((lineno, kind, body))
-            continue
-        names = _read_graph_line(kind, body, lineno, column)
-        if kind == "att":
-            atts.append((lineno, *names))
-            continue
-        same, other = ((uncertain, fixed) if kind == "?arg"
-                       else (fixed, uncertain))
-        if names[0] in other and clash_at is None:
-            clash_at = (lineno, column)
-        same.add(names[0])
-
-    if clash_at:
-        raise ParseError(
-            "arguments declared both fixed and uncertain: "
-            f"{sorted(fixed & uncertain)}", *clash_at)
-    base = ArgIAF(fixed, uncertain, _declared_defeats(atts, fixed | uncertain))
-
-    deps: list[Dependency] = []
-    for lineno, kind, body in dep_lines:
-        if not body.startswith("[") or not body.endswith("]"):
-            raise ParseError(
-                f"{kind} arguments must be bracketed lists: {body!r}",
-                lineno, 1)
-        if kind == "imply":
-            # Identifiers are never empty and never contain commas, so
-            # '],,[' can only be the mark serialize_dependency puts between
-            # two lists that '],[' would not split unambiguously.
-            mark = "],,[" if "],,[" in body else "],["
-            lists = body[1:-1].split(mark)
-            if len(lists) != 2:
-                raise ParseError("imply needs exactly two lists", lineno, 1)
-            deps.append(ImplyDisj(_split_ids(lists[0], lineno, 1),
-                                  _split_ids(lists[1], lineno, 1)))
-        else:
-            items = _split_ids(body[1:-1], lineno, 1)
-            deps.append(Or(items) if kind == "or" else Nand(items))
-    try:
-        return DepArgIAF(base, deps)
-    except ValueError as exc:
-        raise UndeclaredArgumentError(str(exc)) from None
+    fixed, uncertain, defeats, deps = _read_document(text, iaf=True)
+    base = ArgIAF._canonical(tuple(sorted(fixed)), tuple(sorted(uncertain)),
+                             tuple(sorted(defeats)))
+    return DepArgIAF._canonical(base, frozenset(
+        _DEPENDENCY_TYPES[kind]._canonical(*lists) for kind, lists in deps))
 
 
 def serialize_dependency(dep: Dependency) -> str:

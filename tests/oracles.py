@@ -19,9 +19,11 @@ implicative abstraction from the public structured-layer functions,
 ``charwise_is_valid_argument_id`` and ``charwise_is_valid_formula`` test
 one character at a time, ``per_member_serialize_completion_set`` selects
 each member's lines of the union graph through
-``uarg.CompletionSet._selectors``, ``sectioned_parse_completion_set``
-reads each section of a document with ``uarg.parse_af``, and
-``sorted_completion_set`` keys members through
+``uarg.CompletionSet._selectors``, ``linewise_parse_af`` and
+``linewise_parse_iaf`` take one line at a time apart with string methods
+and build through the public constructors,
+``sectioned_parse_completion_set`` reads each section of a document with
+``linewise_parse_af``, and ``sorted_completion_set`` keys members through
 ``uarg.incomplete._key_coder``.
 """
 
@@ -34,6 +36,8 @@ from uarg import (
     CompletionSet,
     DepArgIAF,
     ImplyDisj,
+    Nand,
+    Or,
     RulISAF,
     Witness,
     associated_af,
@@ -41,17 +45,19 @@ from uarg import (
     completions_dep,
     equivalent,
     generate_arguments,
-    parse_af,
     saf_max,
     satisfies,
     uncertain_premises_of,
     uncertain_rules_of,
 )
 from uarg.equivalence import EQUIVALENT, NOT_EQUIVALENT, EquivalenceResult
+from uarg.core import is_valid_argument_id
 from uarg.errors import (
     DomainMismatchError,
+    ParseError,
     SearchBoundExceededError,
     UncertaintyBoundExceededError,
+    UndeclaredArgumentError,
 )
 from uarg.incomplete import _key_coder
 
@@ -474,10 +480,136 @@ def per_member_serialize_completion_set(completions: CompletionSet) -> str:
     return "".join(parts)
 
 
+def _linewise_lines(text: str, kinds: tuple[str, ...], first_line: int = 1):
+    """(line, column, kind, body) for each kind(body). line of ``text``,
+    skipping blank lines and % comments; a ParseError for any other line
+    or a kind outside ``kinds``.  Lines are numbered from first_line and
+    columns point at the first character that is not whitespace."""
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        column = line.index(stripped[0]) + 1
+        kind, paren, rest = stripped.partition("(")
+        if not paren or kind not in kinds:
+            raise ParseError(f"unrecognized line: {stripped!r}", lineno, column)
+        if not rest.endswith(")."):
+            raise ParseError(f"line does not end with ').': {stripped!r}",
+                             lineno, column)
+        yield lineno, column, kind, rest[:-2]
+
+
+def _linewise_split_ids(body: str, lineno: int, column: int) -> list[str]:
+    """The comma-separated identifiers of ``body``, stripped of the
+    whitespace around them; a ParseError if one is not valid."""
+    names = [name.strip() for name in body.split(",")]
+    if not all(map(is_valid_argument_id, names)):
+        raise ParseError(f"invalid identifier in {body!r}", lineno, column)
+    return names
+
+
+def _linewise_graph_line(kind: str, body: str, lineno: int,
+                         column: int) -> list[str]:
+    """The identifier of an arg-like line, taken verbatim, or the two
+    names of an att line."""
+    if kind != "att":
+        if not is_valid_argument_id(body):
+            raise ParseError(f"invalid identifier {body!r}", lineno, column)
+        return [body]
+    names = _linewise_split_ids(body, lineno, column)
+    if len(names) != 2:
+        raise ParseError(f"att needs two identifiers: {body!r}",
+                         lineno, column)
+    return names
+
+
+def _linewise_defeats(atts, declared) -> set[tuple[str, str]]:
+    for lineno, s, t in atts:
+        for name in (s, t):
+            if name not in declared:
+                raise UndeclaredArgumentError(f"line {lineno}: att references "
+                                              f"undeclared argument {name!r}")
+    return {(s, t) for _, s, t in atts}
+
+
+def linewise_parse_af(text: str, first_line: int = 1) -> AbstractAF:
+    """``uarg.parse_af`` one line at a time: every line is taken apart
+    with string methods and checked on its own, and the framework is
+    built through the public constructor."""
+    args: set[str] = set()
+    atts: list[tuple[int, str, str]] = []
+    for lineno, column, kind, body in _linewise_lines(text, ("arg", "att"),
+                                                      first_line):
+        names = _linewise_graph_line(kind, body, lineno, column)
+        if kind == "arg":
+            args.add(names[0])
+        else:
+            atts.append((lineno, *names))
+    return AbstractAF(args, _linewise_defeats(atts, args))
+
+
+def linewise_parse_iaf(text: str) -> DepArgIAF:
+    """``uarg.parse_iaf`` one line at a time, in the order of its checks:
+    every line's kind and every arg and att line as it comes, then an
+    argument declared both fixed and uncertain, undeclared att endpoints,
+    the dependency lines, and last their arguments, line by line."""
+    fixed: set[str] = set()
+    uncertain: set[str] = set()
+    atts: list[tuple[int, str, str]] = []
+    dep_lines: list[tuple[int, int, str, str]] = []
+    clash_at = None  # the first line re-declaring an argument
+    for lineno, column, kind, body in _linewise_lines(
+            text, ("arg", "?arg", "att", "imply", "or", "nand")):
+        if kind in ("imply", "or", "nand"):
+            dep_lines.append((lineno, column, kind, body))
+            continue
+        names = _linewise_graph_line(kind, body, lineno, column)
+        if kind == "att":
+            atts.append((lineno, *names))
+            continue
+        same, other = ((uncertain, fixed) if kind == "?arg"
+                       else (fixed, uncertain))
+        if names[0] in other and clash_at is None:
+            clash_at = (lineno, column)
+        same.add(names[0])
+
+    if clash_at:
+        raise ParseError(
+            "arguments declared both fixed and uncertain: "
+            f"{sorted(fixed & uncertain)}", *clash_at)
+    base = ArgIAF(fixed, uncertain, _linewise_defeats(atts, fixed | uncertain))
+
+    deps = []
+    for lineno, column, kind, body in dep_lines:
+        if not body.startswith("[") or not body.endswith("]"):
+            raise ParseError(
+                f"{kind} arguments must be bracketed lists: {body!r}",
+                lineno, column)
+        if kind == "imply":
+            mark = "],,[" if "],,[" in body else "],["
+            lists = body[1:-1].split(mark)
+            if len(lists) != 2:
+                raise ParseError("imply needs exactly two lists", lineno,
+                                 column)
+            lists = [_linewise_split_ids(part, lineno, column)
+                     for part in lists]
+            deps.append((lineno, ImplyDisj(*lists)))
+        else:
+            items = _linewise_split_ids(body[1:-1], lineno, column)
+            deps.append((lineno, Or(items) if kind == "or" else Nand(items)))
+    for lineno, dep in deps:
+        stray = set().union(*dep.clause()) - uncertain
+        if stray:
+            raise UndeclaredArgumentError(
+                f"line {lineno}: dependency mentions arguments that are not "
+                f"uncertain: {sorted(stray)}")
+    return DepArgIAF(base, (dep for _, dep in deps))
+
+
 def sectioned_parse_completion_set(text: str) -> CompletionSet:
     """The document cut at its ``---`` lines, each section read with
-    ``parse_af`` numbering its lines from where it starts; the text after
-    the last ``---`` is a section iff it is not blank."""
+    ``linewise_parse_af`` numbering its lines from where it starts; the
+    text after the last ``---`` is a section iff it is not blank."""
     sections: list[tuple[int, str]] = []  # (first line, section text)
     current: list[str] = []
     first = 1
@@ -491,7 +623,7 @@ def sectioned_parse_completion_set(text: str) -> CompletionSet:
     tail = "\n".join(current)
     if tail.strip():
         sections.append((first, tail))
-    return sorted_completion_set(parse_af(section, first_line=first)
+    return sorted_completion_set(linewise_parse_af(section, first_line=first)
                                  for first, section in sections)
 
 

@@ -49,6 +49,8 @@ from framework_gen import (
     random_arg_iaf,
 )
 from oracles import (
+    linewise_parse_af,
+    linewise_parse_iaf,
     per_member_serialize_completion_set,
     sectioned_parse_completion_set,
     sorted_completion_set,
@@ -98,6 +100,43 @@ _FORMAT_TEXT = st.lists(
     st.tuples(st.sampled_from(["", " ", "\t"]), _FORMAT_LINE,
               st.sampled_from(["\n", "\r\n", "\x85", " \n", ""]))
     .map("".join), max_size=8).map("".join)
+
+# Lines that reach every branch of the line grammar and of the checks
+# after it: canonical lines, whitespace inside and around them, bracketed
+# items and the ],,[ mark, undeclared, clashing and stray names, and ?arg
+# and dependency lines, which an AF text refuses; now and then a line
+# that the grammar refuses, with an unprintable identifier or three att
+# names, or a line cut short.
+_WELL_FORMED_LINE = st.sampled_from([
+    "arg(a).", "arg(b).", "?arg(b).", "?arg(c).", "?arg(a).", "att(a,b).",
+    "att(b,c).", "att(a,d).", "or([b,c]).", "nand([b,c]).", "or([b,d]).",
+    "imply([b],[c]).", "att( a , b ).", "or([ b , c ]).", "imply([b] ,[c]).",
+    "% note", "%", "", "---", "?arg([a]).", "?arg([b).", "?arg([c]).",
+    "or([[a],[b]).", "nand([[a],[b],[c]]).", "imply([[a],[b],,[c]).",
+    "imply([[a],,[[b],[c]).", "imply([b],,[c])."])
+_MALFORMED_LINE = st.sampled_from([
+    "arg( a ).", "att(a,b,c).", "arg(a\x00).", "att(a,b\x00).",
+    "or([b,c\x00]).", "imply([[a],[b],[c]).", "imply([b]).", "or(b).",
+    "or([]).", "or([b,,c]).", "imply([b],[c],[b]).", "arg(a)", "att(a).",
+    "x(a).", "arg()."])
+_GRAMMAR_TEXT = st.lists(
+    st.tuples(st.sampled_from(["", "", " ", "\t"]),
+              st.one_of(*[_WELL_FORMED_LINE] * 10, _MALFORMED_LINE,
+                        st.builds(lambda line, cut: line[:cut],
+                                  _WELL_FORMED_LINE, st.integers(0, 12))),
+              st.sampled_from(["", "", " ", "\t"]),
+              st.sampled_from(["\n", "\n", "\r\n", "\x0b", "\u2028"]))
+    .map("".join), max_size=6).map("".join)
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its value, or its error's class,
+    message, line and column."""
+    try:
+        return parse(text)
+    except UargError as error:
+        return (type(error), str(error), getattr(error, "line", None),
+                getattr(error, "column", None))
 
 
 # JSON-shaped values for theory documents: each schema field is either of
@@ -505,6 +544,36 @@ class TestFrameworkTextFuzz:
             except UargError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+class TestOneLineGrammar:
+    @given(_GRAMMAR_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linewise_readers(self, text):
+        for parse, oracle in (
+                (parse_af, linewise_parse_af),
+                (parse_iaf, linewise_parse_iaf),
+                (parse_completion_set, sectioned_parse_completion_set)):
+            assert _outcome(parse, text) == _outcome(oracle, text), parse
+
+    def test_dependency_errors_carry_the_column(self):
+        for text, message in (
+                ("   or([b).\n", "or arguments must be bracketed lists"),
+                ("   imply([b]).\n", "imply needs exactly two lists"),
+                ("   nand([b,c\x00]).\n", "invalid identifier in")):
+            with pytest.raises(ParseError, match=message) as info:
+                parse_iaf("arg(a).\n?arg(b).\n" + text)
+            assert (info.value.line, info.value.column) == (3, 4)
+
+    def test_first_stray_dependency_line_is_reported(self):
+        # each line's own stray names, not the first a set iterates over
+        text = ("arg(a).\n?arg(b).\nor([b,c]).\nor([b,d]).\n"
+                "nand([b,e]).\n")
+        with pytest.raises(UndeclaredArgumentError) as info:
+            parse_iaf(text)
+        assert str(info.value) == (
+            "UNDECLARED_ARGUMENT: line 3: dependency mentions arguments "
+            "that are not uncertain: ['c']")
 
 
 class TestTheoryDocumentFuzz:
