@@ -46,12 +46,6 @@ def is_valid_formula(token: str) -> bool:
     return _FORBIDDEN_FORMULA_CHAR.search(token) is None
 
 
-def check_formula(token: str) -> str:
-    if not is_valid_formula(token):
-        raise ValueError(f"invalid formula token: {token!r}")
-    return token
-
-
 def _formula_order(phi: object) -> tuple[bool, str]:
     """Sort key for possibly malformed formulas: strings in their own order,
     then anything else by its text, so that naming the least offending
@@ -234,10 +228,6 @@ class StructuredArgument:
     @property
     def is_premise(self) -> bool:
         return self.premise is not None
-
-    @property
-    def top_rule(self) -> Rule | None:
-        return self.rule
 
     @property
     def premises(self) -> frozenset[str]:

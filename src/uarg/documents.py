@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any
 
 from .aspic import (
     DEFEASIBLE,
@@ -23,7 +23,11 @@ from .aspic import (
     make_theory,
 )
 from .core import (
+    _DEPENDENCY_KINDS,
+    _KINDS,
+    _LINE,
     AbstractAF,
+    _column,
     _declared_defeats,
     _graph_line,
     parse_af,
@@ -34,8 +38,8 @@ from .incomplete import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
+    _entry_columns,
     _key_coder,
-    _key_columns,
     parse_iaf,
     serialize_iaf,
 )
@@ -327,18 +331,9 @@ def serialize_completion_set(completions: CompletionSet) -> str:
     of every subset of those lines turns that byte into its text."""
     graph, keys = completions._graph, completions._keys
     args, defeats = graph.args, graph.defeats
-    column = _key_columns(keys, len(args) + len(defeats))
-    held = dict(zip(args, map(column, range(len(args)))))
-
-    def line_columns() -> Iterator[int]:
-        yield from held.values()
-        for j, (s, t) in enumerate(defeats, len(args)):
-            # both endpoints held, and key bit j (the defeat lacked) clear
-            yield held[s] & held[t] & ~column(j)
-
     lines = [f"arg({a}).\n" for a in args]
     lines += [f"att({s},{t}).\n" for s, t in defeats]
-    pending = line_columns()
+    pending = iter(_entry_columns(graph, keys))
     step = (len(lines) + 7) // 8 + 1  # a member's runs, then its ---
     parts = ["---\n"] * (step * len(keys))
     for run, low in enumerate(range(0, len(lines), 8)):
@@ -361,10 +356,15 @@ def load_framework(text: str, kind: str):
     if kind in ("arg-iaf", "dep-arg-iaf"):
         diaf = parse_iaf(text)
         if kind == "arg-iaf":
-            if diaf.deps:
+            if diaf.deps:  # named at the first dependency line
+                lineno, line = next(
+                    (lineno, line)
+                    for lineno, line in enumerate(text.splitlines(), 1)
+                    if _KINDS.get(_LINE.fullmatch(line).lastindex)
+                    in _DEPENDENCY_KINDS)
                 raise ParseError(
                     "document declares dependencies; load it as dep-arg-iaf",
-                    1, 1)
+                    lineno, _column(line))
             return diaf.base
         return diaf
     if kind in ("rul-isaf", "prem-isaf", "saf"):

@@ -28,8 +28,9 @@ from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import (
     ArgIAF,
     CompletionSet,
+    _DIGITS,
     _check_uncertain_bound,
-    _columns,
+    _entry_columns,
     _induced_completions,
     _or_images,
     _own_bits,
@@ -91,23 +92,18 @@ def _maps_onto(source: CompletionSet, target: CompletionSet,
     return set(target._keys).issuperset(_or_images(image, source._keys))
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 class _KeyTables:
     """What the search reads of a completion set, taken from its union
     graph and keys with no member built: each member's shape
     ``(|args|, |defeats|)``, each argument's occurrence signature, and the
     members holding each argument and each defeat.
 
-    The keys sit side by side in one integer, one field of ``words``
-    64-bit words per member, member k's field at bit ``64*words*k``.  A
+    Each argument and each defeat has a column (``_entry_columns``): one
+    integer with one field of ``words`` 64-bit words per member, member
+    k's field at bit ``64*words*k``, holding 1 iff k holds the entry.  A
     field is as wide as the widest key and the widest signature code, so
-    nothing carries from one field into the next.  Argument i's column is
-    key bit i of every field at once: bit 0 of member k's field is set iff
-    k holds the argument.  A held defeat's column is its endpoints' columns
-    ANDed, minus the members whose key has that defeat's lack bit, and a
-    sum of columns is a count in every field at once."""
+    nothing carries from one field into the next, and a sum of columns is
+    a count in every field at once."""
 
     def __init__(self, completions: CompletionSet, union_size: int):
         graph, keys = completions._graph, completions._keys
@@ -118,15 +114,11 @@ class _KeyTables:
         self.words = words = -(-max(key_bits, code_bits) // 64)
         self.size = 8 * words * len(keys)  # bytes of a packed vector
         n = len(graph.args)
-        columns = _columns(keys, key_bits, 8 * words)
-        columns += [0] * (n + len(graph.defeats) - key_bits)  # in no key
+        columns = _entry_columns(graph, keys, 8 * words)
         place = {a: i for i, a in enumerate(graph.args)}
         self.graph = graph
         self.pairs = [(place[s], place[t]) for s, t in graph.defeats]
-        self.column = columns[:n]
-        # a lack bit is set only where both endpoints are
-        self.held = [columns[s] & columns[t] ^ lack
-                     for (s, t), lack in zip(self.pairs, columns[n:])]
+        self.column, self.held = columns[:n], columns[n:]
         self.arg_count, self.defeat_count = sum(self.column), sum(self.held)
         self.shapes = list(zip(self._fields(self.arg_count),
                                self._fields(self.defeat_count)))
@@ -348,15 +340,15 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
     full_keys = [k for k in keys if k & low == low]
     if len(full_keys) != 1:
         return True
-    lacks = full_keys[0] >> n  # the graph defeats the full member lacks
-    candidate = ArgIAF._canonical(fixed, uncertain, tuple(
-        d for j, d in enumerate(graph.defeats) if not lacks >> j & 1))
-    # completions_arg_iaf(candidate), over the target's graph itself when
-    # the full member holds all of it
+    if full_keys[0] >> n:
+        # the full member lacks a defeat that another member holds, but
+        # every completion holds only defeats of the full one
+        return True
+    candidate = ArgIAF._canonical(fixed, uncertain, graph.defeats)
+    # completions_arg_iaf(candidate), over the target's graph itself
     _check_uncertain_bound(len(uncertain), limits)
-    completions = _induced_completions(
-        candidate.full_af() if lacks else graph, _own_bits(candidate),
-        range(1 << len(uncertain)))
+    completions = _induced_completions(graph, _own_bits(candidate),
+                                       range(1 << len(uncertain)))
     return not equivalent(completions, target, limits,
                           identity_only=True).equivalent
 

@@ -265,28 +265,17 @@ class CompletionSet:
     def members(self) -> tuple[AbstractAF, ...]:
         if self._members is None:
             args, defeats = self._graph.args, self._graph.defeats
+            count = len(self._keys)
+            # the columns entry-major, so member r's byte per entry is the
+            # stride slice from r
+            held = b"".join([column.to_bytes(count, "little") for column
+                             in _entry_columns(self._graph, self._keys)])
+            first = count * len(args)  # where the defeats' bytes start
             self._members = tuple(AbstractAF._canonical(
-                tuple(compress(args, keep)),
-                tuple(compress(defeats, keep[len(args):])))
-                for keep in self._selectors())
+                tuple(compress(args, held[r:first:count])),
+                tuple(compress(defeats, held[first + r::count])))
+                for r in range(count))
         return self._members
-
-    def _selectors(self) -> Iterator[bytes]:
-        """Per key, one byte per entry of the graph's ``args + defeats``:
-        1 where the member holds it, else 0."""
-        entries = self._graph.args + self._graph.defeats
-        width = len(entries)
-        # gone[x]: the bytes a member loses without entry x (key bit i for
-        # entry i); an argument takes its defeats along
-        gone = {x: 1 << 8 * (width - 1 - i) for i, x in enumerate(entries)}
-        for s, t in self._graph.defeats:
-            gone[s] |= gone[s, t]
-            gone[t] |= gone[s, t]
-        every = int.from_bytes(b"\x01" * width, "big")
-        full = (1 << len(self._graph.args)) - 1  # flips arguments to dropped
-        return ((every ^ lost).to_bytes(width, "big")
-                for lost in _or_images([*gone.values()],
-                                       [full ^ k for k in self._keys]))
 
     def argument_union(self) -> frozenset[str]:
         return frozenset(self._graph.args)
@@ -345,42 +334,59 @@ def _key_coder(graph: AbstractAF) -> Callable[..., int]:
 def _union_of(graph: AbstractAF, masks: Sequence[int]) -> tuple[
         AbstractAF, Sequence[int]]:
     """The part of ``graph`` that some argument mask holds, and the masks
-    over it, in the same order.  A defeat is held iff one mask keeps both
-    its endpoints."""
+    over it, in the same order."""
     args = graph.args
-    column = dict(zip(args, map(_key_columns(masks, len(args)),
-                                range(len(args)))))
-    kept = tuple(a for a in args if column[a])
+    column = _entry_columns(graph, masks)
+    kept = tuple(compress(args, column))
     if len(kept) < len(args):  # renumber the bits of the kept arguments
         place = dict.fromkeys(args, 0)
         place.update((a, 1 << k) for k, a in enumerate(kept))
         masks = tuple(_or_images([place[a] for a in args], masks))
     return AbstractAF._canonical(kept, tuple(
-        (s, t) for s, t in graph.defeats if column[s] & column[t])), masks
+        compress(graph.defeats, column[len(args):]))), masks
 
 
-def _key_columns(keys: Sequence[int], bits: int) -> Callable[[int], int]:
-    """The column of key bit i, for i below ``bits``: an integer whose
-    byte r is 1 where key r has bit i, else 0.  The keys are packed once
-    into one byte string, ``(bits + 7) // 8`` little-endian bytes each, so
-    that byte b of every key is the stride slice ``packed[b::width]``.
-    Every key must fit its bytes."""
-    width = (bits + 7) // 8
-    packed = b"".join(map(int.to_bytes, keys, repeat(width),
-                          repeat("little")))
-    rows = [int.from_bytes(packed[b::width], "little") for b in range(width)]
-    ones = int.from_bytes(b"\1" * len(keys), "little")
-    return lambda i: rows[i >> 3] >> (i & 7) & ones
+def _key_columns(keys: Sequence[int], bits: int,
+                 field: int = 1) -> list[int]:
+    """The column of each key bit below ``bits``: an integer with one
+    ``field``-byte field per key, in key order, holding 1 where that key
+    has the bit, else 0.  Keys are packed once, as few bytes each as the
+    widest key needs.  When every key fits its field, they are packed
+    into the fields, and column i is that integer shifted by i.
+    Otherwise the fields are bytes (``field`` must be 1): byte b of every
+    key is the stride slice ``packed[b::width]``, and each column is a
+    shift of one such row."""
+    top = max(keys, default=0).bit_length()  # at most bits
+    ones = int.from_bytes(b"\1".ljust(field, b"\0") * len(keys), "little")
+    if top <= 8 * field:
+        packed = int.from_bytes(b"".join(map(
+            int.to_bytes, keys, repeat(field), repeat("little"))), "little")
+        columns = [packed >> i & ones for i in range(top)]
+    else:
+        width = (top + 7) // 8
+        packed = b"".join(map(int.to_bytes, keys, repeat(width),
+                              repeat("little")))
+        columns = []
+        for b in range(width):
+            row = int.from_bytes(packed[b::width], "little")
+            columns += [row >> i & ones for i in range(8)]
+        del columns[top:]
+    return columns + [0] * (bits - top)  # bits that no key has
 
 
-def _columns(masks: Sequence[int], bits: int, width: int) -> list[int]:
-    """Bit i of every mask at once, for each i below ``bits``: the masks
-    side by side, ``width`` bytes each, shifted right by i and cut to the
-    first bit of each field.  Every mask must fit its field."""
-    packed = int.from_bytes(b"".join([m.to_bytes(width, "little")
-                                      for m in masks]), "little")
-    first = int.from_bytes(b"\1".ljust(width, b"\0") * len(masks), "little")
-    return [packed >> i & first for i in range(bits)]
+def _entry_columns(graph: AbstractAF, keys: Sequence[int],
+                   field: int = 1) -> list[int]:
+    """One column per entry of ``graph.args + graph.defeats``: an integer
+    with one ``field``-byte field per key, in key order, holding 1 where
+    that member holds the entry, else 0.  A member holds a defeat iff it
+    holds both endpoints and its key has no lack bit for it."""
+    n = len(graph.args)
+    columns = _key_columns(keys, n + len(graph.defeats), field)
+    held = dict(zip(graph.args, columns))
+    # a key has a lack bit only where it holds both endpoints
+    columns[n:] = [held[s] & held[t] ^ lack
+                   for (s, t), lack in zip(graph.defeats, columns[n:])]
+    return columns
 
 
 def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
@@ -399,6 +405,9 @@ def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
     return out
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _member_order(graph: AbstractAF, keys: Iterable[int]) -> tuple[int, ...]:
     """The distinct ``keys`` over ``graph`` in the order of their members.
 
@@ -415,18 +424,15 @@ def _member_order(graph: AbstractAF, keys: Iterable[int]) -> tuple[int, ...]:
     full = (1 << n) - 1
     digits = {k: bin(k << 1 | 1)[:1:-1] + "2" for k in keys}
     if digits and max(digits) > full:  # some key has a lack bit
-        # touches[a]: the defeats that argument a takes along when dropped
-        touches = dict.fromkeys(graph.args, 0)
-        for j, (s, t) in enumerate(graph.defeats):
-            touches[s] |= 1 << j
-            touches[t] |= 1 << j
-        every = (1 << len(graph.defeats)) - 1
-        lost = _or_images([*touches.values()], [full & ~k for k in digits])
-        # the arguments kept, then the defeats held: those between kept
-        # arguments, minus the lack bits
-        for k, gone in zip(digits, lost):
-            digits[k] = bin((k & full) << 1 | 1)[:1:-1] + "2" + bin(
-                (every ^ gone ^ k >> n) << 1 | 1)[:1:-1] + "2"
+        # the arguments kept, then the defeats held, read entry-major from
+        # the defeats' columns
+        count = len(digits)
+        held = b"".join([column.to_bytes(count, "little") for column
+                         in _entry_columns(graph, [*digits])[n:]]
+                        ).translate(_DIGITS).decode()
+        for r, k in enumerate(digits):
+            digits[k] = bin((k & full) << 1 | 1)[:1:-1] + "21" + \
+                held[r::count].rstrip("0") + "2"
     return tuple(sorted(digits, key=digits.__getitem__, reverse=True))
 
 
@@ -635,29 +641,20 @@ def _stray_count(iaf: ArgIAF, target: CompletionSet) -> int:
     argument, no argument outside ``iaf``, and exactly the defeats of
     ``iaf`` between the arguments it holds."""
     graph = target._graph
-    n = len(graph.args)
-    bit = {a: 1 << i for i, a in enumerate(graph.args)}
-    if not all(a in bit for a in iaf.fixed_args):
-        return len(target)  # a fixed argument that no member holds
-    fixed = sum(bit[a] for a in iaf.fixed_args)
+    held = dict(zip(graph.args + graph.defeats,
+                    _entry_columns(graph, target._keys)))
+    every = int.from_bytes(b"\1" * len(target), "little")
     known = set(iaf.fixed_args) | set(iaf.uncertain_args)
     defeats = set(iaf.defeats)
-    # an argument outside iaf, or the lack of a defeat of iaf
-    wrong = sum(bit[a] for a in graph.args if a not in known) | sum(
-        1 << n + j for j, d in enumerate(graph.defeats) if d in defeats)
-    # (both endpoints, lack bit): a member holding both endpoints and not
-    # the lack bit holds a defeat outside iaf; a defeat of iaf outside the
-    # graph has no lack bit, and every member holding both endpoints lacks
-    # it
-    pairs = [(bit[s] | bit[t], 1 << n + j)
-             for j, (s, t) in enumerate(graph.defeats)
-             if (s, t) not in defeats]
-    held = set(graph.defeats)
-    pairs += [(bit[s] | bit[t], 0) for s, t in iaf.defeats
-              if s in bit and t in bit and (s, t) not in held]
-    return sum(1 for k in target._keys
-               if k & fixed != fixed or k & wrong
-               or any(k & (ends | lack) == ends for ends, lack in pairs))
+    # the columns of the members missing a fixed argument, holding an
+    # argument or a defeat outside iaf, or holding both endpoints of a
+    # defeat of iaf without it
+    stray = [every ^ held.get(a, 0) for a in iaf.fixed_args]
+    stray += [held[a] for a in graph.args if a not in known]
+    stray += [held[d] for d in graph.defeats if d not in defeats]
+    stray += [held.get(s, 0) & held.get(t, 0) ^ held.get((s, t), 0)
+              for s, t in iaf.defeats]
+    return reduce(or_, stray, 0).bit_count()
 
 
 def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,

@@ -18,8 +18,9 @@ implicative abstraction from the public structured-layer functions,
 ``applied_check_witness`` relabels through ``uarg.Witness.apply``, and
 ``charwise_is_valid_argument_id`` and ``charwise_is_valid_formula`` test
 one character at a time, ``per_member_serialize_completion_set`` selects
-each member's lines of the union graph through
-``uarg.CompletionSet._selectors``, ``linewise_parse_af`` and
+each member's lines of the union graph through its own decoder of the
+keys, ``gone_selectors`` over ``uarg.incomplete._or_images``, rather than
+the library's ``_entry_columns``, ``linewise_parse_af`` and
 ``linewise_parse_iaf`` take one line at a time apart with string methods
 and build through the public constructors,
 ``sectioned_parse_completion_set`` reads each section of a document with
@@ -59,7 +60,7 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
-from uarg.incomplete import _key_coder
+from uarg.incomplete import _key_coder, _or_images
 
 
 def powerset(items):
@@ -466,6 +467,27 @@ def covering_imp_arg_iaf(x, limits=DEFAULT_LIMITS) -> DepArgIAF:
     return DepArgIAF(ArgIAF(fixed, uncertain, af.defeats), deps)
 
 
+def gone_selectors(completions: CompletionSet):
+    """Per key, one byte per entry of the graph's ``args + defeats``: 1
+    where the member holds it, else 0.  Each entry a member lacks takes
+    its byte away, and each argument lacked takes its defeats' bytes
+    along; a lack bit takes away the byte of its defeat alone."""
+    graph = completions._graph
+    entries = graph.args + graph.defeats
+    width = len(entries)
+    # gone[x]: the bytes a member loses without entry x (key bit i for
+    # entry i)
+    gone = {x: 1 << 8 * (width - 1 - i) for i, x in enumerate(entries)}
+    for s, t in graph.defeats:
+        gone[s] |= gone[s, t]
+        gone[t] |= gone[s, t]
+    every = int.from_bytes(b"\x01" * width, "big")
+    full = (1 << len(graph.args)) - 1  # flips arguments to dropped
+    return ((every ^ lost).to_bytes(width, "big")
+            for lost in _or_images([*gone.values()],
+                                   [full ^ k for k in completions._keys]))
+
+
 def per_member_serialize_completion_set(completions: CompletionSet) -> str:
     """The completion-set document one member at a time: every arg(..)
     and att(..) line of the union graph is formatted once, and each
@@ -474,7 +496,7 @@ def per_member_serialize_completion_set(completions: CompletionSet) -> str:
     lines = [f"arg({a}).\n" for a in graph.args]
     lines += [f"att({s},{t}).\n" for s, t in graph.defeats]
     parts: list[str] = []
-    for keep in completions._selectors():
+    for keep in gone_selectors(completions):
         parts += compress(lines, keep)
         parts.append("---\n")
     return "".join(parts)

@@ -596,6 +596,12 @@ class TestFrameworkLoading:
         with pytest.raises(ParseError):
             load_framework("?arg(a).\nor([a]).", "arg-iaf")
 
+    def test_arg_iaf_dependency_error_names_the_dependency_line(self):
+        with pytest.raises(ParseError) as info:
+            load_framework("arg(a).\n?arg(b).\n  or([b]).\nnand([b]).\n",
+                           "arg-iaf")
+        assert (info.value.line, info.value.column) == (3, 3)
+
     def test_dep_arg_iaf(self):
         diaf = load_framework("?arg(a).\nor([a]).", "dep-arg-iaf")
         assert len(diaf.deps) == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -651,9 +652,10 @@ class TestNoEquivalentArgIaf:
     def test_matches_enumeration_oracle(self):
         # Each target as-is, with one defeat toggled, with one member
         # dropped, and with a non-full member replaced by a toggled copy of
-        # the full one; the last two reach the count and full-member exits.
+        # the full one; the last two reach the count and full-member exits,
+        # and a toggled defeat that the full member lacks the lacks exit.
         rng = random.Random(109)
-        exits = {"union": 0, "count": 0, "full": 0}
+        exits = {"union": 0, "count": 0, "full": 0, "lacks": 0}
         verdicts = {True: 0, False: 0}
         for _ in range(300):
             base = completions_arg_iaf(random_arg_iaf(rng, max_args=4))
@@ -671,7 +673,11 @@ class TestNoEquivalentArgIaf:
             for target in variants:
                 union = target.argument_union()
                 fixed = union.intersection(*(af.args for af in target))
-                n_full = sum(len(af.args) == len(union) for af in target)
+                full_defeats = [af.defeats for af in target
+                                if len(af.args) == len(union)]
+                n_full = len(full_defeats)
+                lacks = n_full == 1 and not set(full_defeats[0]).issuperset(
+                    chain.from_iterable(af.defeats for af in target))
                 for max_args in (3, 4, 5):
                     got = no_equivalent_arg_iaf(target, max_args)
                     assert got == enumerated_no_equivalent_arg_iaf(
@@ -684,6 +690,8 @@ class TestNoEquivalentArgIaf:
                     elif len(target) == 1 << len(union - fixed) \
                             and n_full == 2:
                         exits["full"] += 1
+                    elif len(target) == 1 << len(union - fixed) and lacks:
+                        exits["lacks"] += 1
         assert all(exits.values()), exits
         assert verdicts[True] >= 100 and verdicts[False] >= 100
 
