@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, NoReturn
+from typing import Iterable, NoReturn, TypeVar
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -21,6 +21,8 @@ from .errors import MemberNotInAFError, ParseError, UndeclaredArgumentError
 
 # In a str pattern \s matches exactly the characters str.isspace() accepts.
 _FORBIDDEN_ID_CHAR = re.compile(r"[\s(),.]")
+
+_T = TypeVar("_T")
 
 SEMANTICS = ("admissible", "complete", "grounded", "preferred", "stable")
 
@@ -35,6 +37,20 @@ def check_argument_id(name: str) -> str:
     if not is_valid_argument_id(name):
         raise ValueError(f"invalid argument identifier: {name!r}")
     return name
+
+
+def _trusted(cls: type[_T], *values: object) -> _T:
+    """The instance of the frozen dataclass ``cls`` whose fields, in
+    declaration order, are ``values``, unchecked: only values derived from
+    validated ones, already in the form its public constructor stores, are
+    built this way.  Each frozen value class binds it as ``_canonical``."""
+    names = cls.__dataclass_fields__
+    if len(values) != len(names):
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, "
+                        f"got {len(values)} values")
+    value = object.__new__(cls)
+    value.__dict__.update(zip(names, values))  # bypass the frozen __setattr__
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,18 +71,7 @@ class AbstractAF:
         object.__setattr__(self, "args", tuple(sorted(arg_set)))
         object.__setattr__(self, "defeats", tuple(sorted(defeat_set)))
 
-    @classmethod
-    def _canonical(cls, args: tuple[str, ...],
-                   defeats: tuple[tuple[str, str], ...]) -> "AbstractAF":
-        """Framework from tuples that are already canonical: valid
-        identifiers, sorted and duplicate-free, every defeat inside
-        ``args``.  Nothing is checked, so only graphs derived from a
-        validated framework are built this way."""
-        af = object.__new__(cls)
-        fields = af.__dict__  # frozen: bypass the dataclass __setattr__
-        fields["args"] = args
-        fields["defeats"] = defeats
-        return af
+    _canonical = classmethod(_trusted)
 
     @property
     def arg_set(self) -> frozenset[str]:
@@ -75,9 +80,6 @@ class AbstractAF:
     @property
     def defeat_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.defeats)
-
-    def restrict(self, keep: Iterable[str]) -> "AbstractAF":
-        return restrict(self, keep)
 
     def __repr__(self) -> str:
         return f"AbstractAF(args={list(self.args)}, defeats={list(self.defeats)})"
@@ -351,9 +353,9 @@ def _declared_defeats(atts: list[tuple[int, str, str]],
     return {(s, t) for _, s, t in atts}
 
 
-def _read_document(text: str, *, iaf: bool, first_line: int = 1
-                   ) -> tuple[set[str], set[str], set[tuple[str, str]],
-                              list[tuple[str, tuple[frozenset[str], ...]]]]:
+def _read_document(text: str, *, iaf: bool) -> tuple[
+        set[str], set[str], set[tuple[str, str]],
+        list[tuple[str, tuple[frozenset[str], ...]]]]:
     """The fixed and uncertain arguments, the defeats and the dependencies
     (kind, lists) of an IAF text, or of an AF text, which has no ?arg or
     dependency line.
@@ -388,14 +390,13 @@ def _read_document(text: str, *, iaf: bool, first_line: int = 1
                 and uncertain.issuperset(chain.from_iterable(
                     chain.from_iterable(lists for _, lists in deps)))):
             return fixed, uncertain, defeats, deps
-    _raise_first_error(lines, matches, _IAF_KINDS if iaf else _AF_KINDS,
-                       first_line)
+    _raise_first_error(lines, matches, _IAF_KINDS if iaf else _AF_KINDS)
 
 
 def _raise_first_error(lines: list[str], matches: list[re.Match | None],
-                       kinds: tuple[str, ...], first_line: int) -> NoReturn:
+                       kinds: tuple[str, ...]) -> NoReturn:
     """Raise the error that checking ``lines`` one at a time meets first,
-    numbering them from first_line: a line of no kind of ``kinds`` or a
+    numbering them from 1: a line of no kind of ``kinds`` or a
     malformed or unprintable arg or att line, where it stands; then an
     argument declared both fixed and uncertain, at the first line that
     declares it again; then an undeclared att endpoint; then a malformed
@@ -407,7 +408,7 @@ def _raise_first_error(lines: list[str], matches: list[re.Match | None],
     deps: list[tuple[int, tuple[str, ...]]] = []
     clash_at: tuple[int, int] | None = None
     dep_error: ParseError | None = None
-    for lineno, line, match in zip(count(first_line), lines, matches):
+    for lineno, line, match in zip(count(1), lines, matches):
         if match is not None:
             if match.lastindex is None:
                 continue  # blank or a comment
@@ -443,11 +444,10 @@ def _raise_first_error(lines: list[str], matches: list[re.Match | None],
         f"uncertain: {sorted(set(names) - uncertain)}")
 
 
-def parse_af(text: str, *, first_line: int = 1) -> AbstractAF:
+def parse_af(text: str) -> AbstractAF:
     """Parse the AF text format: arg(x). / att(x,y). lines, % comments.
-    Errors number the text's lines from first_line."""
-    args, _, defeats, _ = _read_document(text, iaf=False,
-                                         first_line=first_line)
+    Errors number the text's lines from 1."""
+    args, _, defeats, _ = _read_document(text, iaf=False)
     return AbstractAF._canonical(tuple(sorted(args)), tuple(sorted(defeats)))
 
 

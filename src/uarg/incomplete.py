@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF, _read_document, check_argument_id
+from .core import AbstractAF, _read_document, _trusted, check_argument_id
 from .errors import (
     TargetNotRepresentableError,
     TargetNotSubsetError,
@@ -60,20 +60,7 @@ class ArgIAF:
         object.__setattr__(self, "uncertain_args", tuple(sorted(uncertain)))
         object.__setattr__(self, "defeats", tuple(sorted(defeat_set)))
 
-    @classmethod
-    def _canonical(cls, fixed_args: tuple[str, ...],
-                   uncertain_args: tuple[str, ...],
-                   defeats: tuple[tuple[str, str], ...]) -> "ArgIAF":
-        """Framework from tuples that are already canonical: valid
-        identifiers, sorted, duplicate-free and disjoint, every defeat
-        inside them.  Nothing is checked, so only frameworks derived from
-        a validated one are built this way."""
-        iaf = object.__new__(cls)
-        fields = iaf.__dict__  # frozen: bypass the dataclass __setattr__
-        fields["fixed_args"] = fixed_args
-        fields["uncertain_args"] = uncertain_args
-        fields["defeats"] = defeats
-        return iaf
+    _canonical = classmethod(_trusted)
 
     @property
     def all_args(self) -> tuple[str, ...]:
@@ -117,16 +104,7 @@ class ImplyDisj(Dependency):
         object.__setattr__(self, "any_of",
                            _nonempty_id_set(any_of, "ImplyDisj.any_of"))
 
-    @classmethod
-    def _canonical(cls, all_of: frozenset[str],
-                   any_of: frozenset[str]) -> "ImplyDisj":
-        """Dependency from non-empty sets of valid identifiers, unchecked
-        like ``ArgIAF._canonical``."""
-        dep = object.__new__(cls)
-        fields = dep.__dict__
-        fields["all_of"] = all_of
-        fields["any_of"] = any_of
-        return dep
+    _canonical = classmethod(_trusted)
 
     def sort_key(self) -> tuple:
         return (0, tuple(sorted(self.all_of)), tuple(sorted(self.any_of)))
@@ -142,13 +120,7 @@ class Or(Dependency):
     def __init__(self, any_of: Iterable[str]):
         object.__setattr__(self, "any_of", _nonempty_id_set(any_of, "Or.any_of"))
 
-    @classmethod
-    def _canonical(cls, any_of: frozenset[str]) -> "Or":
-        """Dependency from a non-empty set of valid identifiers, unchecked
-        like ``ArgIAF._canonical``."""
-        dep = object.__new__(cls)
-        dep.__dict__["any_of"] = any_of
-        return dep
+    _canonical = classmethod(_trusted)
 
     def sort_key(self) -> tuple:
         return (1, tuple(sorted(self.any_of)))
@@ -165,13 +137,7 @@ class Nand(Dependency):
         object.__setattr__(self, "not_all_of",
                            _nonempty_id_set(not_all_of, "Nand.not_all_of"))
 
-    @classmethod
-    def _canonical(cls, not_all_of: frozenset[str]) -> "Nand":
-        """Dependency from a non-empty set of valid identifiers, unchecked
-        like ``ArgIAF._canonical``."""
-        dep = object.__new__(cls)
-        dep.__dict__["not_all_of"] = not_all_of
-        return dep
+    _canonical = classmethod(_trusted)
 
     def sort_key(self) -> tuple:
         return (2, tuple(sorted(self.not_all_of)))
@@ -212,16 +178,7 @@ class DepArgIAF:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "deps", deps)
 
-    @classmethod
-    def _canonical(cls, base: ArgIAF,
-                   deps: frozenset[Dependency]) -> "DepArgIAF":
-        """Framework whose dependencies mention only uncertain arguments
-        of ``base``, unchecked like ``ArgIAF._canonical``."""
-        diaf = object.__new__(cls)
-        fields = diaf.__dict__
-        fields["base"] = base
-        fields["deps"] = deps
-        return diaf
+    _canonical = classmethod(_trusted)
 
 
 class CompletionSet:
@@ -695,10 +652,12 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
             raise TargetNotRepresentableError(
                 "cannot exclude the unique completion of a framework "
                 "without uncertain arguments")
+        # every name is an uncertain argument of the validated iaf
         if not present:
-            deps.append(Or(absent))
+            deps.append(Or._canonical(frozenset(absent)))
         elif not absent:
-            deps.append(Nand(present))
+            deps.append(Nand._canonical(frozenset(present)))
         else:
-            deps.append(ImplyDisj(present, absent))
+            deps.append(ImplyDisj._canonical(frozenset(present),
+                                             frozenset(absent)))
     return frozenset(deps)

@@ -18,6 +18,7 @@ from uarg import (
     parse_af,
     parse_iaf,
     prem_isaf_to_rul_isaf,
+    restrict,
     serialize_af,
     serialize_iaf,
     tidy,
@@ -326,9 +327,9 @@ def _union_of_lines(count: int) -> CompletionSet:
     defeats = (ring + [(a, a) for a in names])[:count - len(names)]
     whole = AbstractAF(names, defeats)
     return CompletionSet([whole, AbstractAF(names, defeats[1:]),
-                          whole.restrict(names[:len(names) // 2]),
-                          whole.restrict(names[::2]),
-                          whole.restrict(names[-1:]), AbstractAF()])
+                          restrict(whole, names[:len(names) // 2]),
+                          restrict(whole, names[::2]),
+                          restrict(whole, names[-1:]), AbstractAF()])
 
 
 def _writer_cases() -> list[CompletionSet]:
@@ -351,8 +352,8 @@ def _writer_cases() -> list[CompletionSet]:
     cases += [_union_of_lines(n) for n in (7, 8, 9, 63, 64, 65)]
     names = [f"w{i}" for i in range(70)]
     chain70 = AbstractAF(names, zip(names, names[1:]))
-    cases.append(CompletionSet([chain70, chain70.restrict(names[:40]),
-                                chain70.restrict(names[::3]),
+    cases.append(CompletionSet([chain70, restrict(chain70, names[:40]),
+                                restrict(chain70, names[::3]),
                                 AbstractAF(names[5:])]))
     return cases
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from uarg import (
     parse_af,
     parse_iaf,
     prem_isaf_to_imp_arg_iaf,
+    restrict,
     rul_isaf_to_imp_arg_iaf,
     satisfies,
     serialize_iaf,
@@ -103,6 +105,45 @@ class TestCompletions:
     def test_fixed_and_uncertain_disjoint(self):
         with pytest.raises(ValueError):
             ArgIAF(["a"], ["a"], [])
+
+
+def _public_builds(iaf: ArgIAF) -> dict[type, object]:
+    """Each frozen value class built through its public constructor from
+    ``iaf``, which has at least two uncertain arguments."""
+    first, rest = iaf.uncertain_args[:1], iaf.uncertain_args[1:]
+    deps = [ImplyDisj(first, rest), Or(rest), Nand(iaf.uncertain_args)]
+    return {AbstractAF: AbstractAF(iaf.all_args, iaf.defeats),
+            ArgIAF: ArgIAF(iaf.fixed_args, iaf.uncertain_args, iaf.defeats),
+            ImplyDisj: deps[0], Or: deps[1], Nand: deps[2],
+            DepArgIAF: DepArgIAF(iaf, deps)}
+
+
+# a change to one field that each public constructor refuses
+_REFUSED = {AbstractAF: {"args": ["x y"]}, ArgIAF: {"fixed_args": ["x y"]},
+            ImplyDisj: {"all_of": []}, Or: {"any_of": []},
+            Nand: {"not_all_of": []}, DepArgIAF: {"deps": [Or(["zz"])]}}
+
+
+@pytest.mark.parametrize("cls", list(_REFUSED), ids=lambda c: c.__name__)
+def test_trusted_build_equals_public_build(cls):
+    rng = random.Random(61)
+    for _ in range(20):
+        iaf = random_arg_iaf(rng, 5)
+        if len(iaf.uncertain_args) < 2:
+            continue
+        public = _public_builds(iaf)[cls]
+        values = [getattr(public, f.name) for f in fields(cls)]
+        trusted = cls._canonical(*values)
+        assert type(trusted) is cls and vars(trusted) == vars(public)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+        # replace builds through the public constructor, checks and all
+        assert replace(trusted) == public
+        with pytest.raises(ValueError):
+            replace(trusted, **_REFUSED[cls])
+        for wrong in (values[:-1], values + [None]):
+            with pytest.raises(TypeError):
+                cls._canonical(*wrong)
 
 
 def _restriction_cases():
@@ -498,7 +539,7 @@ class TestSynthesis:
         # members off by one argument or one defeat, each a stray
         def variants(rng, iaf, m):
             yield AbstractAF(m.args + ("zz",), m.defeats)
-            yield m.restrict(set(m.args) - set(iaf.fixed_args[:1]))
+            yield restrict(m, set(m.args) - set(iaf.fixed_args[:1]))
             if m.defeats:
                 yield AbstractAF(m.args, m.defeats[1:])
             if m.args:
@@ -582,6 +623,11 @@ class TestSynthesis:
                 target = CompletionSet(chosen)
                 full = synthesize_dependencies(iaf, target)
                 kinds.update(type(dep) for dep in full)
+                for dep in full:  # as the public constructors render it
+                    pos, neg = dep.clause()
+                    twin = (Or(neg) if not pos else Nand(pos) if not neg
+                            else ImplyDisj(pos, neg))
+                    assert (type(dep), vars(dep)) == (type(twin), vars(twin))
                 # every clause is already irredundant
                 assert synthesize_dependencies(iaf, target, minimize=True) \
                     == full == minimized_by_completions(iaf, full, target)
