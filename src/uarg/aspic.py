@@ -19,9 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_LIMITS, Limits
+from .core import AbstractAF
 from .errors import (
     ArgumentNotOfTheoryError,
     GenerationLimitExceededError,
@@ -201,10 +203,12 @@ def validate_theory(theory: ArgumentationTheory) -> None:
 
 class StructuredArgument:
     """Finite inference tree: a premise leaf or an inference node applying
-    a rule to one sub-argument per body formula."""
+    a rule to one sub-argument per body formula.  Its premises, its
+    sub-argument closure Sub(A) (itself included) and the rules it uses are
+    the unions of its sub-arguments' own, computed once when it is built."""
 
     __slots__ = ("premise", "rule", "subs", "text", "conc", "height",
-                 "_prems", "_sub_closure", "_rules")
+                 "premises", "sub_arguments", "rules_used")
 
     def __init__(self, premise: str | None, rule: Rule | None,
                  subs: tuple["StructuredArgument", ...]):
@@ -215,51 +219,24 @@ class StructuredArgument:
             self.text = premise
             self.conc = premise
             self.height = 1
+            self.premises = frozenset((premise,))
+            self.sub_arguments = frozenset((self,))
+            self.rules_used = frozenset()
         else:
             inner = ";".join(sub.text for sub in subs)
             arrow = "=s>" if rule.is_strict else "=d>"
             self.text = f"[{inner}]{arrow}{rule.head}"
             self.conc = rule.head
             self.height = 1 + max((sub.height for sub in subs), default=0)
-        self._prems = None
-        self._sub_closure = None
-        self._rules = None
+            self.premises = frozenset().union(*[sub.premises for sub in subs])
+            self.sub_arguments = frozenset((self,)).union(
+                *[sub.sub_arguments for sub in subs])
+            self.rules_used = frozenset((rule,)).union(
+                *[sub.rules_used for sub in subs])
 
     @property
     def is_premise(self) -> bool:
         return self.premise is not None
-
-    @property
-    def premises(self) -> frozenset[str]:
-        if self._prems is None:
-            if self.is_premise:
-                self._prems = frozenset((self.premise,))
-            else:
-                out: set[str] = set()
-                for sub in self.subs:
-                    out.update(sub.premises)
-                self._prems = frozenset(out)
-        return self._prems
-
-    @property
-    def sub_arguments(self) -> frozenset["StructuredArgument"]:
-        """The closure Sub(A): this argument plus all nested sub-arguments."""
-        if self._sub_closure is None:
-            out: set[StructuredArgument] = {self}
-            for sub in self.subs:
-                out.update(sub.sub_arguments)
-            self._sub_closure = frozenset(out)
-        return self._sub_closure
-
-    @property
-    def rules_used(self) -> frozenset[Rule]:
-        if self._rules is None:
-            out: set[Rule] = set()
-            for sub in self.sub_arguments:
-                if sub.rule is not None:
-                    out.add(sub.rule)
-            self._rules = frozenset(out)
-        return self._rules
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StructuredArgument) and self.text == other.text
@@ -345,7 +322,9 @@ def generate_arguments(theory: ArgumentationTheory,
             provers = [by_conc.get(phi) for phi in body]
             if not all(provers):
                 continue
-            for combo in _product(provers):
+            # product copies each pool before it yields, so the arguments
+            # added below join the next round, not this one
+            for combo in product(*provers):
                 if not any(sub.text in fresh for sub in combo):
                     continue
                 arg = StructuredArgument(
@@ -353,14 +332,6 @@ def generate_arguments(theory: ArgumentationTheory,
                 if add(arg):
                     new_round.append(arg)
     return tuple(known[text] for text in sorted(known))
-
-
-def _product(pools: list[list[StructuredArgument]]):
-    # itertools.product over snapshots: pools grow while iterating rounds,
-    # so freeze them first.
-    from itertools import product
-
-    return product(*[list(pool) for pool in pools])
 
 
 @dataclass(frozen=True)
@@ -373,11 +344,8 @@ class AttackInstance:
 
 def _argument_of_theory(theory: ArgumentationTheory,
                         argument: StructuredArgument) -> bool:
-    if argument.is_premise:
-        return argument.premise in theory.knowledge_base
-    if argument.rule not in theory.rules:
-        return False
-    return all(_argument_of_theory(theory, sub) for sub in argument.subs)
+    return (argument.premises <= theory.knowledge_base
+            and argument.rules_used <= theory.rules)
 
 
 def _check_of_theory(theory: ArgumentationTheory,
@@ -390,14 +358,15 @@ def _check_of_theory(theory: ArgumentationTheory,
 def _vulnerable_loci(theory: ArgumentationTheory,
                      attacked: StructuredArgument,
                      ) -> list[tuple[str, StructuredArgument, str]]:
-    """(kind, locus, guarded formula) triples: the points where the argument
-    can be attacked and the formula whose contrary-set matters there."""
+    """(kind, locus, guarded formula) triples, in no particular order: the
+    points where the argument can be attacked and the formula whose
+    contrary-set matters there."""
     loci = []
-    for phi in sorted(attacked.premises):
-        if phi in theory.premises:
-            loci.append((UNDERMINE, premise_argument(phi), phi))
-    for part in sorted(attacked.sub_arguments, key=lambda a: a.text):
-        if part.rule is not None and not part.rule.is_strict:
+    for part in attacked.sub_arguments:
+        if part.premise is not None:
+            if part.premise in theory.premises:
+                loci.append((UNDERMINE, part, part.premise))
+        elif not part.rule.is_strict:
             loci.append((REBUT, part, part.conc))
             name = theory.naming.get(part.rule)
             if name is not None:
@@ -436,13 +405,13 @@ def defeats(saf: SAF, arguments: tuple[StructuredArgument, ...] | None = None,
     theory = saf.theory
     if arguments is None:
         arguments = generate_arguments(theory, limits)
-    texts = {arg.text for arg in arguments}
-    for a, b in saf.preferences:
-        if a not in texts or b not in texts:
-            missing = a if a not in texts else b
-            raise PreferenceUnknownArgumentError(
-                f"preference pair names a non-generated argument: {missing!r}")
     pref = saf.preferences
+    texts = {arg.text for arg in arguments}
+    missing = {name for a, b in pref for name in (a, b) if name not in texts}
+    if missing:
+        raise PreferenceUnknownArgumentError(
+            "preference names an argument the theory does not generate: "
+            f"{min(missing, key=_formula_order)!r}")
 
     def strictly_less(a: str, b: str) -> bool:
         return (a, b) in pref and (b, a) not in pref
@@ -473,8 +442,6 @@ def associated_af(saf: SAF,
                   limits: Limits = DEFAULT_LIMITS):
     """Abstract framework over canonical serializations of the generated
     arguments, with the defeat relation as edges."""
-    from .core import AbstractAF
-
     if arguments is None:
         arguments = generate_arguments(saf.theory, limits)
     pairs = defeats(saf, arguments, limits)
@@ -482,14 +449,11 @@ def associated_af(saf: SAF,
                       ((a.text, b.text) for a, b in pairs))
 
 
-def _generated_af(saf: SAF, arguments: tuple[StructuredArgument, ...],
-                  limits: Limits):
+def _generated_af(saf: SAF, arguments: tuple[StructuredArgument, ...]):
     """associated_af for the arguments ``generate_arguments`` returned for
     the validated ``saf.theory``: their texts are valid identifiers, sorted
     and distinct, so the graph is built canonical without re-checking."""
-    from .core import AbstractAF
-
-    pairs = defeats(saf, arguments, limits)
+    pairs = defeats(saf, arguments)
     return AbstractAF._canonical(
         tuple(arg.text for arg in arguments),
         tuple(sorted((a.text, b.text) for a, b in pairs)))

@@ -64,10 +64,12 @@ class AbstractAF:
                  defeats: Iterable[tuple[str, str]] = ()):
         arg_set = {check_argument_id(a) for a in args}
         defeat_set = {(s, t) for s, t in defeats}
-        for s, t in defeat_set:
-            if s not in arg_set or t not in arg_set:
-                raise UndeclaredArgumentError(
-                    f"defeat ({s},{t}) has an endpoint outside the framework")
+        stray = [(s, t) for s, t in defeat_set
+                 if s not in arg_set or t not in arg_set]
+        if stray:  # ordered by repr: an endpoint need not be a str
+            s, t = min(stray, key=repr)
+            raise UndeclaredArgumentError(
+                f"defeat ({s},{t}) has an endpoint outside the framework")
         object.__setattr__(self, "args", tuple(sorted(arg_set)))
         object.__setattr__(self, "defeats", tuple(sorted(defeat_set)))
 

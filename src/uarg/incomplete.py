@@ -52,10 +52,11 @@ class ArgIAF:
                 f"arguments cannot be both fixed and uncertain: {sorted(overlap)}")
         full = fixed | uncertain
         defeat_set = {(s, t) for s, t in defeats}
-        for s, t in defeat_set:
-            if s not in full or t not in full:
-                raise ValueError(
-                    f"defeat ({s},{t}) has an endpoint outside the framework")
+        stray = [(s, t) for s, t in defeat_set if s not in full or t not in full]
+        if stray:  # ordered by repr: an endpoint need not be a str
+            s, t = min(stray, key=repr)
+            raise ValueError(
+                f"defeat ({s},{t}) has an endpoint outside the framework")
         object.__setattr__(self, "fixed_args", tuple(sorted(fixed)))
         object.__setattr__(self, "uncertain_args", tuple(sorted(uncertain)))
         object.__setattr__(self, "defeats", tuple(sorted(defeat_set)))

@@ -20,7 +20,7 @@ in ``translate`` all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Container, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .aspic import (
     SAF,
@@ -34,17 +34,15 @@ from .aspic import (
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF
-from .errors import (
-    ArgumentNotOfTheoryError,
-    InvalidTheoryError,
-    PreferenceUnknownArgumentError,
-)
+from .errors import ArgumentNotOfTheoryError, InvalidTheoryError
 from .incomplete import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
     _check_uncertain_bound,
     _induced_completions,
+    completions_arg_iaf,
+    completions_dep,
 )
 
 
@@ -96,16 +94,6 @@ class PremISAF:
     @property
     def uncertain_knowledge(self) -> frozenset[str]:
         return self.uncertain_axioms | self.uncertain_premises
-
-
-def _check_preference_domain(preferences: Iterable[tuple[str, str]],
-                             known: Container[str]) -> None:
-    for a, b in preferences:
-        if a not in known or b not in known:
-            missing = a if a not in known else b
-            raise PreferenceUnknownArgumentError(
-                f"declared preference names an argument outside the maximal "
-                f"completion: {missing!r}")
 
 
 def _completion(x: RulISAF | PremISAF, theory: ArgumentationTheory,
@@ -168,14 +156,13 @@ def _model(x: RulISAF | PremISAF, limits: Limits) -> _LoadModel:
     models = x.__dict__.setdefault("_models", {})
     model = models.get(limits)
     if model is None:
-        saf, arguments = _completion(x, x.theory, limits)
-        _check_preference_domain(x.preferences,
-                                 {arg.text for arg in arguments})
+        saf = SAF(x.theory, x.preferences)
+        arguments = generate_arguments(x.theory, limits)
+        graph = _generated_af(saf, arguments)  # checks the preferences
         bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
         load = {arg.text: sum(bit[e] for e in _load(x, arg))
                 for arg in arguments}
-        model = models[limits] = _LoadModel(
-            saf, arguments, _generated_af(saf, arguments, limits), load)
+        model = models[limits] = _LoadModel(saf, arguments, graph, load)
     return model
 
 
@@ -294,8 +281,6 @@ def defeat_coherence_check(x: RulISAF | PremISAF,
 
 def completion_set_of(framework, limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
     """Completion set of any supported framework kind."""
-    from .incomplete import completions_arg_iaf, completions_dep
-
     if isinstance(framework, AbstractAF):
         return CompletionSet([framework])
     if isinstance(framework, ArgIAF):

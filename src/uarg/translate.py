@@ -9,6 +9,7 @@ so certification is replayable without re-running the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations, product
 from typing import Callable, Iterable, Mapping
 
 from .aspic import (
@@ -20,6 +21,7 @@ from .aspic import (
     generate_arguments,
     inference_argument,
     is_valid_formula,
+    make_theory,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF, check_argument_id
@@ -123,8 +125,6 @@ def _lifted_contraries(iaf: ArgIAF, token: dict[str, str],
 def arg_iaf_to_rul_isaf(iaf: ArgIAF) -> tuple[RulISAF, Witness]:
     """Encode fixed arguments as ordinary premises and uncertain arguments
     as uncertain empty-bodied defeasible rules."""
-    from .aspic import make_theory
-
     token = _formula_names(iaf.all_args)
     uncertain_rules = frozenset(Rule((), token[name], DEFEASIBLE)
                                 for name in iaf.uncertain_args)
@@ -145,8 +145,6 @@ def arg_iaf_to_rul_isaf(iaf: ArgIAF) -> tuple[RulISAF, Witness]:
 def arg_iaf_to_prem_isaf(iaf: ArgIAF) -> tuple[PremISAF, Witness]:
     """Encode fixed arguments as certain and uncertain arguments as
     uncertain ordinary premises; no rules at all."""
-    from .aspic import make_theory
-
     token = _formula_names(iaf.all_args)
     theory = make_theory(
         contraries=_lifted_contraries(iaf, token),
@@ -167,8 +165,6 @@ def _minimal_covers(needed: int, profiles: list[tuple[str, int]],
     ``needed``.  Arguments with the same needed-restricted profile are
     interchangeable, so covers are enumerated over profile classes and
     expanded over representatives."""
-    from itertools import product
-
     groups: dict[int, list[str]] = {}
     for name, profile in profiles:
         mask = profile & needed
@@ -323,8 +319,6 @@ def _tidy(p: PremISAF, limits: Limits,
             if rule.head in rep:
                 return [Rule((), _prime(rule.head), rule.kind)]
             return [rule]
-        from itertools import combinations
-
         clashing = sorted(rule.body & rep)
         variants = []
         for size in range(len(clashing) + 1):

@@ -24,8 +24,11 @@ the library's ``_entry_columns``, ``linewise_parse_af`` and
 ``linewise_parse_iaf`` take one line at a time apart with string methods
 and build through the public constructors,
 ``sectioned_parse_completion_set`` reads each section of a document with
-``linewise_parse_af``, and ``sorted_completion_set`` keys members through
-``uarg.incomplete._key_coder``.
+``linewise_parse_af``, ``sorted_completion_set`` keys members through
+``uarg.incomplete._key_coder``, and ``walked_premises``,
+``walked_sub_arguments``, ``walked_rules_used``,
+``walked_argument_of_theory`` and ``leaf_built_attacks`` walk the
+inference tree of a ``uarg.StructuredArgument`` that the library builds.
 """
 
 from itertools import chain, combinations, compress, permutations
@@ -34,6 +37,7 @@ from uarg import (
     DEFAULT_LIMITS,
     AbstractAF,
     ArgIAF,
+    AttackInstance,
     CompletionSet,
     DepArgIAF,
     ImplyDisj,
@@ -46,6 +50,7 @@ from uarg import (
     completions_dep,
     equivalent,
     generate_arguments,
+    premise_argument,
     saf_max,
     satisfies,
     uncertain_premises_of,
@@ -663,3 +668,56 @@ def sorted_completion_set(members) -> CompletionSet:
     out._graph, out._members, out._index = graph, ordered, None
     out._keys = tuple(key(af.args, af.defeats) for af in ordered)
     return out
+
+
+def walked_premises(argument) -> frozenset[str]:
+    """The premises of a structured argument: the formulas of its leaves."""
+    if argument.is_premise:
+        return frozenset((argument.premise,))
+    out: set[str] = set()
+    for sub in argument.subs:
+        out.update(walked_premises(sub))
+    return frozenset(out)
+
+
+def walked_sub_arguments(argument) -> frozenset:
+    """Sub(A): the argument and all its nested sub-arguments."""
+    out = {argument}
+    for sub in argument.subs:
+        out.update(walked_sub_arguments(sub))
+    return frozenset(out)
+
+
+def walked_rules_used(argument) -> frozenset:
+    return frozenset(sub.rule for sub in walked_sub_arguments(argument)
+                     if sub.rule is not None)
+
+
+def walked_argument_of_theory(theory, argument) -> bool:
+    """Every leaf premise is in the knowledge base and every rule applied
+    is a rule of the theory."""
+    if argument.is_premise:
+        return argument.premise in theory.knowledge_base
+    if argument.rule not in theory.rules:
+        return False
+    return all(walked_argument_of_theory(theory, sub)
+               for sub in argument.subs)
+
+
+def leaf_built_attacks(theory, attacker, attacked) -> frozenset:
+    """The attack instances of attacker on attacked by definition: it
+    undermines on an ordinary premise phi at a fresh premise_argument(phi),
+    rebuts on the conclusion of a defeasible sub-argument, and undercuts one
+    through its rule's name."""
+    contrary = theory.contrary_sets()
+    loci = [("undermine", premise_argument(phi), phi)
+            for phi in walked_premises(attacked) if phi in theory.premises]
+    for part in walked_sub_arguments(attacked):
+        if part.rule is not None and not part.rule.is_strict:
+            loci.append(("rebut", part, part.conc))
+            name = theory.naming.get(part.rule)
+            if name is not None:
+                loci.append(("undercut", part, name))
+    return frozenset(AttackInstance(attacker, attacked, kind, locus)
+                     for kind, locus, guard in loci
+                     if attacker.conc in contrary.get(guard, ()))

@@ -26,7 +26,9 @@ from uarg import (
     is_simple,
     make_theory,
     premise_argument,
+    tidy,
 )
+from uarg.aspic import _argument_of_theory
 from uarg.errors import (
     ArgumentNotOfTheoryError,
     GenerationLimitExceededError,
@@ -34,7 +36,14 @@ from uarg.errors import (
     PreferenceUnknownArgumentError,
 )
 
-from framework_gen import random_rul_isaf
+from framework_gen import random_prem_isaf, random_rul_isaf
+from oracles import (
+    leaf_built_attacks,
+    walked_argument_of_theory,
+    walked_premises,
+    walked_rules_used,
+    walked_sub_arguments,
+)
 
 
 def by_text(arguments):
@@ -184,6 +193,34 @@ class TestGeneration:
             assert args_small <= args_big
 
 
+class TestArgumentFacts:
+    def test_facts_membership_and_attacks_match_the_tree_walk(self):
+        # random rule- and premise-incomplete theories, and the primed
+        # theories that tidying an untidy premise framework builds
+        rng = random.Random(25)
+        theories = []
+        for _ in range(12):
+            clashing = random_prem_isaf(rng, force_clash=True)
+            theories += [random_rul_isaf(rng).theory,
+                         clashing.theory, tidy(clashing)[0].theory]
+        outside = 0
+        for theory, other in zip(theories, theories[1:] + theories[:1]):
+            arguments = generate_arguments(theory)
+            for arg in arguments:
+                assert (arg.premises, arg.sub_arguments, arg.rules_used) == (
+                    walked_premises(arg), walked_sub_arguments(arg),
+                    walked_rules_used(arg))
+                for owner in (theory, other):
+                    member = _argument_of_theory(owner, arg)
+                    assert member == walked_argument_of_theory(owner, arg)
+                    outside += not member
+            for attacker in arguments:
+                for attacked in arguments:
+                    assert attacks(theory, attacker, attacked) == \
+                        leaf_built_attacks(theory, attacker, attacked)
+        assert outside
+
+
 class TestPredicates:
     def test_premiseless_simple_rule_argument(self):
         arg = inference_argument(Rule([], "p_x", DEFEASIBLE), [])
@@ -255,6 +292,40 @@ class TestDefeats:
         with pytest.raises(PreferenceUnknownArgumentError):
             defeats(saf)
 
+    def test_errors_name_the_least_unknown_argument_and_defeat(self):
+        # which preference or defeat a set yields first depends on the hash
+        # seed; a defeat endpoint need not be a str
+        src = str(Path(uarg.__file__).resolve().parent.parent)
+        script = (
+            "from uarg import (AbstractAF, ArgIAF, Rule, RulISAF,\n"
+            "                  completions_rul, make_theory)\n"
+            "theory = make_theory(rules=[Rule(['p'], 'q', 'defeasible')],\n"
+            "                     premises=['p'], close_negation=True)\n"
+            "prefs = {('zz1', 'p'), ('aa2', 'p'), ('mm3', 'q'), ('p', 'bb4')}\n"
+            "pairs = [('a', 'x'), ('a', 'y'), ('b', 'a'), ('c', 'a'), ('a', 1)]\n"
+            "for build in (\n"
+            "        lambda: completions_rul(RulISAF(theory, theory.rules, prefs)),\n"
+            "        lambda: AbstractAF(['a'], pairs),\n"
+            "        lambda: ArgIAF(['a'], [], pairs)):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except Exception as error:\n"
+            "        print(type(error).__name__, error)\n")
+        expected = (
+            "PreferenceUnknownArgumentError "
+            "PREFERENCE_REFERS_TO_UNKNOWN_ARGUMENT: preference names an "
+            "argument the theory does not generate: 'aa2'\n"
+            "UndeclaredArgumentError UNDECLARED_ARGUMENT: defeat (a,x) has an "
+            "endpoint outside the framework\n"
+            "ValueError defeat (a,x) has an endpoint outside the framework\n")
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": seed})
+            assert result.stdout == expected, result.stdout + result.stderr
+
     def test_defeats_restrict_under_rule_growth(self):
         rng = random.Random(31)
         for _ in range(25):
@@ -292,7 +363,7 @@ class TestAssociatedAF:
             x = random_rul_isaf(random.Random(seed), max_args=20)
             saf = SAF(x.theory, x.preferences)
             arguments = generate_arguments(x.theory)
-            fast = _generated_af(saf, arguments, Limits())
+            fast = _generated_af(saf, arguments)
             slow = associated_af(saf, arguments)
             assert (fast.args, fast.defeats) == (slow.args, slow.defeats)
 

@@ -64,6 +64,15 @@ class TestCompletionsCommand:
         result = run("completions", str(path), "--kind", "arg-iaf")
         assert result.exit_code == 2
 
+    def test_uncertainty_of_another_kind_exit_code(self, tmp_path):
+        path = tmp_path / "ex4.json"
+        path.write_text(run("fixtures", "emit", "example4").output,
+                        encoding="utf-8")
+        result = run("completions", str(path), "--kind", "prem-isaf")
+        assert result.exit_code == 2
+        assert result.stderr == ("MIXED_UNCERTAINTY: premise-incomplete "
+                                 "documents may not declare uncertain rules\n")
+
     def test_bound_exit_code(self, tmp_path):
         path = tmp_path / "wide.iaf"
         path.write_text("".join(f"?arg(u{i}).\n" for i in range(8)),

@@ -38,6 +38,7 @@ from uarg.documents import (
 )
 from uarg.errors import (
     InvalidTheoryError,
+    MixedUncertaintyError,
     ParseError,
     UargError,
     UndeclaredArgumentError,
@@ -610,6 +611,22 @@ class TestFrameworkLoading:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             load_framework("", "mystery")
+
+    @pytest.mark.parametrize("fixture, kind, message", [
+        ("example4", "prem-isaf",
+         "premise-incomplete documents may not declare uncertain rules"),
+        ("example4", "saf",
+         "document declares uncertainty; load it as rul-isaf or prem-isaf"),
+        ("example5", "rul-isaf",
+         "rule-incomplete documents may not declare uncertain knowledge"),
+        ("example5", "saf",
+         "document declares uncertainty; load it as rul-isaf or prem-isaf"),
+    ])
+    def test_uncertainty_of_another_kind(self, fixture, kind, message):
+        text = serialize_framework(fixtures.get(fixture))
+        with pytest.raises(MixedUncertaintyError) as info:
+            load_framework(text, kind)
+        assert str(info.value) == f"MIXED_UNCERTAINTY: {message}"
 
     def test_structured_round_trip_through_text(self):
         ex4 = fixtures.get("example4")
