@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .aspic import (
     DEFEASIBLE,
@@ -18,7 +18,6 @@ from .aspic import (
     ArgumentationTheory,
     Rule,
     StructuredArgument,
-    generate_arguments,
     inference_argument,
     is_valid_formula,
     make_theory,
@@ -247,24 +246,24 @@ def prem_isaf_to_imp_arg_iaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
 
 
 def _rewrite_leaves(arguments: Iterable[StructuredArgument],
-                    leaf: Callable[[StructuredArgument], StructuredArgument],
+                    leaves: Mapping[str, StructuredArgument],
                     ) -> dict[str, str]:
-    """Each argument's text -> the text of its image: every leaf (a premise
-    or an empty-bodied rule application) becomes ``leaf(argument)`` and every
-    other rule application is rebuilt over its rewritten sub-arguments'
-    conclusions.  Shared sub-arguments are rewritten once."""
-    cache: dict[str, StructuredArgument] = {}
+    """Each argument's text -> the text of its image: a leaf (a premise or
+    an empty-bodied rule application) becomes its entry in ``leaves``, or
+    stays when it has none, and every other rule application is rebuilt
+    over its rewritten sub-arguments' conclusions.  Shared sub-arguments are
+    rewritten once."""
+    cache = dict(leaves)
 
     def rewrite(argument: StructuredArgument) -> StructuredArgument:
         out = cache.get(argument.text)
         if out is None:
+            out = argument
             if argument.subs:
                 subs = tuple(rewrite(sub) for sub in argument.subs)
                 rule = Rule((sub.conc for sub in subs), argument.rule.head,
                             argument.rule.kind)
                 out = inference_argument(rule, subs)
-            else:
-                out = leaf(argument)
             cache[argument.text] = out
         return out
 
@@ -275,32 +274,27 @@ def _prime(formula: str) -> str:
     return formula + PRIME_SUFFIX
 
 
-def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
-         ) -> tuple[PremISAF, Witness]:
-    """Remove premise/premiseless-rule head clashes by renaming the clashing
-    heads into a fresh primed copy of the language.
+def _fact(head: str, kind: str) -> StructuredArgument:
+    return StructuredArgument(None, Rule((), head, kind), ())
 
-    Every rule body containing clashing formulas gets patched variants (each
-    clashing body formula independently primed or not): an argument may
-    derive such a formula either from the premise or through the renamed
-    empty-bodied rule, and both derivations must keep a rule to attach to.
-    Already-tidy frameworks come back unchanged with an identity witness.
-    Tidy or not, every declared preference must name an argument of the
-    maximal completion.
+
+def _tidying(theory: ArgumentationTheory,
+             ) -> tuple[ArgumentationTheory, dict[str, StructuredArgument]]:
+    """The tidied theory, and the leaf map that renames into it.
+
+    Every knowledge-base formula that heads a premiseless rule is renamed,
+    in those rules, into a fresh primed copy of the language.  Every rule
+    body containing clashing formulas gets patched variants (each clashing
+    body formula independently primed or not): an argument may derive such
+    a formula either from the premise or through the renamed empty-bodied
+    rule, and both derivations must keep a rule to attach to.  The leaf map
+    takes each clashing premiseless rule application to its primed one.  A
+    tidy theory comes back unchanged, with an empty map.
     """
-    tidied, witness, _ = _tidy(p, limits)
-    return tidied, witness
-
-
-def _tidy(p: PremISAF, limits: Limits,
-          ) -> tuple[PremISAF, Witness, tuple[StructuredArgument, ...]]:
-    """tidy, plus the arguments of the tidied framework's theory."""
-    theory = p.theory
-    args_max = _model(p, limits).arguments
-    premiseless_heads = {rule.head for rule in theory.rules if not rule.body}
-    rep = theory.knowledge_base & premiseless_heads
+    rep = theory.knowledge_base.intersection(
+        rule.head for rule in theory.rules if not rule.body)
     if not rep:
-        return p, Witness.identity(arg.text for arg in args_max), args_max
+        return theory, {}
 
     primed_language = {_prime(phi) for phi in theory.formulas}
     clash = primed_language & theory.formulas
@@ -316,9 +310,8 @@ def _tidy(p: PremISAF, limits: Limits,
 
     def patched_variants(rule: Rule) -> list[Rule]:
         if not rule.body:
-            if rule.head in rep:
-                return [Rule((), _prime(rule.head), rule.kind)]
-            return [rule]
+            return [Rule((), _prime(rule.head), rule.kind)
+                    if rule.head in rep else rule]
         clashing = sorted(rule.body & rep)
         variants = []
         for size in range(len(clashing) + 1):
@@ -338,7 +331,7 @@ def _tidy(p: PremISAF, limits: Limits,
             for variant in variants:
                 naming[variant] = name
 
-    new_theory = ArgumentationTheory(
+    tidied = ArgumentationTheory(
         formulas=frozenset(theory.formulas | primed_language),
         contraries=frozenset(contraries),
         rules=frozenset(new_rules),
@@ -346,63 +339,62 @@ def _tidy(p: PremISAF, limits: Limits,
         axioms=theory.axioms,
         premises=theory.premises,
     )
+    leaves = {_fact(rule.head, rule.kind).text:
+              _fact(_prime(rule.head), rule.kind)
+              for rule in theory.rules if not rule.body and rule.head in rep}
+    return tidied, leaves
 
-    def leaf(argument: StructuredArgument) -> StructuredArgument:
-        rule = argument.rule
-        if rule is not None and rule.head in rep:
-            return StructuredArgument(None, Rule((), _prime(rule.head),
-                                                 rule.kind), ())
-        return argument
 
-    tau = _rewrite_leaves(args_max, leaf)
-    new_args_max = generate_arguments(new_theory, limits)
-    new_texts = {arg.text for arg in new_args_max}
-    preferences = set()
-    for a, b in p.preferences:
-        for left in (a, tau[a]):
-            for right in (b, tau[b]):
-                if left in new_texts and right in new_texts:
-                    preferences.add((left, right))
+def tidy(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
+         ) -> tuple[PremISAF, Witness]:
+    """Remove premise/premiseless-rule head clashes by renaming the clashing
+    heads into a fresh primed copy of the language (see ``_tidying``).
 
-    result = PremISAF(new_theory, uncertain_axioms=p.uncertain_axioms,
+    The witness is one rewrite of the maximal completion's arguments that
+    primes the clashing premiseless rule applications.  Arguments are built
+    inductively over rules, and each tidied rule renames a source rule, so
+    the rewrite is a height-preserving bijection onto the tidied theory's
+    arguments: they are never generated, and the preferences are the
+    rewrite's image.  Already-tidy frameworks come back unchanged with an
+    identity witness.  Tidy or not, every declared preference must name an
+    argument of the maximal completion.
+    """
+    arguments = _model(p, limits).arguments
+    theory, leaves = _tidying(p.theory)
+    if not leaves:
+        return p, Witness.identity(arg.text for arg in arguments)
+    tau = _rewrite_leaves(arguments, leaves)
+    result = PremISAF(theory, uncertain_axioms=p.uncertain_axioms,
                       uncertain_premises=p.uncertain_premises,
-                      preferences=frozenset(preferences))
+                      preferences=frozenset((tau[a], tau[b])
+                                            for a, b in p.preferences))
     assert is_tidy(result)
-    return result, Witness(tau), new_args_max
+    return result, Witness(tau)
 
 
 def prem_isaf_to_rul_isaf(p: PremISAF, limits: Limits = DEFAULT_LIMITS,
                           ) -> tuple[RulISAF, Witness]:
     """Turn uncertain axioms/premises into uncertain empty-bodied strict/
-    defeasible rules.  The framework is tidied first, which is exactly what
-    keeps the rewrite injective (a formula may not already be derivable by a
-    premiseless rule)."""
-    tidied, first, args_max = _tidy(p, limits)
-    theory = tidied.theory
-    new_strict = {Rule((), phi, STRICT) for phi in tidied.uncertain_axioms}
-    new_defeasible = {Rule((), phi, DEFEASIBLE)
-                      for phi in tidied.uncertain_premises}
-    new_rules = frozenset(new_strict | new_defeasible)
-    overlap = new_rules & theory.rules
-    assert not overlap, "tidying must have removed premiseless clashes"
+    defeasible rules of the tidied theory; tidying is exactly what keeps
+    the rewrite injective (a formula may not already be derivable by a
+    premiseless rule).  Tidying and conversion are one rewrite, as in
+    ``tidy``, whose leaf map also turns each uncertain premise into its
+    rule's application: a height-preserving bijection onto the target
+    theory's arguments, which are not generated here."""
+    arguments = _model(p, limits).arguments
+    theory, leaves = _tidying(p.theory)
+    converted = {phi: _fact(phi, kind)
+                 for knowledge, kind in ((p.uncertain_axioms, STRICT),
+                                         (p.uncertain_premises, DEFEASIBLE))
+                 for phi in knowledge}
+    new_rules = frozenset(fact.rule for fact in converted.values())
+    assert not new_rules & theory.rules, \
+        "tidying must have removed premiseless clashes"
 
-    target_theory = replace(
-        theory,
-        rules=frozenset(theory.rules | new_rules),
-        axioms=frozenset(tidied.fixed_axioms),
-        premises=frozenset(tidied.fixed_premises),
-    )
-
-    def leaf(argument: StructuredArgument) -> StructuredArgument:
-        phi = argument.premise
-        if phi in tidied.uncertain_axioms:
-            return StructuredArgument(None, Rule((), phi, STRICT), ())
-        if phi in tidied.uncertain_premises:
-            return StructuredArgument(None, Rule((), phi, DEFEASIBLE), ())
-        return argument
-
-    tau = _rewrite_leaves(args_max, leaf)
-    preferences = frozenset((tau[a], tau[b]) for a, b in tidied.preferences)
+    target_theory = replace(theory, rules=theory.rules | new_rules,
+                            axioms=p.fixed_axioms, premises=p.fixed_premises)
+    tau = _rewrite_leaves(arguments, leaves | converted)
     target = RulISAF(target_theory, uncertain_rules=new_rules,
-                     preferences=preferences)
-    return target, first.compose(Witness(tau))
+                     preferences=frozenset((tau[a], tau[b])
+                                           for a, b in p.preferences))
+    return target, Witness(tau)

@@ -28,13 +28,19 @@ and build through the public constructors,
 ``uarg.incomplete._key_coder``, and ``walked_premises``,
 ``walked_sub_arguments``, ``walked_rules_used``,
 ``walked_argument_of_theory`` and ``leaf_built_attacks`` walk the
-inference tree of a ``uarg.StructuredArgument`` that the library builds.
+inference tree of a ``uarg.StructuredArgument`` that the library builds,
+and ``generated_tidy`` and ``two_pass_prem_isaf_to_rul_isaf`` tidy by
+generating the tidied theory's arguments and convert premises to rules by
+a second rewrite over them, composing the two witnesses.
 """
 
+from dataclasses import replace
 from itertools import chain, combinations, compress, permutations
 
 from uarg import (
     DEFAULT_LIMITS,
+    DEFEASIBLE,
+    STRICT,
     AbstractAF,
     ArgIAF,
     AttackInstance,
@@ -43,13 +49,18 @@ from uarg import (
     ImplyDisj,
     Nand,
     Or,
+    PremISAF,
+    Rule,
     RulISAF,
+    StructuredArgument,
     Witness,
     associated_af,
     completions_arg_iaf,
     completions_dep,
     equivalent,
     generate_arguments,
+    inference_argument,
+    is_tidy,
     premise_argument,
     saf_max,
     satisfies,
@@ -60,12 +71,15 @@ from uarg.equivalence import EQUIVALENT, NOT_EQUIVALENT, EquivalenceResult
 from uarg.core import is_valid_argument_id
 from uarg.errors import (
     DomainMismatchError,
+    InvalidTheoryError,
     ParseError,
     SearchBoundExceededError,
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
 from uarg.incomplete import _key_coder, _or_images
+from uarg.isaf import _model
+from uarg.translate import PRIME_SUFFIX
 
 
 def powerset(items):
@@ -721,3 +735,122 @@ def leaf_built_attacks(theory, attacker, attacked) -> frozenset:
     return frozenset(AttackInstance(attacker, attacked, kind, locus)
                      for kind, locus, guard in loci
                      if attacker.conc in contrary.get(guard, ()))
+
+
+def _called_leaf_rewrite(arguments, leaf) -> dict[str, str]:
+    """Each argument's text -> its image's text: every leaf becomes
+    ``leaf(argument)``, every rule application is rebuilt over its
+    rewritten sub-arguments."""
+    cache: dict[str, StructuredArgument] = {}
+
+    def rewrite(argument):
+        out = cache.get(argument.text)
+        if out is None:
+            if argument.subs:
+                subs = tuple(rewrite(sub) for sub in argument.subs)
+                rule = Rule((sub.conc for sub in subs), argument.rule.head,
+                            argument.rule.kind)
+                out = inference_argument(rule, subs)
+            else:
+                out = leaf(argument)
+            cache[argument.text] = out
+        return out
+
+    return {arg.text: rewrite(arg).text for arg in arguments}
+
+
+def generated_tidy(p, limits=DEFAULT_LIMITS):
+    """``uarg.tidy`` by generate-and-filter, plus the arguments of the
+    tidied theory: the tidied theory's arguments are generated, and each
+    preference keeps every pair of its source and image texts that the
+    tidied theory generates."""
+    theory = p.theory
+    args_max = _model(p, limits).arguments
+    premiseless_heads = {rule.head for rule in theory.rules if not rule.body}
+    rep = theory.knowledge_base & premiseless_heads
+    if not rep:
+        return p, Witness.identity(arg.text for arg in args_max), args_max
+
+    def prime(phi):
+        return phi + PRIME_SUFFIX
+
+    primed_language = {prime(phi) for phi in theory.formulas}
+    clash = primed_language & theory.formulas
+    if clash:
+        raise InvalidTheoryError(
+            f"priming is not fresh for this language: {sorted(clash)}")
+    contraries = set(theory.contraries)
+    for phi, psi in theory.contraries:
+        contraries.update({(phi, prime(psi)), (prime(phi), psi),
+                           (prime(phi), prime(psi))})
+
+    def patched_variants(rule):
+        if not rule.body:
+            if rule.head in rep:
+                return [Rule((), prime(rule.head), rule.kind)]
+            return [rule]
+        clashing = sorted(rule.body & rep)
+        return [Rule((rule.body - set(subset)) | {prime(phi)
+                                                   for phi in subset},
+                     rule.head, rule.kind)
+                for size in range(len(clashing) + 1)
+                for subset in combinations(clashing, size)]
+
+    new_rules, naming = set(), {}
+    for rule in theory.rules:
+        variants = patched_variants(rule)
+        new_rules.update(variants)
+        name = theory.naming.get(rule)
+        if name is not None:
+            naming.update((variant, name) for variant in variants)
+    new_theory = replace(
+        theory, formulas=frozenset(theory.formulas | primed_language),
+        contraries=frozenset(contraries), rules=frozenset(new_rules),
+        naming=naming)
+
+    def leaf(argument):
+        rule = argument.rule
+        if rule is not None and rule.head in rep:
+            return StructuredArgument(None, Rule((), prime(rule.head),
+                                                 rule.kind), ())
+        return argument
+
+    tau = _called_leaf_rewrite(args_max, leaf)
+    new_args_max = generate_arguments(new_theory, limits)
+    new_texts = {arg.text for arg in new_args_max}
+    preferences = {(left, right) for a, b in p.preferences
+                   for left in (a, tau[a]) for right in (b, tau[b])
+                   if left in new_texts and right in new_texts}
+    result = PremISAF(new_theory, uncertain_axioms=p.uncertain_axioms,
+                      uncertain_premises=p.uncertain_premises,
+                      preferences=frozenset(preferences))
+    assert is_tidy(result)
+    return result, Witness(tau), new_args_max
+
+
+def two_pass_prem_isaf_to_rul_isaf(p, limits=DEFAULT_LIMITS):
+    """``uarg.prem_isaf_to_rul_isaf`` as ``generated_tidy`` followed by a
+    second rewrite of the tidied arguments, the witnesses composed."""
+    tidied, first, args_max = generated_tidy(p, limits)
+    theory = tidied.theory
+    new_rules = frozenset(
+        {Rule((), phi, STRICT) for phi in tidied.uncertain_axioms}
+        | {Rule((), phi, DEFEASIBLE) for phi in tidied.uncertain_premises})
+    assert not new_rules & theory.rules
+    target_theory = replace(theory, rules=frozenset(theory.rules | new_rules),
+                            axioms=frozenset(tidied.fixed_axioms),
+                            premises=frozenset(tidied.fixed_premises))
+
+    def leaf(argument):
+        phi = argument.premise
+        if phi in tidied.uncertain_axioms:
+            return StructuredArgument(None, Rule((), phi, STRICT), ())
+        if phi in tidied.uncertain_premises:
+            return StructuredArgument(None, Rule((), phi, DEFEASIBLE), ())
+        return argument
+
+    tau = _called_leaf_rewrite(args_max, leaf)
+    preferences = frozenset((tau[a], tau[b]) for a, b in tidied.preferences)
+    target = RulISAF(target_theory, uncertain_rules=new_rules,
+                     preferences=preferences)
+    return target, first.compose(Witness(tau))

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from uarg import (
     AbstractAF,
     ArgIAF,
     CompletionSet,
+    Limits,
     PremISAF,
     Rule,
     Witness,
@@ -30,7 +32,12 @@ from uarg import (
 )
 from uarg import aspic, translate
 from uarg import isaf as isaf_module
-from uarg.errors import PreferenceUnknownArgumentError
+from uarg.documents import serialize_framework
+from uarg.errors import (
+    GenerationLimitExceededError,
+    InvalidTheoryError,
+    PreferenceUnknownArgumentError,
+)
 from uarg.incomplete import DepArgIAF, ImplyDisj
 
 from framework_gen import (
@@ -39,7 +46,11 @@ from framework_gen import (
     random_prem_isaf,
     random_rul_isaf,
 )
-from oracles import covering_imp_arg_iaf
+from oracles import (
+    covering_imp_arg_iaf,
+    generated_tidy,
+    two_pass_prem_isaf_to_rul_isaf,
+)
 
 
 def certify(source, target, witness) -> bool:
@@ -322,24 +333,27 @@ class TestTidy:
         assert certify(source, target, witness)
 
     def test_arguments_generated_once_per_theory(self, monkeypatch):
-        # prem_isaf_to_rul_isaf reuses the arguments tidy generated: one
-        # theory for a tidy input, the source and the tidied one otherwise
+        # both translations rewrite the source's arguments, generated once
+        # with its maximal completion, and generate none of their target's,
+        # for a tidy input and an untidy one alike
         calls = []
 
         def counting(theory, *args, **kwargs):
             calls.append(theory)
             return generate_arguments(theory, *args, **kwargs)
 
-        # the source theory is generated with the maximal completion
-        monkeypatch.setattr("uarg.isaf.generate_arguments", counting)
-        monkeypatch.setattr(translate, "generate_arguments", counting)
-        prem_isaf_to_rul_isaf(fixtures.get("thm7_prem"))
-        assert len(calls) == 1
-        calls.clear()
-        theory = make_theory(rules=[Rule([], "p", DEFEASIBLE)],
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("uarg") and \
+                    getattr(module, "generate_arguments", None) is \
+                    generate_arguments:
+                monkeypatch.setattr(module, "generate_arguments", counting)
+        untidy = make_theory(rules=[Rule([], "p", DEFEASIBLE)],
                              premises=["p"], close_negation=True)
-        prem_isaf_to_rul_isaf(PremISAF(theory))
-        assert len(calls) == 2
+        for source in (fixtures.get("thm7_prem"), PremISAF(untidy)):
+            for translation in (tidy, prem_isaf_to_rul_isaf):
+                calls.clear()
+                translation(replace(source))  # a cold load model
+                assert calls == [source.theory], translation.__name__
 
     def test_undercut_survives_tidying(self):
         named = Rule(["p"], "q", DEFEASIBLE)
@@ -401,4 +415,78 @@ class TestPremIsafToRulIsaf:
             source = random_prem_isaf(rng, max_uncertain=3,
                                       force_clash=(i % 2 == 0))
             target, witness = prem_isaf_to_rul_isaf(source)
+            assert certify(source, target, witness)
+
+
+def _outcome(translation, source, limits):
+    """The serialized target and witness pairs, or the exception raised,
+    by type and message."""
+    try:
+        target, witness = translation(source, limits)[:2]
+    except Exception as exc:
+        return type(exc), str(exc)
+    return serialize_framework(target), witness.pairs
+
+
+TRANSLATIONS = ((tidy, generated_tidy),
+                (prem_isaf_to_rul_isaf, two_pass_prem_isaf_to_rul_isaf))
+
+
+class TestOneRewrite:
+    """Tidying and premise-to-rule rewrite the source's arguments once and
+    never generate their target's; the oracles generate the tidied theory's
+    arguments, filter preferences through them and rewrite a second time."""
+
+    def test_matches_the_generate_and_filter_oracle(self):
+        rng = random.Random(2026)
+        untidy = preferred = 0
+        for i in range(100):
+            source = random_prem_isaf(rng, force_clash=(i % 2 == 0))
+            untidy += not is_tidy(source)
+            preferred += not is_tidy(source) and bool(source.preferences)
+            heights = {a.text: a.height
+                       for a in generate_arguments(source.theory, GEN_LIMITS)}
+            for translation, oracle in TRANSLATIONS:
+                got = _outcome(translation, source, GEN_LIMITS)
+                assert got == _outcome(oracle, source, GEN_LIMITS), source
+                target, witness = translation(source, GEN_LIMITS)
+                images = {a.text: a.height for a in
+                          generate_arguments(target.theory, GEN_LIMITS)}
+                assert witness.codomain == images.keys()
+                assert all(heights[a] == images[b] for a, b in witness.pairs)
+        assert untidy >= 50 and preferred >= 25, (untidy, preferred)
+
+    def test_error_order_and_bounds(self):
+        """An unknown preference is refused before the priming check, by
+        both translations as by the oracles.  Dropping the tidied theory's
+        generation loses no bound: the images are as many as the source's
+        arguments and as high, so the source's generation, run first under
+        the same limits, trips every bound the target's would."""
+        stale = make_theory(rules=[Rule([], "p", DEFEASIBLE)],
+                            premises=["p"], formulas=["p'"],
+                            close_negation=True)
+        refused = PremISAF(stale, preferences=frozenset({("zz", "p")}))
+        for translation, oracle in TRANSLATIONS:
+            for source, error in ((refused, PreferenceUnknownArgumentError),
+                                  (PremISAF(stale), InvalidTheoryError)):
+                with pytest.raises(error):
+                    translation(source)
+                assert _outcome(translation, source, GEN_LIMITS) == \
+                    _outcome(oracle, source, GEN_LIMITS)
+
+        theory = make_theory(
+            rules=[Rule([], "p", DEFEASIBLE), Rule(["p"], "q", DEFEASIBLE)],
+            premises=["p", "r"], close_negation=True)
+        source = PremISAF(theory, uncertain_premises=frozenset({"r"}))
+        arguments = generate_arguments(theory)
+        n, height = len(arguments), max(a.height for a in arguments)
+        for translation, _ in TRANSLATIONS:
+            for tight in (Limits(max_arguments=n - 1),
+                          Limits(max_depth=height - 1)):
+                for _ in range(2):
+                    with pytest.raises(GenerationLimitExceededError):
+                        translation(source, tight)
+            exact = Limits(max_arguments=n, max_depth=height)
+            target, witness = translation(source, exact)
+            assert len(generate_arguments(target.theory, exact)) == n
             assert certify(source, target, witness)
