@@ -329,7 +329,7 @@ def serialize_completion_set(completions: CompletionSet) -> str:
     a time; their columns, shifted by 0 to 7 and ORed, give each member a
     byte whose bits pick its lines of the run, and a table of the joins
     of every subset of those lines turns that byte into its text."""
-    graph, keys = completions._graph, completions._keys
+    graph, keys = completions._graph, completions._member_keys()
     args, defeats = graph.args, graph.defeats
     lines = [f"arg({a}).\n" for a in args]
     lines += [f"att({s},{t}).\n" for s, t in defeats]

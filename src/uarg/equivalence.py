@@ -89,7 +89,7 @@ def _maps_onto(source: CompletionSet, target: CompletionSet,
         return False
     bit = {x: 1 << i for i, x in enumerate(tgt.args + tgt.defeats)}
     image = [bit[m[a]] for a in src.args] + [bit[d] for d in mapped]
-    return set(target._keys).issuperset(_or_images(image, source._keys))
+    return target._keys.issuperset(_or_images(image, source._keys))
 
 
 class _KeyTables:
@@ -98,12 +98,13 @@ class _KeyTables:
     ``(|args|, |defeats|)``, each argument's occurrence signature, and the
     members holding each argument and each defeat.
 
-    Each argument and each defeat has a column (``_entry_columns``): one
-    integer with one field of ``words`` 64-bit words per member, member
-    k's field at bit ``64*words*k``, holding 1 iff k holds the entry.  A
-    field is as wide as the widest key and the widest signature code, so
-    nothing carries from one field into the next, and a sum of columns is
-    a count in every field at once."""
+    Members are numbered in the order the key set iterates; the search
+    needs no member order.  Each argument and each defeat has a column
+    (``_entry_columns``): one integer with one field of ``words`` 64-bit
+    words per member, member k's field at bit ``64*words*k``, holding 1
+    iff k holds the entry.  A field is as wide as the widest key and the
+    widest signature code, so nothing carries from one field into the
+    next, and a sum of columns is a count in every field at once."""
 
     def __init__(self, completions: CompletionSet, union_size: int):
         graph, keys = completions._graph, completions._keys
@@ -114,7 +115,7 @@ class _KeyTables:
         self.words = words = -(-max(key_bits, code_bits) // 64)
         self.size = 8 * words * len(keys)  # bytes of a packed vector
         n = len(graph.args)
-        columns = _entry_columns(graph, keys, 8 * words)
+        columns = _entry_columns(graph, keys, 8 * words, key_bits)
         place = {a: i for i, a in enumerate(graph.args)}
         self.graph = graph
         self.pairs = [(place[s], place[t]) for s, t in graph.defeats]
@@ -124,8 +125,8 @@ class _KeyTables:
                                self._fields(self.defeat_count)))
 
     def _fields(self, vector: int) -> Sequence[int]:
-        """The value in each member's field of a packed vector, in member
-        order.  Every value here fits its field's low word unless it is a
+        """The value in each member's field of a packed vector, member 0
+        first.  Every value here fits its field's low word unless it is a
         signature code of a union of thousands of arguments."""
         words = array("Q", vector.to_bytes(self.size, "little"))
         if sys.byteorder == "big":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -186,15 +186,17 @@ class CompletionSet:
     """Canonical, deduplicated set of frameworks with deterministic order.
 
     A set is its union graph ``_graph`` (the sorted arguments and defeats
-    that at least one member holds) and one key per member, in member
-    order (``_keys``).  With n graph arguments, bit i of a key is the
-    graph's i-th argument, and bit n + j is the graph's j-th defeat when
-    the member holds both its endpoints but not the defeat.  A member
+    that at least one member holds) and the frozenset of its members' keys
+    (``_keys``).  With n graph arguments, bit i of a key is the graph's
+    i-th argument, and bit n + j is the graph's j-th defeat when the
+    member holds both its endpoints but not the defeat.  A member
     restricted from one graph lacks no such defeat, so its key is its
-    argument mask.  Every set is built by ``_keyed``; members are built
-    from the keys on their first use and cached."""
+    argument mask.  Sizes, equality, hashing and lookups read the keys as
+    a set.  Only ``_member_keys`` puts them in member order, for building
+    the members, which happens on their first use and is cached, and for
+    writing a document.  Every set is built by ``_keyed``."""
 
-    __slots__ = ("_graph", "_keys", "_members", "_index")
+    __slots__ = ("_graph", "_keys", "_members", "_coder")
 
     def __new__(cls, members: Iterable[AbstractAF] = ()) -> "CompletionSet":
         """The set of ``members``, which it caches in member order."""
@@ -205,29 +207,36 @@ class CompletionSet:
         key = _key_coder(graph)
         by_key = {key(af.args, af.defeats): af for af in members}
         out = cls._keyed(graph, by_key)
-        out._members = tuple(map(by_key.__getitem__, out._keys))
+        out._members = tuple(map(by_key.__getitem__, out._member_keys()))
         return out
 
     @classmethod
     def _keyed(cls, graph: AbstractAF, keys: Iterable[int]) -> "CompletionSet":
         """The set whose members have ``keys`` over ``graph``, which must
         be exactly their union.  The keys may come in any order and
-        repeat.  Nothing is checked, so only sets derived from validated
-        frameworks are built this way."""
+        repeat; they are kept as a frozenset, unsorted.  Nothing is
+        checked, so only sets derived from validated frameworks are built
+        this way."""
         out = object.__new__(cls)
-        out._graph, out._keys = graph, _member_order(graph, keys)
-        out._members = out._index = None
+        out._graph, out._keys = graph, frozenset(keys)
+        out._members = out._coder = None
         return out
+
+    def _member_keys(self) -> tuple[int, ...]:
+        """The keys in member order, computed on each call: only the
+        members, built or given, and the document writer read it."""
+        return _member_order(self._graph, self._keys)
 
     @property
     def members(self) -> tuple[AbstractAF, ...]:
         if self._members is None:
             args, defeats = self._graph.args, self._graph.defeats
-            count = len(self._keys)
+            keys = self._member_keys()
+            count = len(keys)
             # the columns entry-major, so member r's byte per entry is the
             # stride slice from r
             held = b"".join([column.to_bytes(count, "little") for column
-                             in _entry_columns(self._graph, self._keys)])
+                             in _entry_columns(self._graph, keys)])
             first = count * len(args)  # where the defeats' bytes start
             self._members = tuple(AbstractAF._canonical(
                 tuple(compress(args, held[r:first:count])),
@@ -247,11 +256,10 @@ class CompletionSet:
     def __contains__(self, af: object) -> bool:
         if not isinstance(af, AbstractAF):
             return False
-        if self._index is None:  # built on the first lookup
-            self._index = (frozenset(self._keys), _key_coder(self._graph))
-        keys, key = self._index
+        if self._coder is None:  # built on the first lookup
+            self._coder = _key_coder(self._graph)
         try:
-            return key(af.args, af.defeats) in keys
+            return self._coder(af.args, af.defeats) in self._keys
         except KeyError:  # an argument or a defeat outside the union
             return False
 
@@ -289,32 +297,34 @@ def _key_coder(graph: AbstractAF) -> Callable[..., int]:
     return key
 
 
-def _union_of(graph: AbstractAF, masks: Sequence[int]) -> tuple[
-        AbstractAF, Sequence[int]]:
+def _union_of(graph: AbstractAF, masks: Collection[int]) -> tuple[
+        AbstractAF, list[int]]:
     """The part of ``graph`` that some argument mask holds, and the masks
-    over it, in the same order."""
+    over it, in the order ``masks`` iterates."""
     args = graph.args
     column = _entry_columns(graph, masks)
     kept = tuple(compress(args, column))
     if len(kept) < len(args):  # renumber the bits of the kept arguments
         place = dict.fromkeys(args, 0)
         place.update((a, 1 << k) for k, a in enumerate(kept))
-        masks = tuple(_or_images([place[a] for a in args], masks))
+        masks = _or_images([place[a] for a in args], masks)
     return AbstractAF._canonical(kept, tuple(
         compress(graph.defeats, column[len(args):]))), masks
 
 
-def _key_columns(keys: Sequence[int], bits: int,
-                 field: int = 1) -> list[int]:
+def _key_columns(keys: Collection[int], bits: int, field: int = 1,
+                 top: int | None = None) -> list[int]:
     """The column of each key bit below ``bits``: an integer with one
-    ``field``-byte field per key, in key order, holding 1 where that key
-    has the bit, else 0.  Keys are packed once, as few bytes each as the
-    widest key needs.  When every key fits its field, they are packed
-    into the fields, and column i is that integer shifted by i.
-    Otherwise the fields are bytes (``field`` must be 1): byte b of every
-    key is the stride slice ``packed[b::width]``, and each column is a
-    shift of one such row."""
-    top = max(keys, default=0).bit_length()  # at most bits
+    ``field``-byte field per key, in the order ``keys`` iterates, holding
+    1 where that key has the bit, else 0.  ``top`` is the bit length of
+    the widest key, taken here unless the caller has it.  Keys are packed
+    once, as few bytes each as the widest key needs.  When every key fits
+    its field, they are packed into the fields, and column i is that
+    integer shifted by i.  Otherwise the fields are bytes (``field`` must
+    be 1): byte b of every key is the stride slice ``packed[b::width]``,
+    and each column is a shift of one such row."""
+    if top is None:
+        top = max(keys, default=0).bit_length()  # at most bits
     ones = int.from_bytes(b"\1".ljust(field, b"\0") * len(keys), "little")
     if top <= 8 * field:
         packed = int.from_bytes(b"".join(map(
@@ -332,14 +342,15 @@ def _key_columns(keys: Sequence[int], bits: int,
     return columns + [0] * (bits - top)  # bits that no key has
 
 
-def _entry_columns(graph: AbstractAF, keys: Sequence[int],
-                   field: int = 1) -> list[int]:
+def _entry_columns(graph: AbstractAF, keys: Collection[int],
+                   field: int = 1, top: int | None = None) -> list[int]:
     """One column per entry of ``graph.args + graph.defeats``: an integer
-    with one ``field``-byte field per key, in key order, holding 1 where
-    that member holds the entry, else 0.  A member holds a defeat iff it
-    holds both endpoints and its key has no lack bit for it."""
+    with one ``field``-byte field per key, in the order ``keys`` iterates,
+    holding 1 where that member holds the entry, else 0 (``top`` as for
+    ``_key_columns``).  A member holds a defeat iff it holds both
+    endpoints and its key has no lack bit for it."""
     n = len(graph.args)
-    columns = _key_columns(keys, n + len(graph.defeats), field)
+    columns = _key_columns(keys, n + len(graph.defeats), field, top)
     held = dict(zip(graph.args, columns))
     # a key has a lack bit only where it holds both endpoints
     columns[n:] = [held[s] & held[t] ^ lack
@@ -347,10 +358,11 @@ def _entry_columns(graph: AbstractAF, keys: Sequence[int],
     return columns
 
 
-def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
-    """For each mask, the OR of ``values[i]`` over its set bits i.  Masks
-    are read eight bits at a time, up to the highest bit any of them has,
-    through a table of the ORs of every subset of those eight values."""
+def _or_images(values: list[int], masks: Collection[int]) -> list[int]:
+    """For each mask, in the order ``masks`` iterates, the OR of
+    ``values[i]`` over its set bits i.  Masks are read eight bits at a
+    time, up to the highest bit any of them has, through a table of the
+    ORs of every subset of those eight values."""
     values = values[:max(masks, default=0).bit_length()]
     out = [0] * len(masks)
     for low in range(0, len(values), 8):
@@ -366,8 +378,10 @@ def _or_images(values: list[int], masks: Sequence[int]) -> list[int]:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _member_order(graph: AbstractAF, keys: Iterable[int]) -> tuple[int, ...]:
-    """The distinct ``keys`` over ``graph`` in the order of their members.
+def _member_order(graph: AbstractAF,
+                  keys: Collection[int]) -> tuple[int, ...]:
+    """The ``keys`` over ``graph``, which are distinct, in the order of
+    their members.
 
     Members compare as their sorted (args, defeats) tuples, each a
     sub-sequence of the graph's.  A mask of graph entries sorts by its
@@ -380,18 +394,21 @@ def _member_order(graph: AbstractAF, keys: Iterable[int]) -> tuple[int, ...]:
     follow the argument digits and break the tie."""
     n = len(graph.args)
     full = (1 << n) - 1
-    digits = {k: bin(k << 1 | 1)[:1:-1] + "2" for k in keys}
-    if digits and max(digits) > full:  # some key has a lack bit
+    keys = [*keys]
+    if max(keys, default=0) > full:  # some key has a lack bit
         # the arguments kept, then the defeats held, read entry-major from
         # the defeats' columns
-        count = len(digits)
+        count = len(keys)
         held = b"".join([column.to_bytes(count, "little") for column
-                         in _entry_columns(graph, [*digits])[n:]]
+                         in _entry_columns(graph, keys)[n:]]
                         ).translate(_DIGITS).decode()
-        for r, k in enumerate(digits):
-            digits[k] = bin((k & full) << 1 | 1)[:1:-1] + "21" + \
-                held[r::count].rstrip("0") + "2"
-    return tuple(sorted(digits, key=digits.__getitem__, reverse=True))
+        digits = [bin((k & full) << 1 | 1)[:1:-1] + "21" +
+                  held[r::count].rstrip("0") + "2"
+                  for r, k in enumerate(keys)]
+    else:
+        digits = [bin(k << 1 | 1)[:1:-1] + "2" for k in keys]
+    return tuple(map(keys.__getitem__, sorted(
+        range(len(keys)), key=digits.__getitem__, reverse=True)))
 
 
 def _check_uncertain_bound(count: int, limits: Limits) -> None:
@@ -426,7 +443,7 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
         [drop.get(1 << b, 0) for b in range(bits.bit_length())],
         [bits & ~m for m in masks]))
     full = (1 << len(args)) - 1
-    masks = [full ^ d for d in dropped]
+    masks = frozenset(map(full.__xor__, dropped))
     if full not in masks:
         # no member holds the whole graph, so it may hold more than the
         # union

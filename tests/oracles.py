@@ -231,6 +231,14 @@ def tuple_signatures(completions) -> dict[str, tuple]:
     return {a: tuple(sorted(entries)) for a, entries in sigs.items()}
 
 
+def members_in_key_order(completions) -> list:
+    """The members in the order the set's keys iterate, which is how
+    ``uarg.equivalence._KeyTables`` numbers them."""
+    key = _key_coder(completions._graph)
+    by_key = {key(af.args, af.defeats): af for af in completions}
+    return [by_key[k] for k in completions._keys]
+
+
 def member_masks(completions) -> tuple[dict[str, int], dict[tuple, int]]:
     """For each argument and each defeat, the members holding it, as a
     bitmask over member positions."""
@@ -487,10 +495,11 @@ def covering_imp_arg_iaf(x, limits=DEFAULT_LIMITS) -> DepArgIAF:
 
 
 def gone_selectors(completions: CompletionSet):
-    """Per key, one byte per entry of the graph's ``args + defeats``: 1
-    where the member holds it, else 0.  Each entry a member lacks takes
-    its byte away, and each argument lacked takes its defeats' bytes
-    along; a lack bit takes away the byte of its defeat alone."""
+    """Per key, in member order, one byte per entry of the graph's
+    ``args + defeats``: 1 where the member holds it, else 0.  Each entry
+    a member lacks takes its byte away, and each argument lacked takes
+    its defeats' bytes along; a lack bit takes away the byte of its
+    defeat alone."""
     graph = completions._graph
     entries = graph.args + graph.defeats
     width = len(entries)
@@ -504,7 +513,8 @@ def gone_selectors(completions: CompletionSet):
     full = (1 << len(graph.args)) - 1  # flips arguments to dropped
     return ((every ^ lost).to_bytes(width, "big")
             for lost in _or_images([*gone.values()],
-                                   [full ^ k for k in completions._keys]))
+                                   [full ^ k for k in
+                                    completions._member_keys()]))
 
 
 def per_member_serialize_completion_set(completions: CompletionSet) -> str:
@@ -679,8 +689,8 @@ def sorted_completion_set(members) -> CompletionSet:
         tuple(sorted(set().union(*(af.defeats for af in ordered)))))
     key = _key_coder(graph)
     out = object.__new__(CompletionSet)
-    out._graph, out._members, out._index = graph, ordered, None
-    out._keys = tuple(key(af.args, af.defeats) for af in ordered)
+    out._graph, out._members, out._coder = graph, ordered, None
+    out._keys = frozenset(key(af.args, af.defeats) for af in ordered)
     return out
 
 

@@ -12,8 +12,11 @@ from uarg import (
     ImplyDisj,
     Nand,
     Or,
+    Witness,
+    check_witness,
     completions_arg_iaf,
     completions_dep,
+    equivalent,
     fixtures,
     parse_af,
     parse_iaf,
@@ -43,6 +46,7 @@ from uarg.errors import (
     UargError,
     UndeclaredArgumentError,
 )
+from uarg.incomplete import _key_coder
 
 from framework_gen import (
     frameworks_built,
@@ -386,6 +390,12 @@ class TestColumnWriter:
             assert read == cs
 
 
+def _cached_member_keys(cs: CompletionSet) -> tuple[int, ...]:
+    """The keys of the members ``cs`` holds, in the order it holds them."""
+    key = _key_coder(cs._graph)
+    return tuple(key(af.args, af.defeats) for af in cs._members)
+
+
 class TestKeyedConstructor:
     def test_matches_sorted_oracle(self):
         rng = random.Random(21)
@@ -398,6 +408,7 @@ class TestKeyedConstructor:
             got = CompletionSet._keyed(cs._graph, keys)
             assert got._graph == expected._graph
             assert got._keys == expected._keys
+            assert got._member_keys() == _cached_member_keys(expected)
             assert list(got) == list(expected)
             assert serialize_completion_set(got) == \
                 serialize_completion_set(expected)
@@ -414,8 +425,79 @@ class TestKeyedConstructor:
              AbstractAF(["a", "b"], [("a", "b")]), AbstractAF(["b"])])
         assert len(given) == len(expected) == 4
         assert given._keys == expected._keys
+        assert given._member_keys() == _cached_member_keys(expected)
         assert hash(given) == hash(expected)
         assert list(given) == list(expected)
+
+
+def _key_order_cases() -> list[CompletionSet]:
+    """The writer's cases, 60 restricted sets, and each restricted set
+    with one more member: its member with the most defeats less its first
+    defeat, which shares that member's argument mask and differs from it
+    by a lack bit."""
+    rng = random.Random(22)
+    cases = _writer_cases()
+    for _ in range(60):
+        restricted = completions_arg_iaf(random_arg_iaf(rng, max_args=6))
+        cases.append(restricted)
+        widest = max(restricted, key=lambda af: len(af.defeats))
+        if widest.defeats:
+            cases.append(CompletionSet(
+                [*restricted, AbstractAF(widest.args, widest.defeats[1:])]))
+    return cases
+
+
+def _insertion_orders(keys: frozenset[int]) -> list[list[int]]:
+    """The keys ascending, descending and shuffled.  Keys k and k + 2**m
+    share their slot in a hash table of at most 2**m slots, so the one
+    inserted first takes it, and the frozensets iterate differently."""
+    ascending = sorted(keys)
+    shuffled = ascending[:]
+    random.Random(len(keys)).shuffle(shuffled)
+    return [ascending, ascending[::-1], shuffled]
+
+
+class TestKeyOrder:
+    """Nothing a set answers depends on the order its key frozenset
+    iterates in."""
+
+    @staticmethod
+    def outcome(cs: CompletionSet, target: CompletionSet,
+                witnesses: list[Witness]) -> tuple:
+        """Equivalence by the identity alone, and by search both ways on
+        unions small enough to search, and the witnesses checked."""
+        results = [equivalent(cs, cs, identity_only=True),
+                   equivalent(cs, target, identity_only=True)]
+        if len(cs.argument_union()) <= 8:
+            results += [equivalent(cs, target), equivalent(target, cs)]
+        return ([(r.verdict, r.witness, r.nodes, r.prunes) for r in results],
+                [check_witness(cs, target, w) for w in witnesses])
+
+    def test_insertion_order_changes_nothing(self):
+        reordered = reordered_lacking = 0
+        for cs in _key_order_cases():
+            sets = [CompletionSet._keyed(cs._graph, keys)
+                    for keys in _insertion_orders(cs._keys)]
+            if len({tuple(s._keys) for s in sets}) > 1:
+                reordered += 1
+                # some key has a lack bit
+                reordered_lacking += max(cs._keys) >> len(cs._graph.args) > 0
+            names = sorted(cs.argument_union())
+            rename = Witness({a: f"r{i}" for i, a in enumerate(names)})
+            target = rename.apply(cs)
+            # the images reversed, which maps most sets wrongly
+            images = [f"r{i}" for i in range(len(names))][::-1]
+            witnesses = [rename, Witness(zip(names, images))]
+            expected = self.outcome(cs, target, witnesses)
+            text = serialize_completion_set(cs)
+            for got in sets:
+                assert got == cs and hash(got) == hash(cs)
+                assert list(got) == list(cs)
+                assert serialize_completion_set(got) == text
+                assert self.outcome(got, target, witnesses) == expected
+        # sets that iterate differently, some with lack bits (76 and 50
+        # of 259 cases)
+        assert reordered >= 70 and reordered_lacking >= 40
 
 
 # Lines for random completion-set documents, with their weights: valid

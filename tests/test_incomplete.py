@@ -22,6 +22,7 @@ from uarg import (
     completions_rul,
     equivalent,
     is_implicative,
+    no_equivalent_arg_iaf,
     parse_af,
     parse_iaf,
     prem_isaf_to_imp_arg_iaf,
@@ -699,3 +700,63 @@ class TestIafTextFormat:
             with pytest.raises(ParseError) as info:
                 parse("arg(a).\n  arg( b).\n")
             assert (info.value.line, info.value.column) == (2, 3)
+
+
+@pytest.fixture
+def member_orders(monkeypatch):
+    """The number of ``_member_order`` calls made so far, in a one-item
+    list."""
+    calls = [0]
+    order = incomplete._member_order
+
+    def counted(*args):
+        calls[0] += 1
+        return order(*args)
+
+    monkeypatch.setattr(incomplete, "_member_order", counted)
+    return calls
+
+
+class TestMemberOrderRuns:
+    """Member order is computed only to build members or to write a
+    document: enumeration, reading, equivalence, witness checks,
+    negative certification and synthesis use the keys as a set."""
+
+    def test_only_members_and_the_writer_order(self, member_orders):
+        rng = random.Random(53)
+        sets, synth = [], []
+        for _ in range(20):
+            iaf = random_arg_iaf(rng, max_args=5)
+            rul, _ = arg_iaf_to_rul_isaf(iaf)
+            prem, _ = arg_iaf_to_prem_isaf(iaf)
+            sets += [completions_arg_iaf(iaf), completions_rul(rul),
+                     completions_prem(prem),
+                     completions_rul(random_rul_isaf(rng), GEN_LIMITS),
+                     completions_prem(random_prem_isaf(rng), GEN_LIMITS)]
+            if iaf.uncertain_args:
+                cut = completions_dep(
+                    DepArgIAF(iaf, [Nand(iaf.uncertain_args)]))
+                sets.append(cut)
+                synth.append((iaf, cut))
+        for diaf, _, _ in nand_cut_cases():
+            sets.append(completions_dep(diaf))
+            synth.append((diaf.base, sets[-1]))
+        assert member_orders == [0]
+        texts = [serialize_completion_set(cs) for cs in sets]
+        assert member_orders == [len(sets)]  # once per document
+        read = [parse_completion_set(text) for text in texts]
+        for cs, back in zip(sets, read):
+            union = cs.argument_union()
+            assert back == cs
+            assert check_witness(cs, back, Witness.identity(union))
+            if len(union) <= 8:
+                assert equivalent(cs, back).equivalent
+            assert equivalent(cs, back, identity_only=True).equivalent
+            no_equivalent_arg_iaf(back, 8)
+        for base, target in synth:
+            synthesize_dependencies(base, target)
+        assert member_orders == [len(sets)]
+        for back in read:  # once on the first iteration, not again
+            before = member_orders[0]
+            assert list(back) == list(back)
+            assert member_orders[0] == before + 1
