@@ -194,17 +194,6 @@ def _theory_of(doc: TheoryDocument):
     return theory, frozenset(uncertain)
 
 
-def document_kind(doc: TheoryDocument) -> str:
-    if doc.has_rule_uncertainty and doc.has_premise_uncertainty:
-        raise MixedUncertaintyError(
-            "a document may not declare both rule and premise uncertainty")
-    if doc.has_rule_uncertainty:
-        return "rul-isaf"
-    if doc.has_premise_uncertainty:
-        return "prem-isaf"
-    return "saf"
-
-
 def build_saf(doc: TheoryDocument) -> SAF:
     if doc.has_rule_uncertainty or doc.has_premise_uncertainty:
         raise MixedUncertaintyError(

@@ -5,16 +5,19 @@ rules uncertain; a premise-incomplete framework does the opposite.  Each
 subset of the uncertain part induces a completion (a plain structured
 framework); lifting every completion to its abstract defeat graph and
 deduplicating yields the completion set all expressivity comparisons run on.
-That set is built without regenerating any completion: each is the maximal
-completion's defeat graph restricted to the arguments whose uncertain load
-the subset contains.
+No completion is regenerated: arguments are closed under sub-arguments, so
+a completion's arguments are the maximal completion's arguments whose
+uncertain load the subset contains, and its defeat graph is the maximal
+one restricted to them.
 
 The maximal completion, its arguments, its defeat graph and every
 argument's load form the framework's load model (``_model``).  It is
 compiled once per framework and ``limits`` and kept in the framework's own
-``__dict__``, out of ``==``, ``repr`` and ``dataclasses.replace``; the
-completion sets, ``saf_max``, and the implicative abstraction and tidying
-in ``translate`` all read it.
+``__dict__``, out of ``==``, ``repr`` and ``dataclasses.replace``.  Every
+function here that completes a framework reads it (the completion sets,
+``rule_completions``/``premise_completions``, ``saf_max``, ``saf_fixed``
+and ``defeat_coherence_check``), as do the implicative abstraction and
+tidying in ``translate``.
 """
 
 from __future__ import annotations
@@ -96,31 +99,6 @@ class PremISAF:
         return self.uncertain_axioms | self.uncertain_premises
 
 
-def _completion(x: RulISAF | PremISAF, theory: ArgumentationTheory,
-                limits: Limits) -> tuple[SAF, tuple[StructuredArgument, ...]]:
-    """The completion of x with this theory, preferences restricted to its
-    generated arguments, and those arguments."""
-    arguments = generate_arguments(theory, limits)
-    texts = {arg.text for arg in arguments}
-    preferences = frozenset((a, b) for a, b in x.preferences
-                            if a in texts and b in texts)
-    return SAF(theory, preferences), arguments
-
-
-def _completion_theory(x: RulISAF | PremISAF, chosen: frozenset,
-                       ) -> ArgumentationTheory:
-    if isinstance(x, RulISAF):
-        rules = x.fixed_rules | chosen
-        naming = {rule: name for rule, name in x.theory.naming.items()
-                  if rule in rules}
-        return replace(x.theory, rules=frozenset(rules), naming=naming)
-    axioms = x.fixed_axioms | (chosen & x.uncertain_axioms)
-    premises = x.fixed_premises | (chosen & x.uncertain_premises)
-    # The naming function stays untouched for premise-completions.
-    return replace(x.theory, axioms=frozenset(axioms),
-                   premises=frozenset(premises))
-
-
 def _uncertain_elements(x: RulISAF | PremISAF) -> list:
     if isinstance(x, RulISAF):
         return sorted(x.uncertain_rules, key=Rule.sort_key)
@@ -171,18 +149,41 @@ def saf_max(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
     return _model(x, limits).saf
 
 
+def _completion(x: RulISAF | PremISAF, model: _LoadModel, mask: int,
+                ) -> tuple[SAF, tuple[StructuredArgument, ...]]:
+    """The completion of x that keeps the uncertain elements in mask, and
+    its arguments: the maximal completion's arguments whose load mask
+    holds, since arguments are closed under sub-arguments.  Naming is
+    restricted to the kept rules and preferences to those arguments."""
+    load = model.load
+    arguments = tuple(arg for arg in model.arguments
+                      if not load[arg.text] & ~mask)
+    texts = {arg.text for arg in arguments}
+    preferences = frozenset((a, b) for a, b in x.preferences
+                            if a in texts and b in texts)
+    chosen = frozenset(e for i, e in enumerate(_uncertain_elements(x))
+                       if mask >> i & 1)
+    if isinstance(x, RulISAF):
+        rules = x.fixed_rules | chosen
+        naming = {rule: name for rule, name in x.theory.naming.items()
+                  if rule in rules}
+        theory = replace(x.theory, rules=rules, naming=naming)
+    else:
+        # The naming function stays untouched for premise-completions.
+        theory = replace(
+            x.theory, axioms=x.fixed_axioms | (chosen & x.uncertain_axioms),
+            premises=x.fixed_premises | (chosen & x.uncertain_premises))
+    return SAF(theory, preferences), arguments
+
+
 def _completion_items(x: RulISAF | PremISAF, limits: Limits,
                       ) -> list[tuple[SAF, tuple[StructuredArgument, ...]]]:
-    """One (completion, generated arguments) pair per uncertainty subset,
-    in subset-mask order, each regenerated from its own theory."""
-    _model(x, limits)  # preference domain and generation limits only
-    elements = _uncertain_elements(x)
-    _check_uncertain_bound(len(elements), limits)
-    items = []
-    for mask in range(1 << len(elements)):
-        chosen = frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
-        items.append(_completion(x, _completion_theory(x, chosen), limits))
-    return items
+    """One (completion, arguments) pair per uncertainty subset, in
+    subset-mask order, each read from the load model."""
+    model = _model(x, limits)
+    k = len(_uncertain_elements(x))
+    _check_uncertain_bound(k, limits)
+    return [_completion(x, model, mask) for mask in range(1 << k)]
 
 
 def rule_completions(r: RulISAF, limits: Limits = DEFAULT_LIMITS) -> tuple[SAF, ...]:
@@ -199,8 +200,9 @@ def premise_completions(p: PremISAF,
 
 
 def saf_fixed(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
-    """Minimal completion: all uncertainty discarded."""
-    return _completion(x, _completion_theory(x, frozenset()), limits)[0]
+    """Minimal completion: all uncertainty discarded.  It reads the load
+    model, so it raises what ``saf_max`` raises."""
+    return _completion(x, _model(x, limits), 0)[0]
 
 
 def _induced(x: RulISAF | PremISAF, limits: Limits) -> CompletionSet:
@@ -261,21 +263,19 @@ def defeat_coherence_check(x: RulISAF | PremISAF,
                            limits: Limits = DEFAULT_LIMITS) -> bool:
     """Any two completions agree on defeats between shared arguments.
 
-    This always holds for valid frameworks; the operation exists as an
-    executable oracle for that claim.
+    The maximal completion is one of the completions, so this holds iff
+    each completion's own defeats, computed from its theory and restricted
+    preferences, are the maximal defeat graph's between its arguments: one
+    check per completion.  It always holds for valid frameworks; the
+    operation exists as an executable oracle for that claim.
     """
-    afs = [associated_af(saf, arguments, limits)
-           for saf, arguments in _completion_items(x, limits)]
-    for i, left in enumerate(afs):
-        left_args = left.arg_set
-        for right in afs[i + 1:]:
-            shared = left_args & right.arg_set
-            left_shared = {(s, t) for s, t in left.defeats
-                           if s in shared and t in shared}
-            right_shared = {(s, t) for s, t in right.defeats
-                            if s in shared and t in shared}
-            if left_shared != right_shared:
-                return False
+    graph = _model(x, limits).graph
+    for saf, arguments in _completion_items(x, limits):
+        texts = {arg.text for arg in arguments}
+        shared = tuple(d for d in graph.defeats
+                       if d[0] in texts and d[1] in texts)
+        if _generated_af(saf, arguments).defeats != shared:
+            return False
     return True
 
 

@@ -86,10 +86,12 @@ def _random_preferences(rng: random.Random, texts: list[str]) -> frozenset:
 
 
 def random_rul_isaf(rng: random.Random, max_atoms: int = 4, max_rules: int = 5,
-                    max_uncertain: int = 3, max_args: int = 30) -> RulISAF:
+                    max_uncertain: int = 3, max_args: int = 30,
+                    force_clash: bool = False) -> RulISAF:
     while True:
         try:
-            theory = _random_theory(rng, max_atoms, max_rules)
+            theory = _random_theory(rng, max_atoms, max_rules,
+                                    force_clash=force_clash)
             args = generate_arguments(theory, GEN_LIMITS)
         except GenerationLimitExceededError:
             continue

@@ -12,7 +12,12 @@ check the search counters too,
 (pos, neg) clauses of ``uarg.kernels.dependency_masks`` and
 ``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
 ``dict_induced_completions`` takes the arguments of
-``uarg.incomplete._induced_completions``, ``minimized_by_completions``
+``uarg.incomplete._induced_completions``,
+``regenerated_completion_items`` regenerates each completion of a
+structured framework from its own theory, and returns what
+``uarg.isaf._completion_items`` reads from the load model,
+``pairwise_defeat_coherence`` compares every pair of those regenerated
+completions, ``minimized_by_completions``
 calls ``uarg.completions_dep``, ``covering_imp_arg_iaf`` builds the
 implicative abstraction from the public structured-layer functions,
 ``applied_check_witness`` relabels through ``uarg.Witness.apply``, and
@@ -52,6 +57,7 @@ from uarg import (
     PremISAF,
     Rule,
     RulISAF,
+    SAF,
     StructuredArgument,
     Witness,
     associated_af,
@@ -77,7 +83,7 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
-from uarg.incomplete import _key_coder, _or_images
+from uarg.incomplete import _check_uncertain_bound, _key_coder, _or_images
 from uarg.isaf import _model
 from uarg.translate import PRIME_SUFFIX
 
@@ -456,6 +462,51 @@ def dict_induced_completions(full_af: AbstractAF, load: dict[str, int],
             graphs[kept] = AbstractAF._canonical(
                 kept, tuple(d for d, need in defeats if not need & ~mask))
     return sorted_completion_set(graphs.values())
+
+
+def regenerated_completion_items(x, limits=DEFAULT_LIMITS) -> list:
+    """One (completion, generated arguments) pair per uncertainty subset,
+    in subset-mask order, each generated from its own theory, with
+    naming restricted to the kept rules and preferences to the generated
+    arguments.  ``saf_max`` raises what the load model refuses."""
+    saf_max(x, limits)
+    elements = (sorted(x.uncertain_rules, key=Rule.sort_key)
+                if isinstance(x, RulISAF) else sorted(x.uncertain_knowledge))
+    _check_uncertain_bound(len(elements), limits)
+    items = []
+    for mask in range(1 << len(elements)):
+        chosen = frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+        if isinstance(x, RulISAF):
+            rules = x.fixed_rules | chosen
+            naming = {rule: name for rule, name in x.theory.naming.items()
+                      if rule in rules}
+            theory = replace(x.theory, rules=frozenset(rules), naming=naming)
+        else:
+            theory = replace(
+                x.theory,
+                axioms=frozenset(x.fixed_axioms | (chosen & x.uncertain_axioms)),
+                premises=frozenset(
+                    x.fixed_premises | (chosen & x.uncertain_premises)))
+        arguments = generate_arguments(theory, limits)
+        texts = {arg.text for arg in arguments}
+        preferences = frozenset((a, b) for a, b in x.preferences
+                                if a in texts and b in texts)
+        items.append((SAF(theory, preferences), arguments))
+    return items
+
+
+def pairwise_defeat_coherence(x, limits=DEFAULT_LIMITS) -> bool:
+    """Every two regenerated completions agree on the defeats between the
+    arguments they share."""
+    afs = [associated_af(saf, arguments, limits)
+           for saf, arguments in regenerated_completion_items(x, limits)]
+    for i, left in enumerate(afs):
+        for right in afs[i + 1:]:
+            shared = left.arg_set & right.arg_set
+            if ({d for d in left.defeats if set(d) <= shared}
+                    != {d for d in right.defeats if set(d) <= shared}):
+                return False
+    return True
 
 
 def minimized_by_completions(iaf: ArgIAF, deps, target,

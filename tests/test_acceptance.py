@@ -46,7 +46,7 @@ from uarg import (
 )
 
 from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
-from oracles import covering_imp_arg_iaf, powerset
+from oracles import covering_imp_arg_iaf, pairwise_defeat_coherence, powerset
 
 
 @contextmanager
@@ -283,6 +283,7 @@ def test_c10_defeat_coherence_property():
             else:
                 framework = random_prem_isaf(rng, max_uncertain=3)
             assert defeat_coherence_check(framework)
+            assert pairwise_defeat_coherence(framework)
 
 
 def _characterization_holds(isaf, completion_afs, loads, max_group) -> bool:

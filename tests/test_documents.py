@@ -31,7 +31,6 @@ from uarg.documents import (
     build_prem_isaf,
     build_rul_isaf,
     build_saf,
-    document_kind,
     load_framework,
     load_theory_document,
     parse_completion_set,
@@ -209,14 +208,6 @@ class TestTheoryJson:
         ex3 = fixtures.get("example3")
         rebuilt = build_saf(load_theory_document(theory_document_of(ex3)))
         assert rebuilt == ex3
-
-    def test_kind_detection(self):
-        assert document_kind(load_theory_document(
-            theory_document_of(fixtures.get("example4")))) == "rul-isaf"
-        assert document_kind(load_theory_document(
-            theory_document_of(fixtures.get("example5")))) == "prem-isaf"
-        assert document_kind(load_theory_document(
-            theory_document_of(fixtures.get("example3")))) == "saf"
 
     def test_primed_formulas_round_trip(self):
         # tidying primes p; both translations' documents load back as is

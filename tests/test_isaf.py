@@ -46,9 +46,15 @@ from uarg import (
 )
 from uarg import aspic
 from uarg import isaf as isaf_module
-from uarg.documents import load_theory_document, build_rul_isaf
+from uarg.documents import (
+    build_prem_isaf,
+    build_rul_isaf,
+    build_saf,
+    load_theory_document,
+)
 
 from framework_gen import GEN_LIMITS, random_prem_isaf, random_rul_isaf
+from oracles import pairwise_defeat_coherence, regenerated_completion_items
 
 
 def text_index(theory):
@@ -147,6 +153,23 @@ class TestDistinguishedCompletions:
         ex5 = fixtures.get("example5")
         assert saf_max(ex5).theory.knowledge_base == {"p", "u", "s", "w"}
 
+    @pytest.mark.parametrize("name", ["example4", "example5"])
+    def test_fixed_raises_what_max_raises(self, name):
+        x = fixtures.get(name)
+        n = len(isaf_module._model(x, DEFAULT_LIMITS).arguments)
+        unknown = replace(x, preferences=frozenset({("nowhere", "p")}))
+        for framework, limits, error in (
+                (unknown, DEFAULT_LIMITS, PreferenceUnknownArgumentError),
+                (x, Limits(max_arguments=n - 1), GenerationLimitExceededError)):
+            messages = []
+            for call in (saf_max, saf_fixed):
+                with pytest.raises(error) as raised:
+                    call(framework, limits)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+        # the minimal completion is one subset: no bound on their number
+        assert saf_fixed(x, Limits(max_uncertain=0)) == saf_fixed(x)
+
     def test_extreme_completions_belong_to_completion_set(self):
         rng = random.Random(37)
         for _ in range(10):
@@ -220,28 +243,54 @@ class TestDefeatCoherence:
             assert defeat_coherence_check(random_prem_isaf(rng))
 
 
+def _regenerated_set(x):
+    return CompletionSet(associated_af(saf, arguments) for saf, arguments
+                         in regenerated_completion_items(x))
+
+
+def _effective_preferences(x) -> bool:
+    """The preferences remove a defeat from the maximal graph."""
+    return associated_af(saf_max(x)) != associated_af(SAF(x.theory))
+
+
 class TestRestrictionMatchesRegeneration:
-    """completions_rul/completions_prem restrict the maximal completion's
-    defeat graph; the oracle regenerates every completion from its own
-    theory and lifts it."""
+    """Every completion is read from the load model: the completion sets
+    restrict the maximal completion's defeat graph, and each completion's
+    arguments are the maximal ones its subset holds the load of.  The
+    oracles regenerate every completion from its own theory."""
 
     @pytest.mark.parametrize("side", ["rul", "prem"])
     def test_random(self, side):
-        make, complete, oracle = {
-            "rul": (random_rul_isaf, completions_rul, rule_completions),
-            "prem": (random_prem_isaf, completions_prem, premise_completions),
+        make, complete = {
+            "rul": (random_rul_isaf, completions_rul),
+            "prem": (random_prem_isaf, completions_prem),
         }[side]
         rng = random.Random(59)
         preferences_matter = named = 0
         for _ in range(150):
             isaf = make(rng, max_uncertain=4)
-            assert complete(isaf) == CompletionSet(
-                associated_af(saf) for saf in oracle(isaf)), isaf
+            assert complete(isaf) == _regenerated_set(isaf), isaf
             named += bool(isaf.theory.naming)
-            preferences_matter += (associated_af(saf_max(isaf))
-                                   != associated_af(SAF(isaf.theory)))
+            preferences_matter += _effective_preferences(isaf)
         # the sample must hold named rules, and preferences that remove
         # defeats from the maximal graph
+        assert named and preferences_matter
+
+    @pytest.mark.parametrize("side", ["rul", "prem"])
+    def test_completions_read_from_model(self, side):
+        make = {"rul": random_rul_isaf, "prem": random_prem_isaf}[side]
+        rng = random.Random(61)
+        preferences_matter = named = 0
+        for i in range(150):
+            isaf = make(rng, max_uncertain=4, force_clash=bool(i % 2))
+            items = regenerated_completion_items(isaf)
+            assert isaf_module._completion_items(isaf, DEFAULT_LIMITS) == \
+                items, isaf
+            assert saf_fixed(isaf) == items[0][0]
+            assert defeat_coherence_check(isaf) == \
+                pairwise_defeat_coherence(isaf)
+            named += bool(isaf.theory.naming)
+            preferences_matter += _effective_preferences(isaf)
         assert named and preferences_matter
 
 
@@ -265,10 +314,29 @@ def _model_frameworks(side):
         for i in range(12)]
 
 
+def _count_generation(monkeypatch) -> list:
+    """Patch every binding of generate_arguments in uarg to record the
+    theory of each call in the list returned: a module importing the name
+    would bypass a patch of aspic alone."""
+    seen = []
+    original = aspic.generate_arguments
+
+    def counting(theory, limits=aspic.DEFAULT_LIMITS):
+        seen.append(theory)
+        return original(theory, limits)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("uarg") and \
+                getattr(module, "generate_arguments", None) is original:
+            monkeypatch.setattr(module, "generate_arguments", counting)
+    return seen
+
+
 class TestLoadModel:
     """A structured framework compiles its maximal completion once per
-    limits; completion sets, saf_max, the implicative abstraction and
-    tidying read that one model."""
+    limits; completion sets, every completion, saf_max, saf_fixed, the
+    defeat-coherence check, the implicative abstraction and tidying read
+    that one model."""
 
     @pytest.mark.parametrize("order", ["completions-first",
                                        "translation-first"])
@@ -277,19 +345,7 @@ class TestLoadModel:
         side, complete, translate_fn = MODEL_PAIRS[pair]
         cold = [(complete(x, GEN_LIMITS), translate_fn(x, GEN_LIMITS))
                 for x in _model_frameworks(side)]
-        seen = []
-        original = aspic.generate_arguments
-
-        def counting(theory, limits=aspic.DEFAULT_LIMITS):
-            seen.append(theory)
-            return original(theory, limits)
-
-        # patch every binding: a module importing the name would bypass a
-        # patch of aspic alone
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("uarg") and \
-                    getattr(module, "generate_arguments", None) is original:
-                monkeypatch.setattr(module, "generate_arguments", counting)
+        seen = _count_generation(monkeypatch)
         untidy = 0
         for x, (source, translated) in zip(_model_frameworks(side), cold):
             seen.clear()
@@ -302,6 +358,23 @@ class TestLoadModel:
             assert got == (source, translated)
             untidy += not is_tidy(x)
         assert untidy or side == "rul"
+
+    @pytest.mark.parametrize("call", [rule_completions, premise_completions,
+                                      saf_fixed, defeat_coherence_check],
+                             ids=lambda call: call.__name__)
+    def test_completions_generated_once(self, call, monkeypatch):
+        sides = {rule_completions: ["rul"],
+                 premise_completions: ["prem"]}.get(call, ["rul", "prem"])
+        frameworks = [x for side in sides for x in _model_frameworks(side)]
+        seen = _count_generation(monkeypatch)
+        for x in frameworks:
+            assert "_models" not in x.__dict__
+            seen.clear()
+            cold = call(x, GEN_LIMITS)
+            assert len(seen) == 1 and seen[0] == x.theory, x
+            seen.clear()
+            assert call(x, GEN_LIMITS) == cold
+            assert not seen, x
 
     def test_stricter_limits_still_raise(self):
         x = fixtures.get("thm10_rul")
@@ -339,23 +412,22 @@ class TestLoadModel:
 
     @pytest.mark.parametrize("side", ["rul", "prem"])
     def test_replace_builds_its_own_model(self, side):
-        make, complete, oracle = {
-            "rul": (random_rul_isaf, completions_rul, rule_completions),
-            "prem": (random_prem_isaf, completions_prem, premise_completions),
+        make, complete = {
+            "rul": (random_rul_isaf, completions_rul),
+            "prem": (random_prem_isaf, completions_prem),
         }[side]
         rng = random.Random(89)
         checked = 0
         while checked < 5:
             x = make(rng, max_uncertain=3)
-            if associated_af(saf_max(x)) == associated_af(SAF(x.theory)):
-                continue  # the preferences remove no defeat
+            if not _effective_preferences(x):
+                continue
             plain = replace(x, preferences=frozenset())
             assert "_models" not in plain.__dict__
             plain_set = complete(plain)
             ranked = replace(plain, preferences=x.preferences)
             assert "_models" not in ranked.__dict__
-            assert complete(ranked) == CompletionSet(
-                associated_af(saf) for saf in oracle(ranked))
+            assert complete(ranked) == _regenerated_set(ranked)
             assert complete(ranked) != plain_set
             assert isaf_module._model(ranked, DEFAULT_LIMITS) is not \
                 isaf_module._model(plain, DEFAULT_LIMITS)
@@ -448,10 +520,9 @@ class TestDocumentUncertainty:
             "kb": {"axioms_fixed": [], "axioms_uncertain": ["q"],
                    "premises_fixed": [], "premises_uncertain": []},
         })
-        from uarg.documents import document_kind
-
-        with pytest.raises(MixedUncertaintyError):
-            document_kind(doc)
+        for build in (build_saf, build_rul_isaf, build_prem_isaf):
+            with pytest.raises(MixedUncertaintyError):
+                build(doc)
 
     def test_rule_uncertainty_document(self):
         doc = load_theory_document({
