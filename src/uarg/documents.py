@@ -9,17 +9,16 @@ section may be omitted for hand-written files).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, starmap
 from operator import itemgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from .aspic import (
     DEFEASIBLE,
     STRICT,
     SAF,
+    ArgumentationTheory,
     Rule,
-    is_valid_formula,
     make_theory,
 )
 from .core import (
@@ -48,34 +47,15 @@ from .isaf import PremISAF, RulISAF
 FRAMEWORK_KINDS = ("af", "arg-iaf", "dep-arg-iaf", "rul-isaf", "prem-isaf", "saf")
 
 
-@dataclass
-class RuleSpec:
-    body: list[str]
-    head: str
-    kind: str
-    status: str = "fixed"
-    name: str | None = None
+class TheoryDocument(NamedTuple):
+    """A theory document read into its theory, with what it declares
+    uncertain and its preferences."""
 
-
-@dataclass
-class TheoryDocument:
-    contraries: list[tuple[str, str]] = field(default_factory=list)
-    close_negation: bool = False
-    rules: list[RuleSpec] = field(default_factory=list)
-    axioms_fixed: list[str] = field(default_factory=list)
-    axioms_uncertain: list[str] = field(default_factory=list)
-    premises_fixed: list[str] = field(default_factory=list)
-    premises_uncertain: list[str] = field(default_factory=list)
-    preferences: list[tuple[str, str]] = field(default_factory=list)
-    formulas: list[str] = field(default_factory=list)
-
-    @property
-    def has_rule_uncertainty(self) -> bool:
-        return any(spec.status == "uncertain" for spec in self.rules)
-
-    @property
-    def has_premise_uncertainty(self) -> bool:
-        return bool(self.axioms_uncertain or self.premises_uncertain)
+    theory: ArgumentationTheory
+    uncertain_rules: frozenset[Rule]
+    uncertain_axioms: frozenset[str]
+    uncertain_premises: frozenset[str]
+    preferences: frozenset[tuple[str, str]]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -105,6 +85,9 @@ def _pairs(obj: Any, where: str, shape: str) -> list[tuple[str, str]]:
 
 
 def load_theory_document(source: str | dict) -> TheoryDocument:
+    """Read a theory document into its theory in one pass.  Errors come in
+    this order: JSON syntax, the document's shape, then the theory
+    (``validate_theory``, which checks each formula once)."""
     if isinstance(source, str):
         try:
             obj = json.loads(source)
@@ -118,13 +101,14 @@ def load_theory_document(source: str | dict) -> TheoryDocument:
         obj = source
     _require(isinstance(obj, dict), "theory document must be a JSON object")
 
-    doc = TheoryDocument()
-    doc.close_negation = obj.get("close_negation", False)
-    _require(isinstance(doc.close_negation, bool),
+    close_negation = obj.get("close_negation", False)
+    _require(isinstance(close_negation, bool),
              "close_negation must be true or false")
-    doc.formulas = _str_list(obj.get("formulas", []), "formulas")
-    doc.contraries = _pairs(obj.get("contraries", []), "contraries",
-                            "[phi, psi]")
+    formulas = _str_list(obj.get("formulas", []), "formulas")
+    contraries = _pairs(obj.get("contraries", []), "contraries", "[phi, psi]")
+    rules: list[Rule] = []
+    naming: dict[Rule, str] = {}
+    uncertain: set[Rule] = set()
     for entry in _list(obj.get("rules", []), "rules"):
         _require(isinstance(entry, dict), "rules entries must be objects")
         kind = entry.get("kind", DEFEASIBLE)
@@ -137,90 +121,57 @@ def load_theory_document(source: str | dict) -> TheoryDocument:
         _require(isinstance(head, str), "rule head must be a string")
         _require(name is None or isinstance(name, str),
                  "rule name must be a string")
-        doc.rules.append(RuleSpec(
-            body=_str_list(entry.get("body", []), "rule body"),
-            head=head,
-            kind=kind,
-            status=status,
-            name=name,
-        ))
+        rule = Rule(_str_list(entry.get("body", []), "rule body"), head, kind)
+        rules.append(rule)
+        if name is not None:
+            naming[rule] = name
+        if status == "uncertain":
+            uncertain.add(rule)
     kb = obj.get("kb", {})
     _require(isinstance(kb, dict), "kb must be an object")
-    doc.axioms_fixed = _str_list(kb.get("axioms_fixed", []), "kb.axioms_fixed")
-    doc.axioms_uncertain = _str_list(kb.get("axioms_uncertain", []),
-                                     "kb.axioms_uncertain")
-    doc.premises_fixed = _str_list(kb.get("premises_fixed", []),
-                                   "kb.premises_fixed")
-    doc.premises_uncertain = _str_list(kb.get("premises_uncertain", []),
-                                       "kb.premises_uncertain")
-    doc.preferences = _pairs(obj.get("preferences", []), "preferences",
-                             "[a, b]")
-
-    mentioned = set(doc.formulas)
-    mentioned.update(doc.axioms_fixed + doc.axioms_uncertain)
-    mentioned.update(doc.premises_fixed + doc.premises_uncertain)
-    for spec in doc.rules:
-        mentioned.add(spec.head)
-        mentioned.update(spec.body)
-        if spec.name is not None:
-            mentioned.add(spec.name)
-    for phi, psi in doc.contraries:
-        mentioned.update((phi, psi))
-    for phi in sorted(mentioned):
-        _require(is_valid_formula(phi), f"invalid formula token: {phi!r}")
-    return doc
-
-
-def _theory_of(doc: TheoryDocument):
-    rules: list[Rule] = []
-    naming: dict[Rule, str] = {}
-    uncertain: set[Rule] = set()
-    for spec in doc.rules:
-        rule = Rule(spec.body, spec.head, spec.kind)
-        rules.append(rule)
-        if spec.name is not None:
-            naming[rule] = spec.name
-        if spec.status == "uncertain":
-            uncertain.add(rule)
+    axioms_fixed = _str_list(kb.get("axioms_fixed", []), "kb.axioms_fixed")
+    axioms_uncertain = _str_list(kb.get("axioms_uncertain", []),
+                                 "kb.axioms_uncertain")
+    premises_fixed = _str_list(kb.get("premises_fixed", []),
+                               "kb.premises_fixed")
+    premises_uncertain = _str_list(kb.get("premises_uncertain", []),
+                                   "kb.premises_uncertain")
+    preferences = _pairs(obj.get("preferences", []), "preferences", "[a, b]")
     theory = make_theory(
-        contraries=doc.contraries,
+        contraries=contraries,
         rules=rules,
         naming=naming,
-        axioms=doc.axioms_fixed + doc.axioms_uncertain,
-        premises=doc.premises_fixed + doc.premises_uncertain,
-        formulas=doc.formulas,
-        close_negation=doc.close_negation,
+        axioms=axioms_fixed + axioms_uncertain,
+        premises=premises_fixed + premises_uncertain,
+        formulas=formulas,
+        close_negation=close_negation,
     )
-    return theory, frozenset(uncertain)
+    return TheoryDocument(theory, frozenset(uncertain),
+                          frozenset(axioms_uncertain),
+                          frozenset(premises_uncertain),
+                          frozenset(preferences))
 
 
 def build_saf(doc: TheoryDocument) -> SAF:
-    if doc.has_rule_uncertainty or doc.has_premise_uncertainty:
+    if doc.uncertain_rules or doc.uncertain_axioms or doc.uncertain_premises:
         raise MixedUncertaintyError(
             "document declares uncertainty; load it as rul-isaf or prem-isaf")
-    theory, _ = _theory_of(doc)
-    return SAF(theory, frozenset(doc.preferences))
+    return SAF(doc.theory, doc.preferences)
 
 
 def build_rul_isaf(doc: TheoryDocument) -> RulISAF:
-    if doc.has_premise_uncertainty:
+    if doc.uncertain_axioms or doc.uncertain_premises:
         raise MixedUncertaintyError(
             "rule-incomplete documents may not declare uncertain knowledge")
-    theory, uncertain = _theory_of(doc)
-    return RulISAF(theory, uncertain, frozenset(doc.preferences))
+    return RulISAF(doc.theory, doc.uncertain_rules, doc.preferences)
 
 
 def build_prem_isaf(doc: TheoryDocument) -> PremISAF:
-    if doc.has_rule_uncertainty:
+    if doc.uncertain_rules:
         raise MixedUncertaintyError(
             "premise-incomplete documents may not declare uncertain rules")
-    theory, _ = _theory_of(doc)
-    return PremISAF(
-        theory,
-        uncertain_axioms=frozenset(doc.axioms_uncertain),
-        uncertain_premises=frozenset(doc.premises_uncertain),
-        preferences=frozenset(doc.preferences),
-    )
+    return PremISAF(doc.theory, doc.uncertain_axioms, doc.uncertain_premises,
+                    doc.preferences)
 
 
 def theory_document_of(framework: SAF | RulISAF | PremISAF) -> dict:

@@ -80,9 +80,6 @@ class Dependency:
 
     __slots__ = ()
 
-    def sort_key(self) -> tuple:
-        raise NotImplementedError
-
     def clause(self) -> tuple[frozenset[str], frozenset[str]]:
         raise NotImplementedError
 
@@ -107,9 +104,6 @@ class ImplyDisj(Dependency):
 
     _canonical = classmethod(_trusted)
 
-    def sort_key(self) -> tuple:
-        return (0, tuple(sorted(self.all_of)), tuple(sorted(self.any_of)))
-
     def clause(self) -> tuple[frozenset[str], frozenset[str]]:
         return self.all_of, self.any_of
 
@@ -122,9 +116,6 @@ class Or(Dependency):
         object.__setattr__(self, "any_of", _nonempty_id_set(any_of, "Or.any_of"))
 
     _canonical = classmethod(_trusted)
-
-    def sort_key(self) -> tuple:
-        return (1, tuple(sorted(self.any_of)))
 
     def clause(self) -> tuple[frozenset[str], frozenset[str]]:
         return frozenset(), self.any_of
@@ -139,9 +130,6 @@ class Nand(Dependency):
                            _nonempty_id_set(not_all_of, "Nand.not_all_of"))
 
     _canonical = classmethod(_trusted)
-
-    def sort_key(self) -> tuple:
-        return (2, tuple(sorted(self.not_all_of)))
 
     def clause(self) -> tuple[frozenset[str], frozenset[str]]:
         return self.not_all_of, frozenset()
@@ -474,12 +462,13 @@ def is_implicative(diaf: DepArgIAF) -> bool:
 
 def _encode_deps(deps: Iterable[Dependency],
                  index: dict[str, int]) -> list[tuple[int, int]]:
-    """The (pos, neg) clauses of ``deps`` as masks over ``index``."""
+    """The (pos, neg) clauses of ``deps`` as masks over ``index``, in
+    ascending order, so the work on them does not follow the hash seed."""
     def mask(names: frozenset[str]) -> int:
         return sum(1 << index[a] for a in names)
 
-    return [(mask(pos), mask(neg)) for pos, neg in (
-        dep.clause() for dep in sorted(deps, key=lambda d: d.sort_key()))]
+    return sorted((mask(pos), mask(neg))
+                  for pos, neg in (dep.clause() for dep in deps))
 
 
 def _horn_closed_masks(n: int, clauses: list[tuple[int, int]],

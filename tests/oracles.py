@@ -83,7 +83,12 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
     UndeclaredArgumentError,
 )
-from uarg.incomplete import _check_uncertain_bound, _key_coder, _or_images
+from uarg.incomplete import (
+    _check_uncertain_bound,
+    _key_coder,
+    _or_images,
+    serialize_dependency,
+)
 from uarg.isaf import _model
 from uarg.translate import PRIME_SUFFIX
 
@@ -511,10 +516,11 @@ def pairwise_defeat_coherence(x, limits=DEFAULT_LIMITS) -> bool:
 
 def minimized_by_completions(iaf: ArgIAF, deps, target,
                              limits=DEFAULT_LIMITS) -> frozenset:
-    """Greedy minimization in sort-key order: a dependency is dropped when
-    the framework without it still has exactly the target's completions,
-    built as a whole completion set for every trial."""
-    kept = sorted(deps, key=lambda d: d.sort_key())
+    """Greedy minimization in the order of the dependencies' lines: a
+    dependency is dropped when the framework without it still has exactly
+    the target's completions, built as a whole completion set for every
+    trial."""
+    kept = sorted(deps, key=serialize_dependency)
     for dep in list(kept):
         trial = [d for d in kept if d != dep]
         if completions_dep(DepArgIAF(iaf, trial), limits) == target:

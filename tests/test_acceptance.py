@@ -15,9 +15,6 @@ from uarg import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
-    ImplyDisj,
-    Nand,
-    Or,
     Witness,
     arg_iaf_to_prem_isaf,
     arg_iaf_to_rul_isaf,
@@ -45,7 +42,7 @@ from uarg import (
     uncertain_rules_of,
 )
 
-from framework_gen import random_arg_iaf, random_prem_isaf, random_rul_isaf
+from framework_gen import random_prem_isaf, random_rul_isaf
 from oracles import covering_imp_arg_iaf, pairwise_defeat_coherence, powerset
 
 

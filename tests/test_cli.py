@@ -73,6 +73,18 @@ class TestCompletionsCommand:
         assert result.stderr == ("MIXED_UNCERTAINTY: premise-incomplete "
                                  "documents may not declare uncertain rules\n")
 
+    def test_theory_error_before_kind_exit_code(self, tmp_path):
+        # uncertain knowledge read as rul-isaf: the theory is read, and
+        # refused, before its uncertainty is compared with the kind
+        path = tmp_path / "bare.json"
+        path.write_text('{"kb": {"premises_uncertain": ["p"]}}',
+                        encoding="utf-8")
+        result = run("completions", str(path), "--kind", "rul-isaf")
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "INVALID_THEORY: formula 'p' has no contradictory; add contrary "
+            "pairs or enable close_negation\n")
+
     def test_bound_exit_code(self, tmp_path):
         path = tmp_path / "wide.iaf"
         path.write_text("".join(f"?arg(u{i}).\n" for i in range(8)),

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from uarg import (
     serialize_iaf,
     tidy,
 )
+from uarg import aspic
 from uarg.core import is_valid_argument_id
 from uarg.documents import (
     build_prem_isaf,
@@ -256,6 +258,49 @@ class TestTheoryJson:
             load_theory_document("[" * 100_000)
         with pytest.raises(ParseError):
             load_theory_document("1" * 5_000)
+
+    @pytest.mark.parametrize("fixture", ["example3", "example4", "example5"])
+    def test_theory_read_back_validating_each_formula_once(self, monkeypatch,
+                                                           fixture):
+        framework = fixtures.get(fixture)
+        document = theory_document_of(framework)
+        calls = []
+        original = aspic.is_valid_formula
+
+        def counting(token):
+            calls.append(token)
+            return original(token)
+
+        # patch every binding: a module importing the name would bypass a
+        # patch of aspic alone
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("uarg") and \
+                    getattr(module, "is_valid_formula", None) is original:
+                monkeypatch.setattr(module, "is_valid_formula", counting)
+        doc = load_theory_document(document)
+        assert doc.theory == framework.theory
+        assert sorted(calls) == sorted(doc.theory.formulas)
+
+    @pytest.mark.parametrize("kind", ["saf", "rul-isaf", "prem-isaf"])
+    @pytest.mark.parametrize("fault, message", [
+        ({}, "formula 'p' has no contradictory; add contrary pairs or "
+             "enable close_negation"),
+        ({"close_negation": True, "kb": {"axioms_fixed": ["p"],
+                                         "premises_uncertain": ["p"]}},
+         "formulas cannot be both axiom and ordinary premise: ['p']"),
+        ({"close_negation": True,
+          "rules": [{"head": "q", "kind": "strict", "name": "n",
+                     "status": "uncertain"}]},
+         "naming is only defined for defeasible rules of the theory: "
+         "[]=s>q"),
+    ], ids=["no-contradictory", "axiom-and-premise", "named-strict-rule"])
+    def test_theory_error_before_kind(self, kind, fault, message):
+        # uncertain rules and uncertain knowledge: a kind no reader takes
+        document = {"rules": [{"head": "q", "status": "uncertain"}],
+                    "kb": {"premises_uncertain": ["p"]}, **fault}
+        with pytest.raises(InvalidTheoryError) as info:
+            load_framework(json.dumps(document), kind)
+        assert str(info.value) == f"INVALID_THEORY: {message}"
 
     def test_serialization_is_deterministic(self):
         ex4 = fixtures.get("example4")

@@ -169,6 +169,27 @@ class TestSignatureCodes:
             verdicts.append(got.equivalent)
         assert verdicts == [True, False]
 
+    def test_codes_two_words_wide(self):
+        # 2 R^5 first needs more than 64 bits at a union of 6,208
+        # arguments.  Sorted by code, neighbouring signatures are in the
+        # tuple order, and equal exactly when their tuples are.
+        names = [f"a{i}" for i in range(6208)]
+        chain = [(names[i], names[i + 1]) for i in range(0, 200, 3)]
+        full = AbstractAF(names, chain + [("a7", "a7")])
+        half = AbstractAF(names[:3000], chain[:40])
+        every_other = AbstractAF(names[::2])
+        completions = CompletionSet([full, half, every_other])
+        tables = _KeyTables(completions, len(names))
+        assert tables.code_words == 2
+        codes = tables.signatures()
+        tuples = tuple_signatures(completions)
+        assert codes.keys() == tuples.keys()
+        pairs = sorted((codes[a], tuples[a]) for a in codes)
+        assert any(c >> 64 for code, _ in pairs for c in code)
+        for (code_x, tuple_x), (code_y, tuple_y) in zip(pairs, pairs[1:]):
+            assert tuple_x <= tuple_y
+            assert (code_x == code_y) == (tuple_x == tuple_y)
+
 
 def wide_set():
     """A chain over 70 arguments with a self-defeat, three restrictions

@@ -187,6 +187,27 @@ class TestArgIafToPremIsaf:
             assert certify(iaf, target, witness)
 
 
+class TestPositionalFormulaTokens:
+    """Argument names that are not formula tokens are encoded as p0, p1,
+    ... in name order, by both encodings."""
+
+    IAF = ArgIAF(["a[1]"], ["b;c", "[d]"],
+                 [("a[1]", "b;c"), ("b;c", "[d]"), ("[d]", "[d]")])
+
+    def test_rule_encoding(self):
+        target, witness = arg_iaf_to_rul_isaf(self.IAF)
+        assert witness.mapping == {"[d]": "[]=d>p0", "a[1]": "p1",
+                                   "b;c": "[]=d>p2"}
+        assert target.theory.premises == {"p1"}
+        assert certify(self.IAF, target, witness)
+
+    def test_premise_encoding(self):
+        target, witness = arg_iaf_to_prem_isaf(self.IAF)
+        assert witness.mapping == {"[d]": "p0", "a[1]": "p1", "b;c": "p2"}
+        assert target.uncertain_premises == {"p0", "p2"}
+        assert certify(self.IAF, target, witness)
+
+
 class TestRulIsafToImpArgIaf:
     def test_chain_fixture_dependencies(self):
         t3 = fixtures.get("thm3_rul")
