@@ -30,7 +30,6 @@ from .incomplete import (
     completions_dep,
     is_implicative,
     parse_iaf,
-    satisfies,
     serialize_iaf,
     synthesize_dependencies,
 )
@@ -47,8 +46,6 @@ from .aspic import (
     defeats,
     generate_arguments,
     inference_argument,
-    is_premiseless,
-    is_simple,
     make_theory,
     premise_argument,
 )

@@ -234,10 +234,6 @@ class StructuredArgument:
             self.rules_used = frozenset((rule,)).union(
                 *[sub.rules_used for sub in subs])
 
-    @property
-    def is_premise(self) -> bool:
-        return self.premise is not None
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StructuredArgument) and self.text == other.text
 
@@ -264,15 +260,6 @@ def inference_argument(rule: Rule,
             f"sub-argument conclusions {sorted(concs)} do not fit rule body "
             f"{sorted(rule.body)}")
     return StructuredArgument(None, rule, subs)
-
-
-def is_premiseless(argument: StructuredArgument) -> bool:
-    return not argument.premises
-
-
-def is_simple(argument: StructuredArgument) -> bool:
-    """A bare premise, or a single empty-body rule application."""
-    return argument.is_premise or not argument.subs
 
 
 def generate_arguments(theory: ArgumentationTheory,

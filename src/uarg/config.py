@@ -54,7 +54,8 @@ def write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def parse_config_text(text: str) -> dict[str, int]:
-    """Parse TOML-style key=value lines (comments with #, blank lines ok)."""
+    """Parse TOML-style key=value lines (comments with #, blank lines ok);
+    as in TOML, a key may be set once."""
     values: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -66,6 +67,8 @@ def parse_config_text(text: str) -> dict[str, int]:
         key = key.strip()
         if key not in _INT_KEYS:
             raise ParseError(f"unknown config key {key!r}", lineno, 1)
+        if key in values:
+            raise ParseError(f"config key {key!r} given twice", lineno, 1)
         try:
             values[key] = int(value.strip())
         except ValueError:

@@ -86,7 +86,8 @@ def _pairs(obj: Any, where: str, shape: str) -> list[tuple[str, str]]:
 
 def load_theory_document(source: str | dict) -> TheoryDocument:
     """Read a theory document into its theory in one pass.  Errors come in
-    this order: JSON syntax, the document's shape, then the theory
+    this order: JSON syntax, the document's shape (a rule, meaning its
+    body, head and kind, is listed once), then the theory
     (``validate_theory``, which checks each formula once)."""
     if isinstance(source, str):
         try:
@@ -106,7 +107,7 @@ def load_theory_document(source: str | dict) -> TheoryDocument:
              "close_negation must be true or false")
     formulas = _str_list(obj.get("formulas", []), "formulas")
     contraries = _pairs(obj.get("contraries", []), "contraries", "[phi, psi]")
-    rules: list[Rule] = []
+    rules: set[Rule] = set()
     naming: dict[Rule, str] = {}
     uncertain: set[Rule] = set()
     for entry in _list(obj.get("rules", []), "rules"):
@@ -122,7 +123,8 @@ def load_theory_document(source: str | dict) -> TheoryDocument:
         _require(name is None or isinstance(name, str),
                  "rule name must be a string")
         rule = Rule(_str_list(entry.get("body", []), "rule body"), head, kind)
-        rules.append(rule)
+        _require(rule not in rules, f"rule {rule!r} is listed twice")
+        rules.add(rule)
         if name is not None:
             naming[rule] = name
         if status == "uncertain":

@@ -138,17 +138,6 @@ class Nand(Dependency):
 _DEPENDENCY_TYPES = {"imply": ImplyDisj, "or": Or, "nand": Nand}
 
 
-def satisfies(args_present: Iterable[str], dep: Dependency) -> bool:
-    present = frozenset(args_present)
-    if isinstance(dep, ImplyDisj):
-        return not dep.all_of <= present or bool(dep.any_of & present)
-    if isinstance(dep, Or):
-        return bool(dep.any_of & present)
-    if isinstance(dep, Nand):
-        return not dep.not_all_of <= present
-    raise TypeError(f"unknown dependency type: {dep!r}")
-
-
 @dataclass(frozen=True)
 class DepArgIAF:
     base: ArgIAF
@@ -187,16 +176,14 @@ class CompletionSet:
     __slots__ = ("_graph", "_keys", "_members", "_coder")
 
     def __new__(cls, members: Iterable[AbstractAF] = ()) -> "CompletionSet":
-        """The set of ``members``, which it caches in member order."""
+        """The set of ``members``, keyed over their union graph; the
+        members themselves are not kept."""
         members = tuple(members)
         graph = AbstractAF._canonical(
             tuple(sorted(set().union(*(af.args for af in members)))),
             tuple(sorted(set().union(*(af.defeats for af in members)))))
         key = _key_coder(graph)
-        by_key = {key(af.args, af.defeats): af for af in members}
-        out = cls._keyed(graph, by_key)
-        out._members = tuple(map(by_key.__getitem__, out._member_keys()))
-        return out
+        return cls._keyed(graph, [key(af.args, af.defeats) for af in members])
 
     @classmethod
     def _keyed(cls, graph: AbstractAF, keys: Iterable[int]) -> "CompletionSet":
@@ -211,8 +198,8 @@ class CompletionSet:
         return out
 
     def _member_keys(self) -> tuple[int, ...]:
-        """The keys in member order, computed on each call: only the
-        members, built or given, and the document writer read it."""
+        """The keys in member order, computed on each call: only building
+        the members and the document writer read it."""
         return _member_order(self._graph, self._keys)
 
     @property
@@ -456,8 +443,10 @@ def completions_arg_iaf(iaf: ArgIAF,
 
 
 def is_implicative(diaf: DepArgIAF) -> bool:
-    return all(isinstance(dep, ImplyDisj) and len(dep.any_of) == 1
-               for dep in diaf.deps)
+    """Every clause has a non-empty pos and exactly one neg: an
+    implication from a set to one argument."""
+    return all(pos and len(neg) == 1
+               for pos, neg in (dep.clause() for dep in diaf.deps))
 
 
 def _encode_deps(deps: Iterable[Dependency],
@@ -573,19 +562,18 @@ def parse_iaf(text: str) -> DepArgIAF:
 
 
 def serialize_dependency(dep: Dependency) -> str:
-    def fmt(values: frozenset[str]) -> str:
-        return "[" + ",".join(sorted(values)) + "]"
-
-    if isinstance(dep, ImplyDisj):
-        body = f"{fmt(dep.all_of)},{fmt(dep.any_of)}"
-        if body.count("],[") > 1:  # ids with brackets: mark the boundary
-            body = f"{fmt(dep.all_of)},,{fmt(dep.any_of)}"
-        return f"imply({body})."
-    if isinstance(dep, Or):
-        return f"or({fmt(dep.any_of)})."
-    if isinstance(dep, Nand):
-        return f"nand({fmt(dep.not_all_of)})."
-    raise TypeError(f"unknown dependency type: {dep!r}")
+    """The dependency's line, its kind read from its clause (pos, neg):
+    no pos is ``or``, no neg is ``nand``, and both are ``imply``."""
+    pos, neg = dep.clause()
+    pos, neg = ",".join(sorted(pos)), ",".join(sorted(neg))
+    if not pos:
+        return f"or([{neg}])."
+    if not neg:
+        return f"nand([{pos}])."
+    body = f"[{pos}],[{neg}]"
+    if body.count("],[") > 1:  # ids with brackets: mark the boundary
+        body = f"[{pos}],,[{neg}]"
+    return f"imply({body})."
 
 
 def serialize_iaf(value: DepArgIAF | ArgIAF) -> str:

@@ -30,14 +30,14 @@ from .aspic import (
     ArgumentationTheory,
     Rule,
     StructuredArgument,
-    _argument_of_theory,
+    _check_of_theory,
     _generated_af,
     associated_af,
     generate_arguments,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF
-from .errors import ArgumentNotOfTheoryError, InvalidTheoryError
+from .errors import InvalidTheoryError
 from .incomplete import (
     ArgIAF,
     CompletionSet,
@@ -229,10 +229,7 @@ def _group_load(x: RulISAF | PremISAF,
     arguments = (group,) if isinstance(group, StructuredArgument) else group
     out: set = set()
     for argument in arguments:
-        if not _argument_of_theory(x.theory, argument):
-            raise ArgumentNotOfTheoryError(
-                f"argument {argument.text} is not generated by the maximal "
-                "completion")
+        _check_of_theory(x.theory, argument)
         out.update(_load(x, argument))
     return frozenset(out)
 

@@ -37,6 +37,13 @@ inference tree of a ``uarg.StructuredArgument`` that the library builds,
 and ``generated_tidy`` and ``two_pass_prem_isaf_to_rul_isaf`` tidy by
 generating the tidied theory's arguments and convert premises to rules by
 a second rewrite over them, composing the two witnesses.
+
+Some definitions are stated here only, because no library path needs
+them: ``satisfies`` reads each dependency kind in turn, where the library
+reads only the kind's ``clause``, and ``is_premise``, ``is_premiseless``
+and ``is_simple`` are the argument predicates of ASPIC+ (Modgil & Prakken,
+"The ASPIC+ framework for structured argumentation: a tutorial", Argument
+& Computation 5, 2014), read from the argument's tree.
 """
 
 from dataclasses import replace
@@ -69,7 +76,6 @@ from uarg import (
     is_tidy,
     premise_argument,
     saf_max,
-    satisfies,
     uncertain_premises_of,
     uncertain_rules_of,
 )
@@ -156,6 +162,19 @@ def naive_completions(fixed, uncertain, defeats) -> set[tuple]:
                  frozenset((s, t) for s, t in defeats
                            if s in args and t in args)))
     return out
+
+
+def satisfies(args_present, dep) -> bool:
+    """Whether the arguments present satisfy ``dep``, by the definition of
+    each dependency kind in turn rather than through its clause."""
+    present = frozenset(args_present)
+    if isinstance(dep, ImplyDisj):
+        return not dep.all_of <= present or bool(dep.any_of & present)
+    if isinstance(dep, Or):
+        return bool(dep.any_of & present)
+    if isinstance(dep, Nand):
+        return not dep.not_all_of <= present
+    raise TypeError(f"unknown dependency type: {dep!r}")
 
 
 def naive_dep_completions(fixed, uncertain, defeats, deps) -> set[tuple]:
@@ -751,9 +770,24 @@ def sorted_completion_set(members) -> CompletionSet:
     return out
 
 
+def is_premise(argument) -> bool:
+    """A bare premise: a leaf of an inference tree."""
+    return argument.premise is not None
+
+
+def is_premiseless(argument) -> bool:
+    """No leaf of the argument is a premise."""
+    return not walked_premises(argument)
+
+
+def is_simple(argument) -> bool:
+    """A bare premise, or a single empty-body rule application."""
+    return is_premise(argument) or not argument.subs
+
+
 def walked_premises(argument) -> frozenset[str]:
     """The premises of a structured argument: the formulas of its leaves."""
-    if argument.is_premise:
+    if is_premise(argument):
         return frozenset((argument.premise,))
     out: set[str] = set()
     for sub in argument.subs:
@@ -777,7 +811,7 @@ def walked_rules_used(argument) -> frozenset:
 def walked_argument_of_theory(theory, argument) -> bool:
     """Every leaf premise is in the knowledge base and every rule applied
     is a rule of the theory."""
-    if argument.is_premise:
+    if is_premise(argument):
         return argument.premise in theory.knowledge_base
     if argument.rule not in theory.rules:
         return False

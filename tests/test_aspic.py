@@ -22,8 +22,6 @@ from uarg import (
     fixtures,
     generate_arguments,
     inference_argument,
-    is_premiseless,
-    is_simple,
     make_theory,
     premise_argument,
     tidy,
@@ -38,6 +36,8 @@ from uarg.errors import (
 
 from framework_gen import random_prem_isaf, random_rul_isaf
 from oracles import (
+    is_premiseless,
+    is_simple,
     leaf_built_attacks,
     walked_argument_of_theory,
     walked_premises,

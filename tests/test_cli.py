@@ -415,6 +415,18 @@ class TestConfigLayers:
                      "--count")
         assert result.exit_code == 3
 
+    def test_key_set_twice(self, tmp_path):
+        # as in TOML, a key may be set once; the second is refused at its
+        # line, rather than silently winning
+        cfg = tmp_path / "uarg.cfg"
+        cfg.write_text("max_uncertain = 1\n# again\nmax_uncertain = 10\n",
+                       encoding="utf-8")
+        result = run("--config", str(cfg), "completions", "fixture:example1",
+                     "--count")
+        assert result.exit_code == 2
+        assert "PARSE_ERROR: line 3, column 1: config key 'max_uncertain' " \
+            "given twice" in result.output
+
 
 class TestErrorContract:
     """Bad input exits 2, an exceeded bound 3, each with one
@@ -461,6 +473,8 @@ class TestErrorContract:
         (["fixtures", "emit", "example1", "--out", "{missing}/x.iaf"], {},
          "INPUT_ERROR"),
         (["--config", "{search_cfg}", "fixtures", "list"], {}, "PARSE_ERROR"),
+        (["completions", "{rule_twice}", "--kind", "rul-isaf"], {},
+         "INVALID_THEORY"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
@@ -471,7 +485,7 @@ class TestErrorContract:
             "synth-deps-dir-empty", "export-dot-structured",
             "completions-pair-fixture", "completions-out-unwritable",
             "translate-out-unwritable", "fixtures-emit-out-unwritable",
-            "config-max-search-args"])
+            "config-max-search-args", "theory-rule-twice"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
@@ -483,6 +497,11 @@ class TestErrorContract:
         headless.write_text('{"rules": [{"body": []}]}', encoding="utf-8")
         null_rules = tmp_path / "null_rules.json"
         null_rules.write_text('{"rules": null}', encoding="utf-8")
+        rule_twice = tmp_path / "rule_twice.json"
+        rule_twice.write_text(json.dumps({"close_negation": True, "rules": [
+            {"head": "q", "name": "m"},
+            {"head": "q", "name": "n", "status": "uncertain"}]}),
+            encoding="utf-8")
         latin1 = tmp_path / "latin1.cfg"
         latin1.write_bytes("# d\xe9faut\nmax_depth = 3\n".encode("latin-1"))
         dirs = {}
@@ -499,10 +518,13 @@ class TestErrorContract:
         (empty / "a.txt").write_text("arg(a).\n", encoding="utf-8")
         formatted = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
                               headless=headless, null_rules=null_rules,
+                              rule_twice=rule_twice,
                               dir=tmp_path, latin1=latin1, one=one,
                               empty=empty, search_cfg=search_cfg, **dirs)
                      for a in argv]
         line = self.assert_one_line(formatted, env, 2, code)
+        if "{rule_twice}" in argv:
+            assert line == "INVALID_THEORY: rule []=d>q is listed twice"
         if "{empty}" in argv:  # names the empty input
             assert str(empty) in line
         if any(a.endswith("_dir}") for a in argv):  # names the bad file

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from uarg import (
     ImplyDisj,
     Nand,
     Or,
+    SAF,
     Witness,
     check_witness,
     completions_arg_iaf,
@@ -302,6 +304,31 @@ class TestTheoryJson:
             load_framework(json.dumps(document), kind)
         assert str(info.value) == f"INVALID_THEORY: {message}"
 
+    @pytest.mark.parametrize("second", [
+        {"head": "q", "name": "n"},
+        {"head": "q", "name": "m", "status": "uncertain"},
+        {"head": "q", "name": "m"},
+    ], ids=["other-name", "other-status", "exact-repeat"])
+    def test_rule_listed_twice(self, second):
+        # the same body, head and kind is the same rule, whatever its name
+        # or status; a repeat is a shape error, so it comes before the
+        # theory error (q has no contradictory)
+        document = {"rules": [{"head": "q", "name": "m"}, second]}
+        with pytest.raises(InvalidTheoryError) as info:
+            load_theory_document(document)
+        assert str(info.value) == \
+            "INVALID_THEORY: rule []=d>q is listed twice"
+
+    def test_rules_differing_in_body_or_kind_are_distinct(self):
+        doc = load_theory_document({"close_negation": True, "rules": [
+            {"head": "q"}, {"head": "q", "kind": "strict"},
+            {"body": ["p"], "head": "q"}]})
+        assert len(doc.theory.rules) == 3
+        # and the writer lists each rule once, so its document loads back
+        written = theory_document_of(SAF(doc.theory))
+        assert len(written["rules"]) == 3
+        assert load_theory_document(written).theory == doc.theory
+
     def test_serialization_is_deterministic(self):
         ex4 = fixtures.get("example4")
         assert serialize_framework(ex4) == serialize_framework(ex4)
@@ -461,9 +488,28 @@ class TestKeyedConstructor:
              AbstractAF(["a", "b"], [("a", "b")]), AbstractAF(["b"])])
         assert len(given) == len(expected) == 4
         assert given._keys == expected._keys
-        assert given._member_keys() == _cached_member_keys(expected)
+        # member order is the order of the distinct members' (args,
+        # defeats) pairs
+        key = _key_coder(given._graph)
+        assert given._member_keys() == tuple(starmap(key, sorted(
+            {(af.args, af.defeats) for af in members})))
         assert hash(given) == hash(expected)
         assert list(given) == list(expected)
+
+    def test_members_come_from_keys(self):
+        # the public constructor keys what it is given and keeps no member:
+        # repeats collapse in the keys, and the members iterated are
+        # decoded from them
+        rng = random.Random(23)
+        for cs in _key_order_cases():
+            members = list(cs)
+            repeated = members + rng.sample(members, len(members) // 3)
+            rng.shuffle(repeated)
+            with frameworks_built() as built:
+                got = CompletionSet(repeated)
+            assert built == [1] and got._members is None
+            unique = {(af.args, af.defeats): af for af in repeated}
+            assert list(got) == [unique[pair] for pair in sorted(unique)]
 
 
 def _key_order_cases() -> list[CompletionSet]:

@@ -28,7 +28,6 @@ from uarg import (
     prem_isaf_to_imp_arg_iaf,
     restrict,
     rul_isaf_to_imp_arg_iaf,
-    satisfies,
     serialize_iaf,
     synthesize_dependencies,
 )
@@ -60,6 +59,7 @@ from oracles import (
     naive_completions,
     naive_dep_completions,
     powerset,
+    satisfies,
 )
 
 EX1 = ArgIAF(["a"], ["b", "c"], [("b", "a"), ("c", "a")])
@@ -324,7 +324,8 @@ class TestSatisfies:
 
     def test_clause_matches_satisfies(self):
         # A subset falsifies the clause (pos, neg) iff it holds all of pos
-        # and none of neg; the overlapping ImplyDisj is a tautology.
+        # and none of neg, as the oracle's reading of each dependency kind
+        # says; the overlapping ImplyDisj is a tautology.
         universe = ["a", "b", "c", "d"]
         deps = [ImplyDisj(["a", "b"], ["c", "d"]), ImplyDisj(["a"], ["d"]),
                 ImplyDisj(["a", "b"], ["b", "c"]), Or(["b", "d"]), Or(["c"]),

@@ -201,7 +201,9 @@ class TestUncertainLoad:
     def test_argument_of_other_theory_rejected(self):
         t3 = fixtures.get("thm3_rul")
         foreign = text_index(fixtures.get("thm10_rul").theory)["[]=d>p_b"]
-        with pytest.raises(ArgumentNotOfTheoryError):
+        # the one "argument of the theory" check, with its message
+        with pytest.raises(ArgumentNotOfTheoryError,
+                           match=r"\[\]=d>p_b is not generated by the theory"):
             uncertain_rules_of(t3, foreign)
 
 
