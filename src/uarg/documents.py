@@ -87,8 +87,9 @@ def _pairs(obj: Any, where: str, shape: str) -> list[tuple[str, str]]:
 def load_theory_document(source: str | dict) -> TheoryDocument:
     """Read a theory document into its theory in one pass.  Errors come in
     this order: JSON syntax, the document's shape (a rule, meaning its
-    body, head and kind, is listed once), then the theory
-    (``validate_theory``, which checks each formula once)."""
+    body, head and kind, is listed once, and no axiom or premise is both
+    fixed and uncertain), then the theory (``validate_theory``, which
+    checks each formula once)."""
     if isinstance(source, str):
         try:
             obj = json.loads(source)
@@ -138,6 +139,10 @@ def load_theory_document(source: str | dict) -> TheoryDocument:
                                "kb.premises_fixed")
     premises_uncertain = _str_list(kb.get("premises_uncertain", []),
                                    "kb.premises_uncertain")
+    both = (set(axioms_fixed) & set(axioms_uncertain)
+            | set(premises_fixed) & set(premises_uncertain))
+    _require(not both, f"formula {min(both, default=None)!r} is listed as "
+             "both fixed and uncertain")
     preferences = _pairs(obj.get("preferences", []), "preferences", "[a, b]")
     theory = make_theory(
         contraries=contraries,

@@ -26,14 +26,12 @@ from typing import Sequence
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import (
-    ArgIAF,
     CompletionSet,
     _DIGITS,
-    _check_uncertain_bound,
+    _arg_model,
+    _complete,
     _entry_columns,
-    _induced_completions,
     _or_images,
-    _own_bits,
 )
 from .translate import Witness
 
@@ -332,7 +330,6 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
     if n > max_args:
         return True
     every = reduce(and_, keys)  # bit i: every member holds argument i
-    fixed = tuple(a for i, a in enumerate(graph.args) if every >> i & 1)
     uncertain = tuple(a for i, a in enumerate(graph.args)
                       if not every >> i & 1)
     if len(target) != 1 << len(uncertain):
@@ -345,11 +342,8 @@ def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,
         # the full member lacks a defeat that another member holds, but
         # every completion holds only defeats of the full one
         return True
-    candidate = ArgIAF._canonical(fixed, uncertain, graph.defeats)
-    # completions_arg_iaf(candidate), over the target's graph itself
-    _check_uncertain_bound(len(uncertain), limits)
-    completions = _induced_completions(graph, _own_bits(candidate),
-                                       range(1 << len(uncertain)))
+    # the candidate's completion set, over the target's graph itself
+    completions = _complete(_arg_model(graph, uncertain), limits)
     return not equivalent(completions, target, limits,
                           identity_only=True).equivalent
 

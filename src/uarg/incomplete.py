@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -386,14 +386,6 @@ def _member_order(graph: AbstractAF,
         range(len(keys)), key=digits.__getitem__, reverse=True)))
 
 
-def _check_uncertain_bound(count: int, limits: Limits) -> None:
-    if count > limits.max_uncertain:
-        raise UncertaintyBoundExceededError(
-            f"{count} uncertain elements exceed the bound "
-            f"{limits.max_uncertain} (2^{count} subsets); raise it with "
-            "--max-uncertain or UARG_MAX_UNCERTAIN")
-
-
 def _induced_completions(full_af: AbstractAF, load: dict[str, int],
                          masks: Iterable[int]) -> CompletionSet:
     """One restriction of ``full_af`` per mask over the uncertain elements:
@@ -426,20 +418,37 @@ def _induced_completions(full_af: AbstractAF, load: dict[str, int],
     return CompletionSet._keyed(full_af, masks)
 
 
-def _own_bits(iaf: ArgIAF) -> dict[str, int]:
-    # An uncertain argument carries its own bit, a fixed one carries none.
-    load = dict.fromkeys(iaf.fixed_args, 0)
-    load.update((a, 1 << i) for i, a in enumerate(iaf.uncertain_args))
-    return load
+class _Model(NamedTuple):
+    """What a completion set of any kind is read from: the union
+    ``graph``, each argument's ``load`` (a mask over the ``width``
+    uncertain elements it needs), and (pos, neg) ``clauses`` over the
+    elements that a kept subset must satisfy."""
+
+    graph: AbstractAF
+    load: dict[str, int]
+    width: int
+    clauses: Collection[tuple[int, int]] = ()
+
+
+def _arg_model(graph: AbstractAF, uncertain: tuple[str, ...],
+               deps: Iterable[Dependency] = ()) -> _Model:
+    """The model of an argument-incomplete framework over its union
+    ``graph``: each ``uncertain`` argument carries its own bit, in order,
+    any other none.  ``deps`` become clauses over those bits, in ascending
+    order, so the work on them does not follow the hash seed."""
+    load = dict.fromkeys(graph.args, 0)
+    load.update((a, 1 << i) for i, a in enumerate(uncertain))
+    bits = load.__getitem__
+    return _Model(graph, load, len(uncertain), sorted(
+        (sum(map(bits, pos)), sum(map(bits, neg)))
+        for pos, neg in (dep.clause() for dep in deps)))
 
 
 def completions_arg_iaf(iaf: ArgIAF,
                         limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
     """All 2^|uncertain| completions; distinct subsets give distinct
     argument sets, so the count is exact."""
-    n = len(iaf.uncertain_args)
-    _check_uncertain_bound(n, limits)
-    return _induced_completions(iaf.full_af(), _own_bits(iaf), range(1 << n))
+    return _complete(_arg_model(iaf.full_af(), iaf.uncertain_args), limits)
 
 
 def is_implicative(diaf: DepArgIAF) -> bool:
@@ -447,17 +456,6 @@ def is_implicative(diaf: DepArgIAF) -> bool:
     implication from a set to one argument."""
     return all(pos and len(neg) == 1
                for pos, neg in (dep.clause() for dep in diaf.deps))
-
-
-def _encode_deps(deps: Iterable[Dependency],
-                 index: dict[str, int]) -> list[tuple[int, int]]:
-    """The (pos, neg) clauses of ``deps`` as masks over ``index``, in
-    ascending order, so the work on them does not follow the hash seed."""
-    def mask(names: frozenset[str]) -> int:
-        return sum(1 << index[a] for a in names)
-
-    return sorted((mask(pos), mask(neg))
-                  for pos, neg in (dep.clause() for dep in deps))
 
 
 def _horn_closed_masks(n: int, clauses: list[tuple[int, int]],
@@ -519,17 +517,29 @@ def _horn_closed_masks(n: int, clauses: list[tuple[int, int]],
     return out
 
 
-def _satisfying_masks(n: int, clauses: list[tuple[int, int]],
-                      limits: Limits) -> list[int]:
-    """Ascending masks of the subsets of n uncertain arguments that satisfy
-    every (pos, neg) clause."""
-    if n > _HORN_THRESHOLD and all(pos and neg and not neg & (neg - 1)
-                                   for pos, neg in clauses):
-        # Wide implicative frameworks (the translation targets) stay
-        # tractable through closure enumeration instead of 2^n scans.
-        return _horn_closed_masks(n, clauses, limits.max_uncertain)
-    _check_uncertain_bound(n, limits)
-    return kernels.dependency_masks(n, clauses)
+def _masks(model: _Model, limits: Limits) -> Collection[int]:
+    """Ascending masks of the subsets of the model's elements that satisfy
+    every clause: the one mask source, so the one place the uncertainty
+    bound is checked.  Wide implicative models (the translation targets)
+    stay tractable through closure enumeration, bounded on members."""
+    width, clauses = model.width, model.clauses
+    if clauses and width > _HORN_THRESHOLD and all(
+            pos and neg and not neg & (neg - 1) for pos, neg in clauses):
+        return _horn_closed_masks(width, clauses, limits.max_uncertain)
+    if width > limits.max_uncertain:
+        raise UncertaintyBoundExceededError(
+            f"{width} uncertain elements exceed the bound "
+            f"{limits.max_uncertain} (2^{width} subsets); raise it with "
+            "--max-uncertain or UARG_MAX_UNCERTAIN")
+    if clauses:
+        return kernels.dependency_masks(width, clauses)
+    return range(1 << width)
+
+
+def _complete(model: _Model, limits: Limits) -> CompletionSet:
+    """The completion set of ``model``: its graph under each mask."""
+    return _induced_completions(model.graph, model.load,
+                                _masks(model, limits))
 
 
 def completions_dep(diaf: DepArgIAF,
@@ -537,12 +547,8 @@ def completions_dep(diaf: DepArgIAF,
     """Completions of the base framework whose argument sets satisfy every
     dependency."""
     base = diaf.base
-    index = {a: i for i, a in enumerate(base.uncertain_args)}
-    clauses = _encode_deps(diaf.deps, index)
-    if not clauses:
-        return completions_arg_iaf(base, limits)
-    masks = _satisfying_masks(len(index), clauses, limits)
-    return _induced_completions(base.full_af(), _own_bits(base), masks)
+    return _complete(_arg_model(base.full_af(), base.uncertain_args,
+                                diaf.deps), limits)
 
 
 def parse_iaf(text: str) -> DepArgIAF:
@@ -627,7 +633,10 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
     readmit a subset that the target lacks.
     """
     uncertain = iaf.uncertain_args
-    _check_uncertain_bound(len(uncertain), limits)
+    # iaf's model over the target's graph, so no framework is built; only
+    # its masks and loads are read
+    model = _arg_model(target._graph, uncertain)
+    masks = _masks(model, limits)
     stray = _stray_count(iaf, target)
     if stray:
         raise TargetNotSubsetError(
@@ -635,10 +644,8 @@ def synthesize_dependencies(iaf: ArgIAF, target: CompletionSet,
             "framework")
     # Each member is a completion, so its key is its argument mask, and
     # distinct completions keep distinct subsets of uncertain arguments.
-    index = {a: i for i, a in enumerate(uncertain)}
-    excluded = set(range(1 << len(uncertain))).difference(_or_images(
-        [1 << index[a] if a in index else 0 for a in target._graph.args],
-        target._keys))
+    excluded = set(masks).difference(_or_images(
+        [model.load[a] for a in target._graph.args], target._keys))
     deps: list[Dependency] = []
     for mask in sorted(excluded):
         present = [a for i, a in enumerate(uncertain) if mask >> i & 1]

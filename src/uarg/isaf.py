@@ -10,13 +10,15 @@ a completion's arguments are the maximal completion's arguments whose
 uncertain load the subset contains, and its defeat graph is the maximal
 one restricted to them.
 
-The maximal completion, its arguments, its defeat graph and every
-argument's load form the framework's load model (``_model``).  It is
-compiled once per framework and ``limits`` and kept in the framework's own
-``__dict__``, out of ``==``, ``repr`` and ``dataclasses.replace``.  Every
-function here that completes a framework reads it (the completion sets,
-``rule_completions``/``premise_completions``, ``saf_max``, ``saf_fixed``
-and ``defeat_coherence_check``), as do the implicative abstraction and
+The framework's load model (``_model``) is the maximal completion, its
+arguments, the sorted uncertain elements, and the completion model that
+every kind completes from (``incomplete._Model``: the defeat graph and
+every argument's load).  It is compiled once per framework and ``limits``
+and kept in the framework's own ``__dict__``, out of ``==``, ``repr`` and
+``dataclasses.replace``.  Every function here that completes a framework
+reads it (the completion sets, ``rule_completions``/
+``premise_completions``, ``saf_max``, ``saf_fixed`` and
+``defeat_coherence_check``), as do the implicative abstraction and
 tidying in ``translate``.
 """
 
@@ -42,8 +44,9 @@ from .incomplete import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
-    _check_uncertain_bound,
-    _induced_completions,
+    _complete,
+    _masks,
+    _Model,
     completions_arg_iaf,
     completions_dep,
 )
@@ -99,12 +102,6 @@ class PremISAF:
         return self.uncertain_axioms | self.uncertain_premises
 
 
-def _uncertain_elements(x: RulISAF | PremISAF) -> list:
-    if isinstance(x, RulISAF):
-        return sorted(x.uncertain_rules, key=Rule.sort_key)
-    return sorted(x.uncertain_knowledge)
-
-
 def _load(x: RulISAF | PremISAF, argument: StructuredArgument) -> frozenset:
     """The uncertain rules or premises the argument uses."""
     if isinstance(x, RulISAF):
@@ -113,16 +110,16 @@ def _load(x: RulISAF | PremISAF, argument: StructuredArgument) -> frozenset:
 
 
 class _LoadModel(NamedTuple):
-    """The maximal completion, its generated arguments, its defeat graph,
-    and each argument's load: a mask over the sorted uncertain elements it
-    uses.  Preferences compare only an attacker and a locus, so restricting
-    the graph to the arguments whose load lies in m yields the completion
-    for m."""
+    """The maximal completion, its generated arguments, the sorted
+    uncertain elements, and the ``record``: its defeat graph and each
+    argument's load, a mask over the elements it uses.  Preferences
+    compare only an attacker and a locus, so restricting the graph to the
+    arguments whose load lies in m yields the completion for m."""
 
     saf: SAF
     arguments: tuple[StructuredArgument, ...]
-    graph: AbstractAF
-    load: dict[str, int]
+    elements: tuple
+    record: _Model
 
 
 def _model(x: RulISAF | PremISAF, limits: Limits) -> _LoadModel:
@@ -137,10 +134,14 @@ def _model(x: RulISAF | PremISAF, limits: Limits) -> _LoadModel:
         saf = SAF(x.theory, x.preferences)
         arguments = generate_arguments(x.theory, limits)
         graph = _generated_af(saf, arguments)  # checks the preferences
-        bit = {e: 1 << i for i, e in enumerate(_uncertain_elements(x))}
+        elements = tuple(sorted(x.uncertain_rules, key=Rule.sort_key)
+                         if isinstance(x, RulISAF)
+                         else sorted(x.uncertain_knowledge))
+        bit = {e: 1 << i for i, e in enumerate(elements)}
         load = {arg.text: sum(bit[e] for e in _load(x, arg))
                 for arg in arguments}
-        model = models[limits] = _LoadModel(saf, arguments, graph, load)
+        model = models[limits] = _LoadModel(
+            saf, arguments, elements, _Model(graph, load, len(elements)))
     return model
 
 
@@ -155,13 +156,13 @@ def _completion(x: RulISAF | PremISAF, model: _LoadModel, mask: int,
     its arguments: the maximal completion's arguments whose load mask
     holds, since arguments are closed under sub-arguments.  Naming is
     restricted to the kept rules and preferences to those arguments."""
-    load = model.load
+    load = model.record.load
     arguments = tuple(arg for arg in model.arguments
                       if not load[arg.text] & ~mask)
     texts = {arg.text for arg in arguments}
     preferences = frozenset((a, b) for a, b in x.preferences
                             if a in texts and b in texts)
-    chosen = frozenset(e for i, e in enumerate(_uncertain_elements(x))
+    chosen = frozenset(e for i, e in enumerate(model.elements)
                        if mask >> i & 1)
     if isinstance(x, RulISAF):
         rules = x.fixed_rules | chosen
@@ -181,9 +182,8 @@ def _completion_items(x: RulISAF | PremISAF, limits: Limits,
     """One (completion, arguments) pair per uncertainty subset, in
     subset-mask order, each read from the load model."""
     model = _model(x, limits)
-    k = len(_uncertain_elements(x))
-    _check_uncertain_bound(k, limits)
-    return [_completion(x, model, mask) for mask in range(1 << k)]
+    return [_completion(x, model, mask)
+            for mask in _masks(model.record, limits)]
 
 
 def rule_completions(r: RulISAF, limits: Limits = DEFAULT_LIMITS) -> tuple[SAF, ...]:
@@ -205,22 +205,15 @@ def saf_fixed(x: RulISAF | PremISAF, limits: Limits = DEFAULT_LIMITS) -> SAF:
     return _completion(x, _model(x, limits), 0)[0]
 
 
-def _induced(x: RulISAF | PremISAF, limits: Limits) -> CompletionSet:
-    model = _model(x, limits)
-    k = len(_uncertain_elements(x))
-    _check_uncertain_bound(k, limits)
-    return _induced_completions(model.graph, model.load, range(1 << k))
-
-
 def completions_rul(r: RulISAF, limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
     """Abstract completion set; distinct rule subsets may induce the same
     graph, so the set can be smaller than 2^|uncertain rules|."""
-    return _induced(r, limits)
+    return _complete(_model(r, limits).record, limits)
 
 
 def completions_prem(p: PremISAF,
                      limits: Limits = DEFAULT_LIMITS) -> CompletionSet:
-    return _induced(p, limits)
+    return _complete(_model(p, limits).record, limits)
 
 
 def _group_load(x: RulISAF | PremISAF,
@@ -266,7 +259,7 @@ def defeat_coherence_check(x: RulISAF | PremISAF,
     check per completion.  It always holds for valid frameworks; the
     operation exists as an executable oracle for that claim.
     """
-    graph = _model(x, limits).graph
+    graph = _model(x, limits).record.graph
     for saf, arguments in _completion_items(x, limits):
         texts = {arg.text for arg in arguments}
         shared = tuple(d for d in graph.defeats

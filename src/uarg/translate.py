@@ -220,8 +220,8 @@ def _structured_to_imp_arg_iaf(x: RulISAF | PremISAF, limits: Limits,
                                ) -> tuple[DepArgIAF, Witness]:
     # The maximal graph comes from a validated theory: its argument and
     # defeat tuples are canonical, and so are their sub-sequences.
-    model = _model(x, limits)
-    full_af, load = model.graph, model.load
+    record = _model(x, limits).record
+    full_af, load = record.graph, record.load
     fixed_ids = tuple(a for a in full_af.args if not load[a])
     uncertain_ids = tuple(a for a in full_af.args if load[a])
     base = ArgIAF._canonical(fixed_ids, uncertain_ids, full_af.defeats)

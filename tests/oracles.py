@@ -12,10 +12,12 @@ check the search counters too,
 (pos, neg) clauses of ``uarg.kernels.dependency_masks`` and
 ``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
 ``dict_induced_completions`` takes the arguments of
-``uarg.incomplete._induced_completions``,
+``uarg.incomplete._induced_completions`` (a graph and a load, as the
+completion model ``uarg.incomplete._Model`` holds them, and any masks),
 ``regenerated_completion_items`` regenerates each completion of a
 structured framework from its own theory, and returns what
-``uarg.isaf._completion_items`` reads from the load model,
+``uarg.isaf._completion_items`` reads from the load model, under the
+uncertainty bound that ``uarg.incomplete._masks`` checks, restated here,
 ``pairwise_defeat_coherence`` compares every pair of those regenerated
 completions, ``minimized_by_completions``
 calls ``uarg.completions_dep``, ``covering_imp_arg_iaf`` builds the
@@ -90,7 +92,6 @@ from uarg.errors import (
     UndeclaredArgumentError,
 )
 from uarg.incomplete import (
-    _check_uncertain_bound,
     _key_coder,
     _or_images,
     serialize_dependency,
@@ -496,7 +497,11 @@ def regenerated_completion_items(x, limits=DEFAULT_LIMITS) -> list:
     saf_max(x, limits)
     elements = (sorted(x.uncertain_rules, key=Rule.sort_key)
                 if isinstance(x, RulISAF) else sorted(x.uncertain_knowledge))
-    _check_uncertain_bound(len(elements), limits)
+    if len(elements) > limits.max_uncertain:
+        raise UncertaintyBoundExceededError(
+            f"{len(elements)} uncertain elements exceed the bound "
+            f"{limits.max_uncertain} (2^{len(elements)} subsets); raise it "
+            "with --max-uncertain or UARG_MAX_UNCERTAIN")
     items = []
     for mask in range(1 << len(elements)):
         chosen = frozenset(e for i, e in enumerate(elements) if mask >> i & 1)

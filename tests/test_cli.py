@@ -475,6 +475,8 @@ class TestErrorContract:
         (["--config", "{search_cfg}", "fixtures", "list"], {}, "PARSE_ERROR"),
         (["completions", "{rule_twice}", "--kind", "rul-isaf"], {},
          "INVALID_THEORY"),
+        (["completions", "{kb_twice}", "--kind", "prem-isaf"], {},
+         "INVALID_THEORY"),
     ], ids=["equiv-missing", "semantics-missing", "unknown-fixture",
             "env-not-int", "negative-limit", "config-threads",
             "fixture-wrong-kind", "file-without-kind", "semantics-not-af",
@@ -485,7 +487,8 @@ class TestErrorContract:
             "synth-deps-dir-empty", "export-dot-structured",
             "completions-pair-fixture", "completions-out-unwritable",
             "translate-out-unwritable", "fixtures-emit-out-unwritable",
-            "config-max-search-args", "theory-rule-twice"])
+            "config-max-search-args", "theory-rule-twice",
+            "theory-kb-fixed-and-uncertain"])
     def test_exit_two_with_code_line(self, tmp_path, argv, env, code):
         cfg = tmp_path / "uarg.cfg"
         cfg.write_text("threads = 2\n", encoding="utf-8")
@@ -501,6 +504,10 @@ class TestErrorContract:
         rule_twice.write_text(json.dumps({"close_negation": True, "rules": [
             {"head": "q", "name": "m"},
             {"head": "q", "name": "n", "status": "uncertain"}]}),
+            encoding="utf-8")
+        kb_twice = tmp_path / "kb_twice.json"
+        kb_twice.write_text(json.dumps({"close_negation": True, "kb": {
+            "axioms_fixed": ["p"], "axioms_uncertain": ["p"]}}),
             encoding="utf-8")
         latin1 = tmp_path / "latin1.cfg"
         latin1.write_bytes("# d\xe9faut\nmax_depth = 3\n".encode("latin-1"))
@@ -518,13 +525,16 @@ class TestErrorContract:
         (empty / "a.txt").write_text("arg(a).\n", encoding="utf-8")
         formatted = [a.format(missing=tmp_path / "missing", cfg=cfg, bad=bad,
                               headless=headless, null_rules=null_rules,
-                              rule_twice=rule_twice,
+                              rule_twice=rule_twice, kb_twice=kb_twice,
                               dir=tmp_path, latin1=latin1, one=one,
                               empty=empty, search_cfg=search_cfg, **dirs)
                      for a in argv]
         line = self.assert_one_line(formatted, env, 2, code)
         if "{rule_twice}" in argv:
             assert line == "INVALID_THEORY: rule []=d>q is listed twice"
+        if "{kb_twice}" in argv:
+            assert line == "INVALID_THEORY: formula 'p' is listed as both " \
+                "fixed and uncertain"
         if "{empty}" in argv:  # names the empty input
             assert str(empty) in line
         if any(a.endswith("_dir}") for a in argv):  # names the bad file

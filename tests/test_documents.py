@@ -319,6 +319,20 @@ class TestTheoryJson:
         assert str(info.value) == \
             "INVALID_THEORY: rule []=d>q is listed twice"
 
+    @pytest.mark.parametrize("part", ["axioms", "premises"])
+    def test_formula_fixed_and_uncertain(self, part):
+        # a shape error, so it comes before the theory error (no
+        # contradictory without close_negation), read alone or as prem-isaf
+        document = {"kb": {f"{part}_fixed": ["q", "p"],
+                           f"{part}_uncertain": ["r", "q", "p"]}}
+        for read in (load_theory_document,
+                     lambda doc: load_framework(json.dumps(doc), "prem-isaf")):
+            with pytest.raises(InvalidTheoryError) as info:
+                read(document)
+            assert str(info.value) == \
+                "INVALID_THEORY: formula 'p' is listed as both fixed and " \
+                "uncertain"
+
     def test_rules_differing_in_body_or_kind_are_distinct(self):
         doc = load_theory_document({"close_negation": True, "rules": [
             {"head": "q"}, {"head": "q", "kind": "strict"},

@@ -40,7 +40,7 @@ from uarg.errors import (
 )
 from uarg import incomplete, isaf, kernels
 from uarg.documents import parse_completion_set, serialize_completion_set
-from uarg.incomplete import _horn_closed_masks, _induced_completions, _own_bits
+from uarg.incomplete import _arg_model, _horn_closed_masks, _induced_completions
 
 from framework_gen import (
     GEN_LIMITS,
@@ -97,11 +97,32 @@ class TestCompletions:
             assert len(completions_arg_iaf(iaf)) == 2 ** len(iaf.uncertain_args)
 
     def test_uncertainty_bound(self):
+        # every argument-side reader of the 2^5 subsets checks one bound,
+        # with one message, and passes at it: the dependency filter takes
+        # the 2^n scan (or/nand is not implicative)
         iaf = ArgIAF([], [f"u{i}" for i in range(5)], [])
-        with pytest.raises(UncertaintyBoundExceededError,
-                           match=": 5 uncertain .*--max-uncertain or "
-                                 "UARG_MAX_UNCERTAIN$"):
-            completions_arg_iaf(iaf, Limits(max_uncertain=4))
+        cut = DepArgIAF(iaf, [Or(["u0", "u1"]), Nand(["u0", "u1"])])
+        whole = completions_arg_iaf(iaf)
+        readers = [
+            lambda limits: completions_arg_iaf(iaf, limits),
+            lambda limits: completions_dep(cut, limits),
+            lambda limits: synthesize_dependencies(iaf, whole, limits=limits),
+            lambda limits: no_equivalent_arg_iaf(whole, 5, limits),
+        ]
+        for read in readers:
+            with pytest.raises(UncertaintyBoundExceededError,
+                               match=": 5 uncertain .*--max-uncertain or "
+                                     "UARG_MAX_UNCERTAIN$"):
+                read(Limits(max_uncertain=4))
+            read(Limits(max_uncertain=5))
+        # past the Horn threshold, no clause still means the width bound,
+        # checked before any subset is enumerated
+        wide = ArgIAF([], [f"w{i:02d}" for i in range(16)], [])
+        for read, x in ((completions_arg_iaf, wide),
+                        (completions_dep, DepArgIAF(wide))):
+            with pytest.raises(UncertaintyBoundExceededError,
+                               match=": 16 uncertain elements exceed"):
+                read(x, Limits(max_uncertain=15))
 
     def test_fixed_and_uncertain_disjoint(self):
         with pytest.raises(ValueError):
@@ -147,8 +168,14 @@ def test_trusted_build_equals_public_build(cls):
                 cls._canonical(*wrong)
 
 
+def _graph_and_load(iaf):
+    model = _arg_model(iaf.full_af(), iaf.uncertain_args)
+    return model.graph, model.load
+
+
 def _restriction_cases():
-    """(full graph, load, masks) triples: structured frameworks with their
+    """(full graph, load, masks) triples, the graph and load read from
+    the completion model: structured frameworks with their
     maximal graphs, and argument-incomplete ones with every mask, a sample
     of masks in shuffled order, or the single mask 0.  Then masks that
     exclude the full subset, so the graph is not a member, and no mask at
@@ -159,17 +186,15 @@ def _restriction_cases():
     cases = []
     for i in range(40):
         x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
-        model = isaf._model(x, GEN_LIMITS)
-        full, load = model.graph, model.load
-        k = len(isaf._uncertain_elements(x))
-        cases.append((full, load, range(1 << k)))
+        record = isaf._model(x, GEN_LIMITS).record
+        cases.append((record.graph, record.load, range(1 << record.width)))
     iafs = [random_arg_iaf(rng, max_args=6) for _ in range(40)]
     iafs += [ArgIAF(["a", "b"], [], [("a", "b")]),  # nothing uncertain
              ArgIAF([], ["a", "b"], [("a", "b"), ("b", "b")]),
              ArgIAF()]
     for iaf in iafs:
         n = len(iaf.uncertain_args)
-        full, load = iaf.full_af(), _own_bits(iaf)
+        full, load = _graph_and_load(iaf)
         cases.append((full, load, range(1 << n)))
         sample = rng.sample(range(1 << n), rng.randint(1, 1 << n))
         cases.append((full, load, sample))
@@ -183,12 +208,12 @@ def _restriction_cases():
                             if rng.random() < 0.2]))
     for iaf in iafs[:12] + wide:
         n = len(iaf.uncertain_args)
-        full, load = iaf.full_af(), _own_bits(iaf)
+        full, load = _graph_and_load(iaf)
         if n:
             cases.append((full, load, range((1 << n) - 1)))
         cases.append((full, load, []))
     for iaf in wide:  # uncertain 0 and 1 never together; 2 never kept
-        full, load = iaf.full_af(), _own_bits(iaf)
+        full, load = _graph_and_load(iaf)
         cases.append((full, load, [m for m in range(16) if m & 3 != 3]))
         cases.append((full, load, [m for m in range(16) if not m & 4]))
     return cases
@@ -300,7 +325,7 @@ class TestRestrictionOracle:
 
     def test_argument_free_member(self):
         iaf = ArgIAF([], ["a", "b"], [("a", "b")])
-        cs = _induced_completions(iaf.full_af(), _own_bits(iaf), [0, 3])
+        cs = _induced_completions(*_graph_and_load(iaf), [0, 3])
         assert cs.members == (AbstractAF(), AbstractAF(["a", "b"],
                                                        [("a", "b")]))
 
@@ -419,11 +444,10 @@ class TestDependencyFiltering:
         iaf = ArgIAF([], names, [])
         deps = [ImplyDisj([names[i]], [names[i + 1]]) for i in range(0, 14, 2)]
         wide = completions_dep(DepArgIAF(iaf, deps))
-        # subset route on the same instance, bound raised explicitly
-        from uarg.incomplete import _encode_deps
-
-        index = {a: i for i, a in enumerate(names)}
-        masks = kernels.dependency_masks(len(names), _encode_deps(deps, index))
+        # subset route on the same instance, clauses from its model
+        index = {a: i for i, a in enumerate(iaf.uncertain_args)}
+        clauses = _arg_model(iaf.full_af(), iaf.uncertain_args, deps).clauses
+        masks = kernels.dependency_masks(len(names), clauses)
         assert wide == CompletionSet(
             AbstractAF([a for a in names if m >> index[a] & 1])
             for m in masks)

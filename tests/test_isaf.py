@@ -97,11 +97,19 @@ class TestRuleCompletions:
                 assert named_rule not in saf.theory.naming
 
     def test_bound(self):
-        t10 = fixtures.get("thm10_rul")
-        with pytest.raises(UncertaintyBoundExceededError,
-                           match=": 3 uncertain .*--max-uncertain or "
-                                 "UARG_MAX_UNCERTAIN$"):
-            completions_rul(t10, Limits(max_uncertain=2))
+        # the completion sets and the completions of both structured kinds
+        # check the one bound on their k uncertain rules or premises, and
+        # pass at it
+        for name, k, readers in (
+                ("thm10_rul", 3, (completions_rul, rule_completions)),
+                ("thm7_prem", 1, (completions_prem, premise_completions))):
+            x = fixtures.get(name)
+            for read in readers:
+                with pytest.raises(UncertaintyBoundExceededError,
+                                   match=f": {k} uncertain .*--max-uncertain "
+                                         "or UARG_MAX_UNCERTAIN$"):
+                    read(x, Limits(max_uncertain=k - 1))
+                read(x, Limits(max_uncertain=k))
 
 
 class TestPremiseCompletions:

@@ -290,8 +290,8 @@ class TestUncheckedImpConstruction:
             to_imp = (rul_isaf_to_imp_arg_iaf if i % 2
                       else prem_isaf_to_imp_arg_iaf)
             target, witness = to_imp(x, GEN_LIMITS)
-            model = isaf_module._model(x, GEN_LIMITS)
-            full, load = model.graph, model.load
+            record = isaf_module._model(x, GEN_LIMITS).record
+            full, load = record.graph, record.load
             uncertain = [a for a in full.args if load[a]]
             deps = [ImplyDisj(cover, [a]) for a in uncertain
                     for cover in translate._minimal_covers(
