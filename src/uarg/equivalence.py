@@ -4,10 +4,15 @@ identifiers that maps one set of frameworks exactly onto another.
 The decision runs a complete backtracking search over bijections, pruned by
 occurrence signatures (for each argument, the multiset of per-framework
 shapes it occurs in, refined by defeat degrees, each occurrence coded as
-one integer).  Each source member keeps a bitmask of the target members
-still consistent with the partial bijection; assigning a name narrows the
-masks, and an empty one prunes.  Shapes, signatures and masks are read
-from the sets' keys; no member is built.
+one integer).  The target members still consistent with the partial
+bijection form one candidate matrix, a single integer with one field per
+source member: a bit per target member of the field's row block (shape
+classes merged until a block holds at least 64 target members) and a guard
+bit above them.  Assigning a name narrows every field at once, with a few
+integer operations per new conjunct; a field left empty prunes, and shows
+as the one guard bit that adding every candidate bit does not carry into.
+Shapes, signatures and the matrix are read from the sets' keys; no member
+is built.
 Negative certification against argument-incomplete frameworks needs no
 search over frameworks: completion sets are closed under renaming, so a
 target has an equivalent framework iff the one framework that could
@@ -18,8 +23,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import and_
 from typing import Sequence
 
@@ -93,8 +100,10 @@ def _maps_onto(source: CompletionSet, target: CompletionSet,
 class _KeyTables:
     """What the search reads of a completion set, taken from its union
     graph and keys with no member built: each member's shape
-    ``(|args|, |defeats|)``, each argument's occurrence signature, and the
-    members holding each argument and each defeat.
+    ``(|args|, |defeats|)``, each argument's occurrence signature, and
+    the column of each argument and defeat.  A candidate matrix of one
+    row block (``_candidate_matrix``) reads its rows from the source's
+    columns and its tiles from the target's.
 
     Members are numbered in the order the key set iterates; the search
     needs no member order.  Each argument and each defeat has a column
@@ -112,6 +121,7 @@ class _KeyTables:
         self.code_words = -(-code_bits // 64)
         self.words = words = -(-max(key_bits, code_bits) // 64)
         self.size = 8 * words * len(keys)  # bytes of a packed vector
+        self.keys, self.key_bits = keys, key_bits
         n = len(graph.args)
         columns = _entry_columns(graph, keys, 8 * words, key_bits)
         place = {a: i for i, a in enumerate(graph.args)}
@@ -173,18 +183,115 @@ class _KeyTables:
     def member_masks(self) -> tuple[dict[str, int],
                                     dict[tuple[str, str], int]]:
         """For each argument and each defeat, the members holding it, as a
-        bitmask over member positions.  Written big-endian, a column's
-        fields run from the last member to the first, so the low bytes of
-        its fields, as binary digits, are its mask."""
-        count, step = len(self.shapes), 8 * self.words
-        digits = b"".join([column.to_bytes(self.size, "big")
-                           for column in self.column + self.held])[
-            step - 1::step].translate(_DIGITS)
+        bitmask over member positions."""
+        count = len(self.shapes)
+        digits = _member_digits(self.column + self.held, count,
+                                8 * self.words)
         masks = [int(digits[i:i + count], 2)  # no member: no column
                  for i in range(0, len(digits), count or 1)]
         n = len(self.column)
         return (dict(zip(self.graph.args, masks[:n])),
                 dict(zip(self.graph.defeats, masks[n:])))
+
+    def by_shape(self, shapes: list[tuple[int, int]]) -> list[int]:
+        """The keys, sorted by their members' shapes in the order of
+        ``shapes``, and else in the order the key set iterates."""
+        rows: dict[tuple[int, int], list[int]] = {s: [] for s in shapes}
+        for shape, key in zip(self.shapes, self.keys):
+            rows[shape].append(key)
+        return [key for shape in shapes for key in rows[shape]]
+
+
+def _member_digits(columns: list[int], count: int, step: int) -> bytes:
+    """For each column of ``count`` fields of ``step`` bytes, each holding
+    0 or 1, the fields as binary digits, the last field first, one column
+    after another.  Written big-endian, a column's fields run from the
+    last one to the first, so the low bytes of its fields are those
+    digits."""
+    return b"".join([column.to_bytes(count * step, "big")
+                     for column in columns])[step - 1::step].translate(
+        _DIGITS)
+
+
+# Row blocks of the candidate matrix are whole shape classes, in sorted
+# order, merged until a block holds at least this many target members.
+_BLOCK_MEMBERS = 64
+
+
+def _candidate_matrix(src: _KeyTables, tgt: _KeyTables) -> tuple[
+        int, int, int, dict, dict]:
+    """The equivalence search's candidate matrix before any assignment,
+    and what narrowing it reads.
+
+    The matrix is one integer with one field per source member (a row):
+    ``width`` candidate bits, one per target member of the row's block,
+    and a guard bit above them, in whole bytes.  Shape classes, in sorted
+    order, are merged into row blocks of at least ``_BLOCK_MEMBERS``
+    target members, and ``width`` is the size of the largest block; a
+    target member has its rank within its block.  A row starts with the
+    target members of its own shape.  With one block both sets keep
+    their member orders; with several, the members of both are sorted by
+    shape, so that each block's rows and its target members are runs.
+
+    ``every`` holds every candidate bit and ``guard`` every guard bit.
+    ``lack`` maps each source entry (argument or defeat) to ``every``
+    less the rows of the members holding it, and ``tile`` each target
+    entry to the members holding it, in every row of each block:
+    ``lack[s] ^ tile[t]`` keeps in each row the target members that agree
+    with the row's member on holding s and t.
+
+    This is the tables' last reader.  With several blocks it reads none
+    of their columns, and empties them before building its own, so that
+    the two are never held at once."""
+    count = len(tgt.shapes)
+    sizes = Counter(tgt.shapes)
+    shapes = sorted(sizes)
+    blocks: list[int] = []  # target members per block
+    place = {}  # the rank within its block of a shape's first member
+    for shape in shapes:
+        if not blocks or blocks[-1] >= _BLOCK_MEMBERS:
+            blocks.append(0)
+        place[shape] = blocks[-1]
+        blocks[-1] += sizes[shape]
+    width = max(blocks, default=0)
+    field = width // 8 + 1  # bytes
+    if len(blocks) < 2 and field <= 8 * src.words:
+        field = 8 * src.words  # the tables' own fields, and their columns
+    ones = int.from_bytes(b"\1".ljust(field, b"\0") * count, "little")
+    every, guard = (ones << width) - ones, ones << width
+    if len(blocks) < 2:  # both sets in their own member order
+        columns = src.column + src.held if field == 8 * src.words else \
+            _entry_columns(src.graph, src.keys, field, src.key_bits)
+        tile = {entry: mask * ones for masks in tgt.member_masks()
+                for entry, mask in masks.items()}
+        members = dict.fromkeys(shapes, 0)  # of each shape, in the target
+        for j, shape in enumerate(tgt.shapes):
+            members[shape] |= 1 << j
+        row = {shape: mask.to_bytes(field, "little")
+               for shape, mask in members.items()}
+        rows = b"".join([row[shape] for shape in src.shapes])
+    else:  # the members of both sets sorted by shape
+        for tables in (src, tgt):  # their columns are read no more
+            tables.column = tables.held = []
+        columns = _entry_columns(src.graph, src.by_shape(shapes), field,
+                                 src.key_bits)
+        digits = _member_digits(_entry_columns(tgt.graph,
+                                               tgt.by_shape(shapes)),
+                                count, 1)
+        # each block's digits within an entry's, and its rows
+        cuts = [(count - start - size, count - start, size) for start, size
+                in zip(accumulate(blocks, initial=0), blocks)]
+        tile = dict(zip(tgt.graph.args + tgt.graph.defeats, [
+            int.from_bytes(b"".join([
+                int(digits[i + low:i + high], 2).to_bytes(field, "little")
+                * size for low, high, size in cuts]), "little")
+            for i in range(0, len(digits), count)]))
+        rows = b"".join([((1 << sizes[shape]) - 1 << place[shape]).to_bytes(
+            field, "little") * sizes[shape] for shape in shapes])
+    for i, column in enumerate(columns):  # each column freed once used
+        columns[i] = every ^ ((column << width) - column)
+    lack = dict(zip(src.graph.args + src.graph.defeats, columns))
+    return int.from_bytes(rows, "little"), every, guard, lack, tile
 
 
 def equivalent(source: CompletionSet, target: CompletionSet,
@@ -230,53 +337,34 @@ def equivalent(source: CompletionSet, target: CompletionSet,
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
     order = sorted(src_union, key=lambda a: (src_sig[a], a))
-    src_has, src_def = src.member_masks()
-    tgt_has, tgt_def = tgt.member_masks()
-    full = (1 << len(target)) - 1
-    tgt_shape: dict[tuple[int, int], int] = {}
-    for j, shape in enumerate(tgt.shapes):
-        tgt_shape[shape] = tgt_shape.get(shape, 0) | 1 << j
+    first, every, guard, lack, tile = _candidate_matrix(src, tgt)
     assigned: list[tuple[str, str]] = []
     used: set[str] = set()
     stats = {"nodes": 0, "prunes": 0}
 
-    def narrow(masks: list[int], name: str,
-               candidate: str) -> list[int] | None:
-        """Each source member's mask of consistent target members once
-        name -> candidate joins the assignment, or None if one empties.
-        Consistency is a conjunction over assigned names and pairs of
-        them, so only the conjuncts that mention name are new: membership
-        of name, and the defeats between name and the names assigned so
-        far (itself included)."""
-        has_t = tgt_has[candidate]
-        lacks_t = full ^ has_t
+    def narrow(matrix: int, name: str, candidate: str) -> int | None:
+        """The candidate matrix once name -> candidate joins the
+        assignment, or None if a row empties.  Consistency is a
+        conjunction over assigned names and pairs of them, so only the
+        conjuncts that mention name are new: membership of name, and the
+        defeats between name and the names assigned so far (itself
+        included).  Each keeps, in the rows of the source members that
+        hold the source entry, the target members that hold the target
+        entry, and in the other rows those that lack it."""
+        matrix &= lack[name] ^ tile[candidate]
         pairs = [((name, name), (candidate, candidate))]
         for a, b in assigned:
             pairs.append(((name, a), (candidate, b)))
             pairs.append(((a, name), (b, candidate)))
-        checks = []
         for src_pair, tgt_pair in pairs:
-            s = src_def.get(src_pair, 0)
-            t = tgt_def.get(tgt_pair, 0)
-            if s or t:
-                checks.append((s, t, full ^ t))
-        has_s = src_has[name]
-        out = []
-        for i, mask in enumerate(masks):
-            if has_s >> i & 1:
-                mask &= has_t
-                for s, t, lacks in checks:
-                    mask &= t if s >> i & 1 else lacks
-            else:
-                # no defeat of name here, and no target member left in
-                # the mask holds candidate, so none of its defeats either
-                mask &= lacks_t
-            if not mask:
-                return None
-            out.append(mask)
-        return out
+            s = lack.get(src_pair)
+            t = tile.get(tgt_pair)
+            if s is not None or t is not None:
+                matrix &= (every if s is None else s) ^ (t or 0)
+        # a row's guard bit carries in iff a candidate is left in it
+        return matrix if (matrix + every) & guard == guard else None
 
-    def search(pos: int, masks: list[int]) -> Witness | None:
+    def search(pos: int, matrix: int) -> Witness | None:
         if pos == len(order):
             if _maps_onto(source, target, dict(assigned)):
                 return Witness(assigned)
@@ -287,7 +375,7 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             if candidate in used:
                 continue
             stats["nodes"] += 1
-            narrowed = narrow(masks, name, candidate)
+            narrowed = narrow(matrix, name, candidate)
             if narrowed is None:
                 stats["prunes"] += 1
                 continue
@@ -300,7 +388,7 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             used.discard(candidate)
         return None
 
-    witness = search(0, [tgt_shape[shape] for shape in src.shapes])
+    witness = search(0, first)
     if witness is None:
         return EquivalenceResult(NOT_EQUIVALENT, None,
                                  stats["nodes"], stats["prunes"])

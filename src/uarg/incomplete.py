@@ -295,8 +295,8 @@ def _key_columns(keys: Collection[int], bits: int, field: int = 1,
     the widest key, taken here unless the caller has it.  Keys are packed
     once, as few bytes each as the widest key needs.  When every key fits
     its field, they are packed into the fields, and column i is that
-    integer shifted by i.  Otherwise the fields are bytes (``field`` must
-    be 1): byte b of every key is the stride slice ``packed[b::width]``,
+    integer shifted by i.  Otherwise byte b of every key is the stride
+    slice ``packed[b::width]``, spaced out into the fields' low bytes,
     and each column is a shift of one such row."""
     if top is None:
         top = max(keys, default=0).bit_length()  # at most bits
@@ -309,9 +309,11 @@ def _key_columns(keys: Collection[int], bits: int, field: int = 1,
         width = (top + 7) // 8
         packed = b"".join(map(int.to_bytes, keys, repeat(width),
                               repeat("little")))
+        spaced = bytearray(field * len(keys))
         columns = []
         for b in range(width):
-            row = int.from_bytes(packed[b::width], "little")
+            spaced[::field] = packed[b::width]
+            row = int.from_bytes(spaced, "little")
             columns += [row >> i & ones for i in range(8)]
         del columns[top:]
     return columns + [0] * (bits - top)  # bits that no key has

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -18,6 +19,7 @@ from uarg import (
     fixtures,
     no_equivalent_arg_iaf,
 )
+from uarg import equivalence
 from uarg.equivalence import _KeyTables
 from uarg.errors import (
     DomainMismatchError,
@@ -69,6 +71,81 @@ def swap_defeats(rng, completions):
             members[i] = AbstractAF(af.args, defeats)
             return CompletionSet(members)
     return None
+
+
+def relabelled_or_near_miss(rng, source):
+    """The source under a shuffled renaming, half the time with two
+    defeats swapped (one defeat toggled if no swap keeps degrees)."""
+    names = sorted(source.argument_union())
+    fresh = [f"w{i}" for i in range(len(names))]
+    rng.shuffle(fresh)
+    target = Witness(dict(zip(names, fresh))).apply(source)
+    if rng.random() < 0.5:
+        target = swap_defeats(rng, target) or toggle_defeat(rng, target)
+    return target
+
+
+def row_blocks(completions):
+    """Members per row block of a candidate matrix whose target is
+    ``completions``, restated: its shape classes in sorted order, merged
+    until a block holds at least ``_BLOCK_MEMBERS`` members."""
+    sizes = Counter((len(af.args), len(af.defeats)) for af in completions)
+    blocks = []
+    for shape in sorted(sizes):
+        if not blocks or blocks[-1] >= equivalence._BLOCK_MEMBERS:
+            blocks.append(0)
+        blocks[-1] += sizes[shape]
+    return blocks
+
+
+def assert_matches_recheck(source, target):
+    """The search and the full recheck search agree in verdict, witness,
+    nodes and prunes."""
+    got = equivalent(source, target)
+    want = recheck_equivalent(source, target)
+    assert (got.verdict, got.witness, got.nodes, got.prunes) == \
+        (want.verdict, want.witness, want.nodes, want.prunes)
+    return got
+
+
+def assert_recheck_trials():
+    """Relabelled pairs and degree-preserving near misses of three kinds
+    of sets: completion sets, arbitrary framework sets, and sets of
+    equally shaped members over one argument set (where only the
+    per-member defeats, self-defeats included, tell members apart).  The
+    narrowed candidate matrix must give the same verdict, witness, nodes
+    and prunes as re-checking every member pair at every node."""
+    rng = random.Random(107)
+    found = refuted = prunes = 0
+    for trial in range(400):
+        n = rng.randint(3, 8)
+        names = [f"v{i}" for i in range(n)]
+        if trial % 4 == 0:
+            uncertain = rng.sample(names, rng.randint(1, min(n, 4)))
+            defeats = [(a, b) for a in names for b in names
+                       if rng.random() < 0.3]
+            source = completions_arg_iaf(
+                ArgIAF(set(names) - set(uncertain), uncertain, defeats))
+        elif trial % 4 == 1:
+            source = CompletionSet(
+                AbstractAF(kept, [(a, b) for a in kept for b in kept
+                                  if rng.random() < 0.3])
+                for kept in (rng.sample(names, rng.randint(1, n))
+                             for _ in range(rng.randint(2, 12))))
+        else:
+            names = names[:rng.randint(2, 5)]
+            pairs = [(a, b) for a in names for b in names]
+            k = rng.randint(1, len(names))
+            source = CompletionSet(
+                AbstractAF(names, rng.sample(pairs, k))
+                for _ in range(rng.randint(2, 6)))
+        got = assert_matches_recheck(source,
+                                     relabelled_or_near_miss(rng, source))
+        found += got.equivalent
+        refuted += not got.equivalent and got.nodes > 0
+        prunes += got.prunes
+    # refutations by the search itself, not by the signature filter
+    assert found >= 10 and refuted >= 10 and prunes > 0
 
 
 THM10_WITNESS = Witness({
@@ -545,53 +622,79 @@ class TestEquivalent:
             equivalent(s, s, tight)
 
     def test_matches_full_recheck_search(self):
-        # Relabelled pairs and degree-preserving near misses of three kinds
-        # of sets: completion sets, arbitrary framework sets, and sets of
-        # equally shaped members over one argument set (where only the
-        # per-member defeats, self-defeats included, tell members apart).
-        # The narrowed masks must give the same verdict, witness, nodes
-        # and prunes as re-checking every member pair at every node.
-        rng = random.Random(107)
-        found = refuted = prunes = 0
-        for trial in range(400):
-            n = rng.randint(3, 8)
-            names = [f"v{i}" for i in range(n)]
-            if trial % 4 == 0:
-                uncertain = rng.sample(names, rng.randint(1, min(n, 4)))
+        assert_recheck_trials()
+
+    def test_block_per_shape_matches_full_recheck_search(self,
+                                                         monkeypatch):
+        # every shape class its own row block: many blocks, each as wide
+        # as its class
+        monkeypatch.setattr(equivalence, "_BLOCK_MEMBERS", 1)
+        assert_recheck_trials()
+
+    def test_two_row_blocks_match_full_recheck_search(self):
+        # Sets of 65 to 128 members close a row block at 64 target
+        # members, so most have two blocks.  Arbitrary members lack
+        # defeats that others hold, so their keys are wider than a matrix
+        # field; completion sets hold every defeat between their
+        # arguments, so theirs are not.
+        rng = random.Random(113)
+        two = wide = 0
+        for trial in range(24):
+            names = [f"v{i}" for i in range(rng.randint(9, 11))]
+            if trial % 2:
+                uncertain = rng.sample(names, 7)  # 128 members
                 defeats = [(a, b) for a in names for b in names
-                           if rng.random() < 0.3]
-                source = completions_arg_iaf(
-                    ArgIAF(set(names) - set(uncertain), uncertain, defeats))
-            elif trial % 4 == 1:
-                source = CompletionSet(
-                    AbstractAF(kept, [(a, b) for a in kept for b in kept
-                                      if rng.random() < 0.3])
-                    for kept in (rng.sample(names, rng.randint(1, n))
-                                 for _ in range(rng.randint(2, 12))))
+                           if rng.random() < 0.7]
+                source = completions_arg_iaf(ArgIAF(
+                    set(names) - set(uncertain), uncertain, defeats))
             else:
-                names = names[:rng.randint(2, 5)]
-                pairs = [(a, b) for a in names for b in names]
-                k = rng.randint(1, len(names))
-                source = CompletionSet(
-                    AbstractAF(names, rng.sample(pairs, k))
-                    for _ in range(rng.randint(2, 6)))
-            names = sorted(source.argument_union())
-            n = len(names)
-            fresh = [f"w{i}" for i in range(n)]
-            rng.shuffle(fresh)
-            target = Witness(dict(zip(names, fresh))).apply(source)
-            if rng.random() < 0.5:
-                target = swap_defeats(rng, target) or \
-                    toggle_defeat(rng, target)
-            got = equivalent(source, target)
-            want = recheck_equivalent(source, target)
-            assert (got.verdict, got.witness, got.nodes, got.prunes) == \
-                (want.verdict, want.witness, want.nodes, want.prunes)
-            found += got.equivalent
-            refuted += not got.equivalent and got.nodes > 0
-            prunes += got.prunes
-        # refutations by the search itself, not by the signature filter
-        assert found >= 10 and refuted >= 10 and prunes > 0
+                source = CompletionSet(random_members(
+                    rng, names, rng.randint(70, 128)))
+            assert 65 <= len(source) <= 128
+            target = relabelled_or_near_miss(rng, source)
+            blocks = row_blocks(target)  # target members per block
+            width, field = max(blocks), max(blocks) // 8 + 1
+            if len(blocks) == 2:  # fields as wide as the wider block
+                two += 1
+                size = len(source.argument_union())
+                _, every, _, _, _ = equivalence._candidate_matrix(
+                    _KeyTables(source, size), _KeyTables(target, size))
+                assert every == int.from_bytes(((1 << width) - 1).to_bytes(
+                    field, "little") * len(source), "little")
+            wide += max(source._keys).bit_length() > 8 * field
+            assert_matches_recheck(source, target)
+        assert two >= 20 and wide >= 10
+
+    def test_block_layouts_agree_at_scale(self, monkeypatch):
+        """A 2,048-member relabelled pair and its degree-preserving near
+        miss give one verdict, witness, nodes and prunes with every shape
+        class its own row block and with one block for the whole set."""
+        rng = random.Random(2048)
+        names = [f"v{i}" for i in range(16)]
+        uncertain = rng.sample(names, 11)
+        defeats = [(a, b) for a in names for b in names
+                   if rng.random() < 0.2]
+        source = completions_arg_iaf(ArgIAF(
+            set(names) - set(uncertain), uncertain, defeats))
+        fresh = [f"w{i}" for i in range(16)]
+        rng.shuffle(fresh)
+        renamed = Witness(dict(zip(names, fresh))).apply(source)
+        near = swap_defeats(rng, renamed)
+        assert len(source) == 2048 and near is not None
+        for target, verdict in ((renamed, True), (near, False)):
+            results = []
+            for block_members in (1, len(source)):
+                monkeypatch.setattr(equivalence, "_BLOCK_MEMBERS",
+                                    block_members)
+                results.append(equivalent(source, target))
+            one_each, one_block = results
+            assert (one_each.verdict, one_each.witness, one_each.nodes,
+                    one_each.prunes) == (one_block.verdict,
+                                         one_block.witness,
+                                         one_block.nodes, one_block.prunes)
+            assert one_each.equivalent == verdict and one_each.nodes > 0
+            if verdict:
+                assert check_witness(source, target, one_each.witness)
 
     def test_identity_only_mode(self):
         s = completion_set_of(fixtures.get("example1"))

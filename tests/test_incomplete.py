@@ -785,3 +785,26 @@ class TestMemberOrderRuns:
             before = member_orders[0]
             assert list(back) == list(back)
             assert member_orders[0] == before + 1
+
+
+class TestKeyColumns:
+    def test_matches_per_bit_oracle(self):
+        """Field k of column i holds bit i of key k, for fields of one to
+        three bytes and keys one to three fields wide: keys wider than
+        their field are spread into the fields a byte at a time."""
+        rng = random.Random(61)
+        for field in (1, 2, 3):
+            for wide in (1, 2, 3):
+                for _ in range(25):
+                    top = rng.randint(8 * field * (wide - 1) + 1,
+                                      8 * field * wide)
+                    keys = [rng.getrandbits(top)
+                            for _ in range(rng.randint(1, 9))]
+                    keys[0] |= 1 << top - 1  # the widest key has top bits
+                    bits = top + rng.randint(0, 3)
+                    want = [int.from_bytes(b"".join(
+                        (key >> i & 1).to_bytes(field, "little")
+                        for key in keys), "little") for i in range(bits)]
+                    assert incomplete._key_columns(keys, bits, field) == want
+                    assert incomplete._key_columns(
+                        keys, bits, field, top) == want
