@@ -201,14 +201,20 @@ def validate_theory(theory: ArgumentationTheory) -> None:
             "pairs or enable close_negation")
 
 
+_EMPTY: frozenset = frozenset()
+
+
 class StructuredArgument:
     """Finite inference tree: a premise leaf or an inference node applying
-    a rule to one sub-argument per body formula.  Its premises, its
-    sub-argument closure Sub(A) (itself included) and the rules it uses are
-    the unions of its sub-arguments' own, computed once when it is built."""
+    a rule to one sub-argument per body formula.  Its premises, the rules
+    it uses and its strict sub-argument closure ``below`` (every
+    sub-argument but itself) are the unions of its sub-arguments' own,
+    stored when it is built; no argument holds itself, so an argument and
+    its sets form no reference cycle.  Sub(A), ``sub_arguments``, is
+    ``below`` with the argument added."""
 
     __slots__ = ("premise", "rule", "subs", "text", "conc", "height",
-                 "premises", "sub_arguments", "rules_used")
+                 "premises", "below", "rules_used")
 
     def __init__(self, premise: str | None, rule: Rule | None,
                  subs: tuple["StructuredArgument", ...]):
@@ -220,19 +226,27 @@ class StructuredArgument:
             self.conc = premise
             self.height = 1
             self.premises = frozenset((premise,))
-            self.sub_arguments = frozenset((self,))
-            self.rules_used = frozenset()
-        else:
-            inner = ";".join(sub.text for sub in subs)
-            arrow = "=s>" if rule.is_strict else "=d>"
-            self.text = f"[{inner}]{arrow}{rule.head}"
-            self.conc = rule.head
-            self.height = 1 + max((sub.height for sub in subs), default=0)
-            self.premises = frozenset().union(*[sub.premises for sub in subs])
-            self.sub_arguments = frozenset((self,)).union(
-                *[sub.sub_arguments for sub in subs])
-            self.rules_used = frozenset((rule,)).union(
-                *[sub.rules_used for sub in subs])
+            self.below = self.rules_used = _EMPTY
+            return
+        inner = ";".join(sub.text for sub in subs)
+        arrow = "=s>" if rule.is_strict else "=d>"
+        self.text = f"[{inner}]{arrow}{rule.head}"
+        self.conc = rule.head
+        if not subs:
+            self.height = 1
+            self.premises = self.below = _EMPTY
+            self.rules_used = frozenset((rule,))
+            return
+        self.height = 1 + max(sub.height for sub in subs)
+        self.premises = frozenset().union(*[sub.premises for sub in subs])
+        self.below = frozenset(subs).union(*[sub.below for sub in subs])
+        self.rules_used = frozenset((rule,)).union(
+            *[sub.rules_used for sub in subs])
+
+    @property
+    def sub_arguments(self) -> frozenset["StructuredArgument"]:
+        """Sub(A): the argument and every sub-argument below it."""
+        return self.below | {self}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StructuredArgument) and self.text == other.text
@@ -349,7 +363,7 @@ def _vulnerable_loci(theory: ArgumentationTheory,
     points where the argument can be attacked and the formula whose
     contrary-set matters there."""
     loci = []
-    for part in attacked.sub_arguments:
+    for part in (attacked, *attacked.below):
         if part.premise is not None:
             if part.premise in theory.premises:
                 loci.append((UNDERMINE, part, part.premise))

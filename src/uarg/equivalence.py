@@ -85,15 +85,20 @@ def check_witness(source: CompletionSet, target: CompletionSet,
 def _maps_onto(source: CompletionSet, target: CompletionSet,
                m: dict[str, str]) -> bool:
     """check_witness for a bijection m from the source union onto the
-    target union."""
+    target union.  When m sends each graph entry to the target's entry at
+    the same place, every key bit stays where it is, and the sets are
+    equal iff their keys are."""
     if len(source) != len(target):
         return False
     src, tgt = source._graph, target._graph
     mapped = [(m[s], m[t]) for s, t in src.defeats]
     if set(mapped) != set(tgt.defeats):
         return False
+    names = [m[a] for a in src.args]
+    if names == [*tgt.args] and mapped == [*tgt.defeats]:
+        return target._keys == source._keys
     bit = {x: 1 << i for i, x in enumerate(tgt.args + tgt.defeats)}
-    image = [bit[m[a]] for a in src.args] + [bit[d] for d in mapped]
+    image = [bit[a] for a in names] + [bit[d] for d in mapped]
     return target._keys.issuperset(_or_images(image, source._keys))
 
 
@@ -337,63 +342,72 @@ def equivalent(source: CompletionSet, target: CompletionSet,
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
     order = sorted(src_union, key=lambda a: (src_sig[a], a))
+    options = [tgt_by_sig[src_sig[name]] for name in order]
     first, every, guard, lack, tile = _candidate_matrix(src, tgt)
+    # Depth-first over the candidates of each name in order: assigned
+    # holds the pairs chosen so far, matrices[i] the candidate matrix with
+    # the first i names assigned, and choices[i] the candidates left for
+    # name i.
     assigned: list[tuple[str, str]] = []
     used: set[str] = set()
-    stats = {"nodes": 0, "prunes": 0}
-
-    def narrow(matrix: int, name: str, candidate: str) -> int | None:
-        """The candidate matrix once name -> candidate joins the
-        assignment, or None if a row empties.  Consistency is a
-        conjunction over assigned names and pairs of them, so only the
-        conjuncts that mention name are new: membership of name, and the
-        defeats between name and the names assigned so far (itself
-        included).  Each keeps, in the rows of the source members that
-        hold the source entry, the target members that hold the target
-        entry, and in the other rows those that lack it."""
-        matrix &= lack[name] ^ tile[candidate]
-        pairs = [((name, name), (candidate, candidate))]
-        for a, b in assigned:
-            pairs.append(((name, a), (candidate, b)))
-            pairs.append(((a, name), (b, candidate)))
-        for src_pair, tgt_pair in pairs:
-            s = lack.get(src_pair)
-            t = tile.get(tgt_pair)
-            if s is not None or t is not None:
-                matrix &= (every if s is None else s) ^ (t or 0)
-        # a row's guard bit carries in iff a candidate is left in it
-        return matrix if (matrix + every) & guard == guard else None
-
-    def search(pos: int, matrix: int) -> Witness | None:
-        if pos == len(order):
+    matrices, choices = [first], []
+    nodes = prunes = 0
+    while True:
+        depth = len(assigned)
+        if depth == len(order):
             if _maps_onto(source, target, dict(assigned)):
-                return Witness(assigned)
-            stats["prunes"] += 1
-            return None
-        name = order[pos]
-        for candidate in tgt_by_sig.get(src_sig[name], ()):
-            if candidate in used:
+                return EquivalenceResult(EQUIVALENT, Witness(assigned),
+                                         nodes, prunes)
+            prunes += 1
+        else:
+            choices.append(iter(options[depth]))
+        while choices:  # the next candidate that narrows, backtracking
+            depth = len(choices) - 1
+            if len(assigned) > depth:  # undo this depth's last choice
+                used.discard(assigned.pop()[1])
+                matrices.pop()
+            for candidate in choices[-1]:
+                if candidate in used:
+                    continue
+                nodes += 1
+                narrowed = _narrow(matrices[-1], order[depth], candidate,
+                                   assigned, lack, tile, every, guard)
+                if narrowed is not None:
+                    break
+                prunes += 1
+            else:
+                choices.pop()
                 continue
-            stats["nodes"] += 1
-            narrowed = narrow(matrix, name, candidate)
-            if narrowed is None:
-                stats["prunes"] += 1
-                continue
-            assigned.append((name, candidate))
+            assigned.append((order[depth], candidate))
             used.add(candidate)
-            found = search(pos + 1, narrowed)
-            if found is not None:
-                return found
-            assigned.pop()
-            used.discard(candidate)
-        return None
+            matrices.append(narrowed)
+            break
+        else:
+            return EquivalenceResult(NOT_EQUIVALENT, None, nodes, prunes)
 
-    witness = search(0, first)
-    if witness is None:
-        return EquivalenceResult(NOT_EQUIVALENT, None,
-                                 stats["nodes"], stats["prunes"])
-    return EquivalenceResult(EQUIVALENT, witness,
-                             stats["nodes"], stats["prunes"])
+
+def _narrow(matrix: int, name: str, candidate: str,
+            assigned: list[tuple[str, str]], lack: dict, tile: dict,
+            every: int, guard: int) -> int | None:
+    """The candidate matrix once name -> candidate joins the assignment,
+    or None if a row empties.  Consistency is a conjunction over assigned
+    names and pairs of them, so only the conjuncts that mention name are
+    new: membership of name, and the defeats between name and the names
+    assigned so far (itself included).  Each keeps, in the rows of the
+    source members that hold the source entry, the target members that
+    hold the target entry, and in the other rows those that lack it."""
+    matrix &= lack[name] ^ tile[candidate]
+    pairs = [((name, name), (candidate, candidate))]
+    for a, b in assigned:
+        pairs.append(((name, a), (candidate, b)))
+        pairs.append(((a, name), (b, candidate)))
+    for src_pair, tgt_pair in pairs:
+        s = lack.get(src_pair)
+        t = tile.get(tgt_pair)
+        if s is not None or t is not None:
+            matrix &= (every if s is None else s) ^ (t or 0)
+    # a row's guard bit carries in iff a candidate is left in it
+    return matrix if (matrix + every) & guard == guard else None
 
 
 def no_equivalent_arg_iaf(target: CompletionSet, max_args: int,

@@ -339,17 +339,28 @@ def _or_images(values: list[int], masks: Collection[int]) -> list[int]:
     """For each mask, in the order ``masks`` iterates, the OR of
     ``values[i]`` over its set bits i.  Masks are read eight bits at a
     time, up to the highest bit any of them has, through a table of the
-    ORs of every subset of those eight values."""
+    ORs of every subset of those eight values; masks of at most 16 bits
+    are read through both of their tables in one pass."""
     values = values[:max(masks, default=0).bit_length()]
+    if len(values) <= 8:  # the whole mask indexes the one table
+        return list(map(_subset_ors(values).__getitem__, masks))
+    if len(values) <= 16:
+        first, second = _subset_ors(values[:8]), _subset_ors(values[8:])
+        return [first[m & 255] | second[m >> 8] for m in masks]
     out = [0] * len(masks)
     for low in range(0, len(values), 8):
-        table = [0]  # the OR of every subset of values[low:low + 8]
-        for value in values[low:low + 8]:
-            table += [t | value for t in table]
-        if len(values) <= 8:  # the whole mask indexes the one table
-            return list(map(table.__getitem__, masks))
+        table = _subset_ors(values[low:low + 8])
         out = [o | table[m >> low & 255] for o, m in zip(out, masks)]
     return out
+
+
+def _subset_ors(values: list[int]) -> list[int]:
+    """The OR of every subset of ``values``, at the index whose set bits
+    are the subset's positions."""
+    table = [0]
+    for value in values:
+        table += [t | value for t in table]
+    return table
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -171,8 +171,9 @@ def _minimal_covers(needed: int, profiles: list[tuple[str, int]],
             groups.setdefault(mask, []).append(name)
     masks = sorted(groups)
     found: set[frozenset[int]] = set()
-
-    def search(uncovered: int, chosen: tuple[int, ...]) -> None:
+    stack: list[tuple[int, tuple[int, ...]]] = [(needed, ())]
+    while stack:
+        uncovered, chosen = stack.pop()
         if not uncovered:
             # keep only irredundant selections: every chosen class must
             # contribute a private element
@@ -182,15 +183,13 @@ def _minimal_covers(needed: int, profiles: list[tuple[str, int]],
                     if other != mask:
                         others |= other
                 if not mask & ~others:
-                    return
-            found.add(frozenset(chosen))
-            return
+                    break
+            else:
+                found.add(frozenset(chosen))
+            continue
         pivot = uncovered & -uncovered
-        for mask in masks:
-            if mask & pivot and mask not in chosen:
-                search(uncovered & ~mask, chosen + (mask,))
-
-    search(needed, ())
+        stack += [(uncovered & ~mask, chosen + (mask,)) for mask in masks
+                  if mask & pivot and mask not in chosen]
     covers: set[frozenset[str]] = set()
     for classes in found:
         pools = [groups[mask] for mask in sorted(classes)]
@@ -254,20 +253,23 @@ def _rewrite_leaves(arguments: Iterable[StructuredArgument],
     over its rewritten sub-arguments' conclusions.  Shared sub-arguments are
     rewritten once."""
     cache = dict(leaves)
+    return {arg.text: _rewrite(arg, cache).text for arg in arguments}
 
-    def rewrite(argument: StructuredArgument) -> StructuredArgument:
-        out = cache.get(argument.text)
-        if out is None:
-            out = argument
-            if argument.subs:
-                subs = tuple(rewrite(sub) for sub in argument.subs)
-                rule = Rule((sub.conc for sub in subs), argument.rule.head,
-                            argument.rule.kind)
-                out = inference_argument(rule, subs)
-            cache[argument.text] = out
-        return out
 
-    return {arg.text: rewrite(arg).text for arg in arguments}
+def _rewrite(argument: StructuredArgument,
+             cache: dict[str, StructuredArgument]) -> StructuredArgument:
+    """The image of one argument under ``_rewrite_leaves``, with ``cache``
+    mapping the texts of the arguments rewritten so far to their images."""
+    out = cache.get(argument.text)
+    if out is None:
+        out = argument
+        if argument.subs:
+            subs = tuple(_rewrite(sub, cache) for sub in argument.subs)
+            rule = Rule((sub.conc for sub in subs), argument.rule.head,
+                        argument.rule.kind)
+            out = inference_argument(rule, subs)
+        cache[argument.text] = out
+    return out
 
 
 def _prime(formula: str) -> str:

@@ -1,12 +1,13 @@
 """Seeded random instance generators for the combinatorial suites, the
-fixed Nand-cut instances, and a counter of the frameworks built, with a
-guard that none is.
+fixed Nand-cut instances, a counter of the frameworks built, with a
+guard that none is, and a guard that a block leaves no cyclic garbage.
 
 Rule bodies only mention atoms strictly below the head atom in a fixed
 layering, so argument generation always terminates; instances that still
 blow past the generation limits are resampled.
 """
 
+import gc
 import random
 from contextlib import contextmanager
 
@@ -166,6 +167,25 @@ def no_member_built():
     with frameworks_built() as built:
         yield
     assert built == [0], f"{built[0]} frameworks were built"
+
+
+@contextmanager
+def no_cyclic_garbage():
+    """Fail when the block leaves objects that only the cyclic garbage
+    collector can free: every object it makes and drops must die by
+    reference count.  The collector is off inside the block, so none of
+    them is freed before the count at its end."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        unreachable = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert unreachable == 0, \
+        f"{unreachable} unreachable objects left for the cyclic collector"
 
 
 def nand_cut_cases():

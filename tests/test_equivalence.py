@@ -27,7 +27,12 @@ from uarg.errors import (
     UncertaintyBoundExceededError,
 )
 
-from framework_gen import nand_cut_cases, no_member_built, random_arg_iaf
+from framework_gen import (
+    nand_cut_cases,
+    no_cyclic_garbage,
+    no_member_built,
+    random_arg_iaf,
+)
 from oracles import (
     applied_check_witness,
     as_pairs,
@@ -522,6 +527,103 @@ class TestCheckWitnessPaths:
                 seen[lacks, want] += 1
         # sets with and without a lacking member accept, reject and raise
         assert all(count >= 20 for count in seen.values()), seen
+
+
+class TestIdentityBitPermutation:
+    """A witness that sends every union-graph entry to the target's entry
+    at the same place moves no key bit: the sets are compared by their
+    keys, and only another witness is pushed through ``_or_images``."""
+
+    @staticmethod
+    def counted_or_images(monkeypatch):
+        calls = []
+        or_images = equivalence._or_images
+
+        def counted(values, masks):
+            calls.append(len(values))
+            return or_images(values, masks)
+
+        monkeypatch.setattr(equivalence, "_or_images", counted)
+        return calls
+
+    def test_identity_between_different_sets_is_refused(self, monkeypatch):
+        calls = self.counted_or_images(monkeypatch)
+        full = AbstractAF(["a", "b"], [("a", "b")])
+        source = CompletionSet([AbstractAF(["a"]), full])
+        target = CompletionSet([AbstractAF(["b"]), full])
+        assert (source._graph, len(source)) == (target._graph, len(target))
+        identity = Witness.identity(["a", "b"])
+        assert not check_witness(source, target, identity)
+        assert not applied_check_witness(source, target, identity)
+        assert check_witness(source, source, identity)
+        assert calls == []
+
+    def test_automorphism_is_accepted(self, monkeypatch):
+        calls = self.counted_or_images(monkeypatch)
+        both = CompletionSet([AbstractAF(["a", "b"], [("a", "b")]),
+                              AbstractAF(["a", "b"], [("b", "a")])])
+        swap = Witness({"a": "b", "b": "a"})
+        assert check_witness(both, both, swap)
+        assert applied_check_witness(both, both, swap)
+        assert len(calls) == 1
+
+    def test_both_branches_match_applied_definition(self, monkeypatch):
+        calls = self.counted_or_images(monkeypatch)
+        seen = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            iaf = random_arg_iaf(rng, max_args=5)
+            names = sorted(iaf.all_args)
+            identity = Witness.identity(names)
+            shuffled = Witness(zip(names, rng.sample(names, len(names))))
+            members = list(completions_arg_iaf(iaf))
+            full = max(members, key=lambda af: len(af.args))
+            others = [af for af in members if af != full]
+            source = CompletionSet(members)
+            pairs = [(source, source), (source, shuffled.apply(source))]
+            if len(others) >= 2:  # one union graph, one member swapped
+                i, j = rng.sample(range(len(others)), 2)
+                left, right = (CompletionSet([full] + others[:k]
+                                             + others[k + 1:])
+                               for k in (i, j))
+                pairs += [(left, right), (left, shuffled.apply(right))]
+            for left, right in pairs:
+                for witness in (identity, shuffled):
+                    m = witness.mapping
+                    graph = left._graph
+                    stays = [m[a] for a in graph.args] == [
+                        *right._graph.args] and [
+                        (m[s], m[t]) for s, t in graph.defeats] == [
+                        *right._graph.defeats]
+                    del calls[:]
+                    got = witness_outcome(check_witness, left, right,
+                                          witness)
+                    assert got == witness_outcome(applied_check_witness,
+                                                  left, right, witness)
+                    assert not (stays and calls)
+                    branch = "keys" if stays else \
+                        "or_images" if calls else "graph"
+                    seen[branch, got] += 1
+        # both branches accept and refuse
+        assert all(seen[branch, outcome] >= 20
+                   for branch in ("keys", "or_images")
+                   for outcome in (True, False)), seen
+
+
+class TestNoCyclicGarbage:
+    def test_search_leaves_none_with_either_verdict(self):
+        rng = random.Random(113)
+        pairs = [thm10_sets()]
+        while len(pairs) < 40:
+            source = completions_arg_iaf(random_arg_iaf(rng, max_args=5))
+            if source.argument_union():
+                pairs.append((source, relabelled_or_near_miss(rng, source)))
+        with no_cyclic_garbage():
+            results = [equivalent(s, t) for s, t in pairs]
+            assert all(check_witness(s, t, r.witness)
+                       for (s, t), r in zip(pairs, results) if r.equivalent)
+        searched = Counter(r.equivalent for r in results if r.nodes)
+        assert searched[True] >= 10 and searched[False] >= 5, searched
 
 
 class TestEquivalent:

@@ -1,6 +1,9 @@
 import random
 import sys
 from dataclasses import replace
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -13,6 +16,7 @@ from uarg import (
     Limits,
     PremISAF,
     Rule,
+    RulISAF,
     Witness,
     arg_iaf_to_prem_isaf,
     arg_iaf_to_rul_isaf,
@@ -42,6 +46,7 @@ from uarg.incomplete import DepArgIAF, ImplyDisj
 
 from framework_gen import (
     GEN_LIMITS,
+    no_cyclic_garbage,
     random_arg_iaf,
     random_prem_isaf,
     random_rul_isaf,
@@ -255,6 +260,26 @@ class TestRulIsafToImpArgIaf:
             target, witness = rul_isaf_to_imp_arg_iaf(isaf)
             assert is_implicative(target)
             assert certify(isaf, target, witness)
+
+
+class TestMinimalCovers:
+    def test_matches_brute_force(self):
+        """Every subset-minimal set of names whose masks cover the needed
+        bits, sorted, as a search over every subset of names finds them;
+        classes of names with one profile are expanded."""
+        rng = random.Random(71)
+        for _ in range(300):
+            bits = rng.randint(1, 5)
+            needed = rng.randrange(1, 1 << bits)
+            names = [f"y{i}" for i in range(rng.randint(0, 7))]
+            profiles = [(name, rng.randrange(1 << bits)) for name in names]
+            covering = [frozenset(chosen) for size in range(len(names) + 1)
+                        for chosen in combinations(names, size)
+                        if needed & ~reduce(or_, (p for n, p in profiles
+                                                  if n in chosen), 0) == 0]
+            want = sorted((c for c in covering
+                           if not any(d < c for d in covering)), key=sorted)
+            assert translate._minimal_covers(needed, profiles) == want
 
 
 class TestPremIsafToImpArgIaf:
@@ -511,3 +536,60 @@ class TestOneRewrite:
             target, witness = translation(source, exact)
             assert len(generate_arguments(target.theory, exact)) == n
             assert certify(source, target, witness)
+
+
+STRUCTURED_TRANSLATIONS = {
+    RulISAF: (rul_isaf_to_imp_arg_iaf,),
+    PremISAF: (prem_isaf_to_imp_arg_iaf, prem_isaf_to_rul_isaf, tidy),
+}
+
+
+def round_trip(source) -> bool:
+    """Every structured translation of the source, certified by its
+    witness against the source's completion set."""
+    completions = completion_set_of(source)
+    return all(check_witness(completions, completion_set_of(target),
+                             witness)
+               for translation in STRUCTURED_TRANSLATIONS[type(source)]
+               for target, witness in [translation(source)])
+
+
+class TestNoCyclicGarbage:
+    """Every object a translation or a certification makes dies by
+    reference count: no argument holds itself, and no search is a
+    closure that refers to itself."""
+
+    def test_structured_fixtures(self):
+        sources = [fixtures.get(name) for name, fixture
+                   in sorted(fixtures.REGISTRY.items())
+                   if fixture.kind in ("rul-isaf", "prem-isaf")]
+        assert len(sources) == 5
+        with no_cyclic_garbage():
+            assert all(round_trip(source) for source in sources)
+
+    def test_arg_iaf_encodings(self):
+        rng = random.Random(31)
+        iafs = [random_arg_iaf(rng, max_args=5) for _ in range(20)]
+        with no_cyclic_garbage():
+            for iaf in iafs:
+                source = completion_set_of(iaf)
+                for encode in (arg_iaf_to_rul_isaf, arg_iaf_to_prem_isaf):
+                    target, witness = encode(iaf)
+                    assert check_witness(source, completion_set_of(target),
+                                         witness)
+
+    def test_random_frameworks(self):
+        rng = random.Random(37)
+        sources = [random_rul_isaf(rng) for _ in range(15)] + [
+            random_prem_isaf(rng, force_clash=i % 2 == 0)
+            for i in range(15)]
+        assert sum(not is_tidy(s) for s in sources[15:]) >= 5
+        with no_cyclic_garbage():
+            assert all(round_trip(source) for source in sources)
+
+    def test_guard_sees_a_cycle(self):
+        with pytest.raises(AssertionError, match="^1 unreachable objects"):
+            with no_cyclic_garbage():
+                cycle = []
+                cycle.append(cycle)
+                del cycle
