@@ -11,8 +11,10 @@ classes merged until a block holds at least 64 target members) and a guard
 bit above them.  Assigning a name narrows every field at once, with a few
 integer operations per new conjunct; a field left empty prunes, and shows
 as the one guard bit that adding every candidate bit does not carry into.
-Shapes, signatures and the matrix are read from the sets' keys; no member
-is built.
+A full assignment that narrows is a witness, proved by the matrix; the
+search returns it unchecked, and ``check_witness`` is the one check a
+caller runs on it.  Shapes, signatures and the matrix are read from the
+sets' keys; no member is built.
 Negative certification against argument-incomplete frameworks needs no
 search over frameworks: completion sets are closed under renaming, so a
 target has an equivalent framework iff the one framework that could
@@ -69,7 +71,9 @@ def check_witness(source: CompletionSet, target: CompletionSet,
     target member.  The witness must map the source's union graph onto the
     target's; it is then a permutation of key bits (arguments onto
     arguments, defeats onto defeats), and each source key, pushed through
-    it, must be a target key.
+    it, must be a target key.  When it sends each graph entry to the
+    target's entry at the same place, every key bit stays where it is, and
+    the sets are equal iff their keys are.
     """
     if witness.domain != source.argument_union():
         raise DomainMismatchError(
@@ -77,19 +81,9 @@ def check_witness(source: CompletionSet, target: CompletionSet,
     if witness.codomain != target.argument_union():
         raise DomainMismatchError(
             "witness codomain differs from the union of target arguments")
-    if not witness.is_bijective:
+    if not witness.is_bijective or len(source) != len(target):
         return False
-    return _maps_onto(source, target, witness.mapping)
-
-
-def _maps_onto(source: CompletionSet, target: CompletionSet,
-               m: dict[str, str]) -> bool:
-    """check_witness for a bijection m from the source union onto the
-    target union.  When m sends each graph entry to the target's entry at
-    the same place, every key bit stays where it is, and the sets are
-    equal iff their keys are."""
-    if len(source) != len(target):
-        return False
+    m = witness.mapping
     src, tgt = source._graph, target._graph
     mapped = [(m[s], m[t]) for s, t in src.defeats]
     if set(mapped) != set(tgt.defeats):
@@ -108,7 +102,8 @@ class _KeyTables:
     ``(|args|, |defeats|)``, each argument's occurrence signature, and
     the column of each argument and defeat.  A candidate matrix of one
     row block (``_candidate_matrix``) reads its rows from the source's
-    columns and its tiles from the target's.
+    columns and its tiles from the target's, as their member digits
+    (``_member_digits``).
 
     Members are numbered in the order the key set iterates; the search
     needs no member order.  Each argument and each defeat has a column
@@ -185,19 +180,6 @@ class _KeyTables:
                 for a, column, into, out, loop in zip(
                     self.graph.args, self.column, ins, outs, loops)}
 
-    def member_masks(self) -> tuple[dict[str, int],
-                                    dict[tuple[str, str], int]]:
-        """For each argument and each defeat, the members holding it, as a
-        bitmask over member positions."""
-        count = len(self.shapes)
-        digits = _member_digits(self.column + self.held, count,
-                                8 * self.words)
-        masks = [int(digits[i:i + count], 2)  # no member: no column
-                 for i in range(0, len(digits), count or 1)]
-        n = len(self.column)
-        return (dict(zip(self.graph.args, masks[:n])),
-                dict(zip(self.graph.defeats, masks[n:])))
-
     def by_shape(self, shapes: list[tuple[int, int]]) -> list[int]:
         """The keys, sorted by their members' shapes in the order of
         ``shapes``, and else in the order the key set iterates."""
@@ -267,8 +249,11 @@ def _candidate_matrix(src: _KeyTables, tgt: _KeyTables) -> tuple[
     if len(blocks) < 2:  # both sets in their own member order
         columns = src.column + src.held if field == 8 * src.words else \
             _entry_columns(src.graph, src.keys, field, src.key_bits)
-        tile = {entry: mask * ones for masks in tgt.member_masks()
-                for entry, mask in masks.items()}
+        digits = _member_digits(tgt.column + tgt.held, count,
+                                8 * tgt.words)
+        tile = dict(zip(tgt.graph.args + tgt.graph.defeats, [
+            int(digits[i:i + count], 2) * ones  # no member: no digit
+            for i in range(0, len(digits), count or 1)]))
         members = dict.fromkeys(shapes, 0)  # of each shape, in the target
         for j, shape in enumerate(tgt.shapes):
             members[shape] |= 1 << j
@@ -302,7 +287,13 @@ def _candidate_matrix(src: _KeyTables, tgt: _KeyTables) -> tuple[
 def equivalent(source: CompletionSet, target: CompletionSet,
                limits: Limits = DEFAULT_LIMITS,
                identity_only: bool = False) -> EquivalenceResult:
-    """Decide equivalence and return a verified witness on success.
+    """Decide equivalence and return a witness on success.
+
+    The search's candidate matrix proves the witness: once every name is
+    assigned, each source member keeps only target members that agree
+    with it on every argument and defeat, so the witness maps the source
+    set onto the target set, and ``check_witness`` accepts it.  The
+    search does not check it again.
 
     identity_only skips the search and tests the identity mapping alone,
     for callers that know both sets share one argument universe.  Only
@@ -331,15 +322,11 @@ def equivalent(source: CompletionSet, target: CompletionSet,
             "UARG_MAX_EQUIV_ARGS")
     src_sig = src.signatures()
     tgt_sig = tgt.signatures()
+    if sorted(src_sig.values()) != sorted(tgt_sig.values()):
+        return EquivalenceResult(NOT_EQUIVALENT, None)
     tgt_by_sig: dict[tuple[int, ...], list[str]] = {}
     for name in sorted(tgt_union):
         tgt_by_sig.setdefault(tgt_sig[name], []).append(name)
-    src_by_sig: dict[tuple[int, ...], list[str]] = {}
-    for name in sorted(src_union):
-        src_by_sig.setdefault(src_sig[name], []).append(name)
-    if {sig: len(v) for sig, v in src_by_sig.items()} != \
-            {sig: len(v) for sig, v in tgt_by_sig.items()}:
-        return EquivalenceResult(NOT_EQUIVALENT, None)
 
     order = sorted(src_union, key=lambda a: (src_sig[a], a))
     options = [tgt_by_sig[src_sig[name]] for name in order]
@@ -352,38 +339,29 @@ def equivalent(source: CompletionSet, target: CompletionSet,
     used: set[str] = set()
     matrices, choices = [first], []
     nodes = prunes = 0
-    while True:
+    while len(assigned) < len(order):
         depth = len(assigned)
-        if depth == len(order):
-            if _maps_onto(source, target, dict(assigned)):
-                return EquivalenceResult(EQUIVALENT, Witness(assigned),
-                                         nodes, prunes)
-            prunes += 1
-        else:
+        if len(choices) == depth:  # the name's first visit
             choices.append(iter(options[depth]))
-        while choices:  # the next candidate that narrows, backtracking
-            depth = len(choices) - 1
-            if len(assigned) > depth:  # undo this depth's last choice
-                used.discard(assigned.pop()[1])
-                matrices.pop()
-            for candidate in choices[-1]:
-                if candidate in used:
-                    continue
-                nodes += 1
-                narrowed = _narrow(matrices[-1], order[depth], candidate,
-                                   assigned, lack, tile, every, guard)
-                if narrowed is not None:
-                    break
-                prunes += 1
-            else:
-                choices.pop()
+        for candidate in choices[depth]:
+            if candidate in used:
                 continue
-            assigned.append((order[depth], candidate))
-            used.add(candidate)
-            matrices.append(narrowed)
-            break
-        else:
-            return EquivalenceResult(NOT_EQUIVALENT, None, nodes, prunes)
+            nodes += 1
+            narrowed = _narrow(matrices[depth], order[depth], candidate,
+                               assigned, lack, tile, every, guard)
+            if narrowed is not None:
+                assigned.append((order[depth], candidate))
+                used.add(candidate)
+                matrices.append(narrowed)
+                break
+            prunes += 1
+        else:  # no candidate left: undo the choice one name up
+            choices.pop()
+            if not assigned:
+                return EquivalenceResult(NOT_EQUIVALENT, None, nodes, prunes)
+            used.discard(assigned.pop()[1])
+            matrices.pop()
+    return EquivalenceResult(EQUIVALENT, Witness(assigned), nodes, prunes)
 
 
 def _narrow(matrix: int, name: str, candidate: str,

@@ -20,7 +20,7 @@ from uarg import (
     no_equivalent_arg_iaf,
 )
 from uarg import equivalence
-from uarg.equivalence import _KeyTables
+from uarg.equivalence import _KeyTables, _member_digits
 from uarg.errors import (
     DomainMismatchError,
     SearchBoundExceededError,
@@ -113,13 +113,33 @@ def assert_matches_recheck(source, target):
     return got
 
 
-def assert_recheck_trials():
+def failed_narrowings(monkeypatch):
+    """For each ``_narrow`` call from here on, in order, whether it
+    emptied a row."""
+    failed = []
+    narrow = equivalence._narrow
+
+    def counted(*args):
+        narrowed = narrow(*args)
+        failed.append(narrowed is None)
+        return narrowed
+
+    monkeypatch.setattr(equivalence, "_narrow", counted)
+    return failed
+
+
+def assert_recheck_trials(monkeypatch):
     """Relabelled pairs and degree-preserving near misses of three kinds
     of sets: completion sets, arbitrary framework sets, and sets of
     equally shaped members over one argument set (where only the
     per-member defeats, self-defeats included, tell members apart).  The
     narrowed candidate matrix must give the same verdict, witness, nodes
-    and prunes as re-checking every member pair at every node."""
+    and prunes as re-checking every member pair at every node.  The
+    search counts a node per narrowing and a prune per failed one, and
+    checks no witness itself: none goes through ``_or_images``, and each
+    passes both witness checks afterwards."""
+    or_images = TestIdentityBitPermutation.counted_or_images(monkeypatch)
+    failed = failed_narrowings(monkeypatch)
     rng = random.Random(107)
     found = refuted = prunes = 0
     for trial in range(400):
@@ -144,8 +164,15 @@ def assert_recheck_trials():
             source = CompletionSet(
                 AbstractAF(names, rng.sample(pairs, k))
                 for _ in range(rng.randint(2, 6)))
-        got = assert_matches_recheck(source,
-                                     relabelled_or_near_miss(rng, source))
+        target = relabelled_or_near_miss(rng, source)
+        del failed[:]
+        got = assert_matches_recheck(source, target)
+        assert or_images == []
+        assert (got.nodes, got.prunes) == (len(failed), sum(failed))
+        if got.equivalent:
+            assert check_witness(source, target, got.witness)
+            assert applied_check_witness(source, target, got.witness)
+            del or_images[:]
         found += got.equivalent
         refuted += not got.equivalent and got.nodes > 0
         prunes += got.prunes
@@ -304,9 +331,9 @@ def key_table_sets():
 
 
 class TestKeyTables:
-    """Shapes, signatures and member masks read from the packed keys
-    agree with the members they describe, and reading them builds no
-    member."""
+    """Shapes, signatures and the member digits of the columns read from
+    the packed keys agree with the members they describe, and reading
+    them builds no member."""
 
     def test_match_member_oracles(self):
         kinds = set()
@@ -314,12 +341,21 @@ class TestKeyTables:
             size = len(completions.argument_union())
             with no_member_built():
                 tables = _KeyTables(completions, size)
-                shapes, masks = tables.shapes, tables.member_masks()
+                shapes = tables.shapes
+                digits = _member_digits(tables.column + tables.held,
+                                        len(shapes), 8 * tables.words)
                 tables.signatures()
             members = members_in_key_order(completions)
             assert shapes == [(len(af.args), len(af.defeats))
                               for af in members]
-            assert masks == member_masks(members)
+            # one run of digits per entry, the last member first
+            count, graph = len(shapes), completions._graph
+            masks = [int(digits[i:i + count], 2)
+                     for i in range(0, len(digits), count or 1)]
+            n = len(graph.args)
+            assert (dict(zip(graph.args, masks[:n])),
+                    dict(zip(graph.defeats, masks[n:]))) == \
+                member_masks(members)
             assert_order_isomorphic(completions)
             kinds.add((lacks_a_defeat(completions), tables.words))
         assert kinds >= {(False, 1), (True, 1), (False, 2), (True, 2)}
@@ -723,15 +759,15 @@ class TestEquivalent:
         with pytest.raises(SearchBoundExceededError):
             equivalent(s, s, tight)
 
-    def test_matches_full_recheck_search(self):
-        assert_recheck_trials()
+    def test_matches_full_recheck_search(self, monkeypatch):
+        assert_recheck_trials(monkeypatch)
 
     def test_block_per_shape_matches_full_recheck_search(self,
                                                          monkeypatch):
         # every shape class its own row block: many blocks, each as wide
         # as its class
         monkeypatch.setattr(equivalence, "_BLOCK_MEMBERS", 1)
-        assert_recheck_trials()
+        assert_recheck_trials(monkeypatch)
 
     def test_two_row_blocks_match_full_recheck_search(self):
         # Sets of 65 to 128 members close a row block at 64 target
@@ -770,7 +806,9 @@ class TestEquivalent:
     def test_block_layouts_agree_at_scale(self, monkeypatch):
         """A 2,048-member relabelled pair and its degree-preserving near
         miss give one verdict, witness, nodes and prunes with every shape
-        class its own row block and with one block for the whole set."""
+        class its own row block and with one block for the whole set.  The
+        search pushes no witness through ``_or_images``."""
+        calls = TestIdentityBitPermutation.counted_or_images(monkeypatch)
         rng = random.Random(2048)
         names = [f"v{i}" for i in range(16)]
         uncertain = rng.sample(names, 11)
@@ -789,6 +827,7 @@ class TestEquivalent:
                 monkeypatch.setattr(equivalence, "_BLOCK_MEMBERS",
                                     block_members)
                 results.append(equivalent(source, target))
+            assert calls == []
             one_each, one_block = results
             assert (one_each.verdict, one_each.witness, one_each.nodes,
                     one_each.prunes) == (one_block.verdict,
@@ -797,6 +836,9 @@ class TestEquivalent:
             assert one_each.equivalent == verdict and one_each.nodes > 0
             if verdict:
                 assert check_witness(source, target, one_each.witness)
+                assert applied_check_witness(source, target,
+                                             one_each.witness)
+                del calls[:]
 
     def test_identity_only_mode(self):
         s = completion_set_of(fixtures.get("example1"))
