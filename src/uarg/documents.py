@@ -37,7 +37,6 @@ from .incomplete import (
     ArgIAF,
     CompletionSet,
     DepArgIAF,
-    _entry_columns,
     _key_coder,
     parse_iaf,
     serialize_iaf,
@@ -271,16 +270,20 @@ def serialize_completion_set(completions: CompletionSet) -> str:
     written a column at a time, so no member is built and nothing loops
     over the members in Python.
 
-    The column of a graph line holds one byte per member: 1 where the
-    member holds that argument or defeat, else 0.  The lines go eight at
-    a time; their columns, shifted by 0 to 7 and ORed, give each member a
-    byte whose bits pick its lines of the run, and a table of the joins
-    of every subset of those lines turns that byte into its text."""
-    graph, keys = completions._graph, completions._member_keys()
+    The column of a graph line holds one byte per member, in member
+    order: 1 where the member holds that argument or defeat, else 0.  The
+    order and the columns come from one sort of the packed keys by the
+    rank of their argument masks (``CompletionSet._ordered``).  The lines
+    go eight at a time; their columns, shifted by 0 to 7 and ORed, give
+    each member a byte whose bits pick its lines of the run, and a table
+    of the joins of every subset of those lines turns that byte into its
+    text."""
+    graph = completions._graph
+    keys, columns = completions._ordered()
     args, defeats = graph.args, graph.defeats
     lines = [f"arg({a}).\n" for a in args]
     lines += [f"att({s},{t}).\n" for s, t in defeats]
-    pending = iter(_entry_columns(graph, keys))
+    pending = iter(columns)
     step = (len(lines) + 7) // 8 + 1  # a member's runs, then its ---
     parts = ["---\n"] * (step * len(keys))
     for run, low in enumerate(range(0, len(lines), 8)):

@@ -23,8 +23,6 @@ produce it under its own names does.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -36,10 +34,10 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import DomainMismatchError, SearchBoundExceededError
 from .incomplete import (
     CompletionSet,
-    _DIGITS,
     _arg_model,
     _complete,
     _entry_columns,
+    _fields,
     _or_images,
 )
 from .translate import Witness
@@ -136,14 +134,8 @@ class _KeyTables:
         """The value in each member's field of a packed vector, member 0
         first.  Every value here fits its field's low word unless it is a
         signature code of a union of thousands of arguments."""
-        words = array("Q", vector.to_bytes(self.size, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        values = words[::self.words]
-        for j in range(1, self.code_words):
-            values = [v | w << 64 * j
-                      for v, w in zip(values, words[j::self.words])]
-        return values
+        return _fields(vector.to_bytes(self.size, "little"),
+                       8 * self.words, self.code_words)
 
     def signatures(self) -> dict[str, tuple[int, ...]]:
         """Per-argument occurrence signature: for every framework containing
@@ -187,6 +179,9 @@ class _KeyTables:
         for shape, key in zip(self.shapes, self.keys):
             rows[shape].append(key)
         return [key for shape in shapes for key in rows[shape]]
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _member_digits(columns: list[int], count: int, step: int) -> bytes:

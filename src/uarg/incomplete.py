@@ -12,11 +12,14 @@ and the induced defeats.  Dependencies filter which subsets are admissible:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 from operator import or_
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+from typing import (Callable, Collection, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 from . import kernels
 from .config import DEFAULT_LIMITS, Limits
@@ -30,6 +33,11 @@ from .errors import (
 # Subset filtering switches from plain enumeration to closure-based
 # enumeration above this width when every dependency is implicative.
 _HORN_THRESHOLD = 14
+
+# Packed fields of 1, 2, 4 or 8 bytes are written and read as machine
+# integers, of these array typecodes, and wider ones as 64-bit words.
+_CELLS = {array(code).itemsize: code for code in "BHILQ"}
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -169,9 +177,12 @@ class CompletionSet:
     member holds both its endpoints but not the defeat.  A member
     restricted from one graph lacks no such defeat, so its key is its
     argument mask.  Sizes, equality, hashing and lookups read the keys as
-    a set.  Only ``_member_keys`` puts them in member order, for building
-    the members, which happens on their first use and is cached, and for
-    writing a document.  Every set is built by ``_keyed``."""
+    a set.  Only ``_ordered`` puts them in member order, for building the
+    members, which happens on their first use and is cached, and for
+    writing a document: it sorts the keys by the rank of their argument
+    masks (``_member_order``) and reads both from the columns of that
+    sorted packing.  Every set is built by ``_keyed``, and a restricted
+    one from its masks' columns (``_induced_completions``)."""
 
     __slots__ = ("_graph", "_keys", "_members", "_coder")
 
@@ -197,21 +208,22 @@ class CompletionSet:
         out._members = out._coder = None
         return out
 
-    def _member_keys(self) -> tuple[int, ...]:
-        """The keys in member order, computed on each call: only building
-        the members and the document writer read it."""
+    def _ordered(self) -> "_Ordered":
+        """The keys in member order and their columns in that order,
+        computed on each call: only building the members and the document
+        writer read them."""
         return _member_order(self._graph, self._keys)
 
     @property
     def members(self) -> tuple[AbstractAF, ...]:
         if self._members is None:
             args, defeats = self._graph.args, self._graph.defeats
-            keys = self._member_keys()
+            keys, columns = self._ordered()
             count = len(keys)
             # the columns entry-major, so member r's byte per entry is the
             # stride slice from r
-            held = b"".join([column.to_bytes(count, "little") for column
-                             in _entry_columns(self._graph, keys)])
+            held = b"".join([column.to_bytes(count, "little")
+                             for column in columns])
             first = count * len(args)  # where the defeats' bytes start
             self._members = tuple(AbstractAF._canonical(
                 tuple(compress(args, held[r:first:count])),
@@ -272,19 +284,54 @@ def _key_coder(graph: AbstractAF) -> Callable[..., int]:
     return key
 
 
-def _union_of(graph: AbstractAF, masks: Collection[int]) -> tuple[
-        AbstractAF, list[int]]:
-    """The part of ``graph`` that some argument mask holds, and the masks
-    over it, in the order ``masks`` iterates."""
-    args = graph.args
-    column = _entry_columns(graph, masks)
-    kept = tuple(compress(args, column))
-    if len(kept) < len(args):  # renumber the bits of the kept arguments
-        place = dict.fromkeys(args, 0)
-        place.update((a, 1 << k) for k, a in enumerate(kept))
-        masks = _or_images([place[a] for a in args], masks)
-    return AbstractAF._canonical(kept, tuple(
-        compress(graph.defeats, column[len(args):]))), masks
+def _field_size(bits: int) -> int:
+    """The bytes of the narrowest field of 1, 2, 4 or a whole number of 8
+    bytes that holds ``bits`` bits."""
+    size = 1
+    while 8 * size < bits:
+        size *= 2
+    return size if size <= 8 else 8 * -(-bits // 64)
+
+
+def _field_bytes(values: Collection[int], field: int) -> bytes:
+    """``values``, in the order they iterate, side by side in fields of
+    ``field`` bytes (``_field_size``), little-endian, the first value
+    first.  Each value must fit its field."""
+    if field <= 8:
+        cells = array(_CELLS[field], values)
+    else:
+        words = field // 8
+        cells = array("Q", bytes(field * len(values)))
+        for j in range(words):
+            cells[j::words] = array("Q", [v >> 64 * j & _WORD
+                                          for v in values])
+    if sys.byteorder == "big":
+        cells.byteswap()
+    return cells.tobytes()
+
+
+def _fields(data: bytes, field: int, read: int | None = None
+            ) -> Sequence[int]:
+    """The values of the little-endian fields of ``field`` bytes
+    (``_field_size``) in ``data``, the first field first.  A field wider
+    than 8 bytes is read from its low ``read`` 64-bit words, all of them
+    by default."""
+    cells = array(_CELLS[min(field, 8)], data)
+    if sys.byteorder == "big":
+        cells.byteswap()
+    if field <= 8:
+        return cells
+    words = field // 8
+    values = cells[::words]
+    for j in range(1, words if read is None else read):
+        values = [v | c << 64 * j for v, c in zip(values, cells[j::words])]
+    return values
+
+
+def _ones(count: int, field: int) -> int:
+    """An integer with ``count`` fields of ``field`` bytes, each holding
+    1."""
+    return int.from_bytes(b"\1".ljust(field, b"\0") * count, "little")
 
 
 def _key_columns(keys: Collection[int], bits: int, field: int = 1,
@@ -293,29 +340,38 @@ def _key_columns(keys: Collection[int], bits: int, field: int = 1,
     ``field``-byte field per key, in the order ``keys`` iterates, holding
     1 where that key has the bit, else 0.  ``top`` is the bit length of
     the widest key, taken here unless the caller has it.  Keys are packed
-    once, as few bytes each as the widest key needs.  When every key fits
-    its field, they are packed into the fields, and column i is that
-    integer shifted by i.  Otherwise byte b of every key is the stride
-    slice ``packed[b::width]``, spaced out into the fields' low bytes,
-    and each column is a shift of one such row."""
+    once.  When every key fits its field, they are packed into the
+    fields, and column i is that integer shifted by i.  Otherwise they
+    are packed as few bytes each as the widest key needs, and read by
+    ``_row_columns``."""
     if top is None:
         top = max(keys, default=0).bit_length()  # at most bits
-    ones = int.from_bytes(b"\1".ljust(field, b"\0") * len(keys), "little")
-    if top <= 8 * field:
-        packed = int.from_bytes(b"".join(map(
-            int.to_bytes, keys, repeat(field), repeat("little"))), "little")
-        columns = [packed >> i & ones for i in range(top)]
-    else:
+    if top > 8 * field:
         width = (top + 7) // 8
-        packed = b"".join(map(int.to_bytes, keys, repeat(width),
-                              repeat("little")))
-        spaced = bytearray(field * len(keys))
-        columns = []
-        for b in range(width):
-            spaced[::field] = packed[b::width]
-            row = int.from_bytes(spaced, "little")
-            columns += [row >> i & ones for i in range(8)]
-        del columns[top:]
+        return _row_columns(b"".join(map(int.to_bytes, keys, repeat(width),
+                                         repeat("little"))),
+                            width, bits, field, top)
+    packed = int.from_bytes(b"".join(map(
+        int.to_bytes, keys, repeat(field), repeat("little"))), "little")
+    ones = _ones(len(keys), field)
+    return [packed >> i & ones for i in range(top)] + [0] * (bits - top)
+
+
+def _row_columns(packed: bytes, width: int, bits: int, field: int,
+                 top: int) -> list[int]:
+    """``_key_columns`` of the keys packed side by side in ``packed``,
+    ``width`` bytes each, little-endian: byte b of every key is the
+    stride slice ``packed[b::width]``, spaced out into the fields' low
+    bytes, and each column is a shift of one such row."""
+    count = len(packed) // width
+    ones = _ones(count, field)
+    spaced = bytearray(field * count)
+    columns = []
+    for b in range((top + 7) // 8):
+        spaced[::field] = packed[b::width]
+        row = int.from_bytes(spaced, "little")
+        columns += [row >> i & ones for i in range(8)]
+    del columns[top:]
     return columns + [0] * (bits - top)  # bits that no key has
 
 
@@ -324,10 +380,16 @@ def _entry_columns(graph: AbstractAF, keys: Collection[int],
     """One column per entry of ``graph.args + graph.defeats``: an integer
     with one ``field``-byte field per key, in the order ``keys`` iterates,
     holding 1 where that member holds the entry, else 0 (``top`` as for
-    ``_key_columns``).  A member holds a defeat iff it holds both
-    endpoints and its key has no lack bit for it."""
+    ``_key_columns``)."""
+    return _held(graph, _key_columns(keys, len(graph.args) +
+                                     len(graph.defeats), field, top))
+
+
+def _held(graph: AbstractAF, columns: list[int]) -> list[int]:
+    """The key columns of ``graph``'s entries made the columns of what
+    each member holds, in place: a member holds a defeat iff it holds
+    both endpoints and its key has no lack bit for it."""
     n = len(graph.args)
-    columns = _key_columns(keys, n + len(graph.defeats), field, top)
     held = dict(zip(graph.args, columns))
     # a key has a lack bit only where it holds both endpoints
     columns[n:] = [held[s] & held[t] ^ lack
@@ -363,72 +425,103 @@ def _subset_ors(values: list[int]) -> list[int]:
     return table
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+def _rank(columns: list[int]) -> int:
+    """Each field's preorder index among all masks over ``columns``
+    (column j holds 1 in the fields whose mask keeps position j), in one
+    integer with the fields of the columns: the masks' sorted tuples of
+    kept positions in ascending order, a tuple before any that extends
+    it.  The masks before m are its proper prefixes, one per kept
+    position, and, for each position j that m drops below its last kept
+    one, the 2^(n-1-j) masks that agree with m below j and keep j:
+
+        rank(m) = popcount(m) + sum of 2^(n-1-j) over those j
+
+    which is below 2^n.  One pass from the last position down: ``after``
+    holds the fields that keep a later position."""
+    rank = after = 0
+    for shift, column in enumerate(reversed(columns)):
+        later = after | column
+        rank += column + ((later ^ column) << shift)
+        after = later
+    return rank
 
 
-def _member_order(graph: AbstractAF,
-                  keys: Collection[int]) -> tuple[int, ...]:
+class _Ordered(NamedTuple):
+    """A set's keys in member order, and the column of each entry of its
+    graph (``_entry_columns``) with one byte per member in that order."""
+
+    keys: tuple[int, ...]
+    columns: list[int]
+
+
+def _member_order(graph: AbstractAF, keys: Collection[int]) -> _Ordered:
     """The ``keys`` over ``graph``, which are distinct, in the order of
-    their members.
+    their members, and their columns in that order.
 
     Members compare as their sorted (args, defeats) tuples, each a
-    sub-sequence of the graph's.  A mask of graph entries sorts by its
-    binary digits from entry 0 up to its last kept entry (1 kept, 0
-    dropped), behind a constant 1 that keeps the empty mask first and
-    before a closing 2.  In descending order a kept entry comes before a
-    dropped one, and a mask that closes comes before one that goes on,
-    just as a tuple that ends sorts first.  Two keys share an argument
-    mask only when one has a lack bit; their digits for the defeats held
-    follow the argument digits and break the tie."""
-    n = len(graph.args)
-    full = (1 << n) - 1
-    keys = [*keys]
-    if max(keys, default=0) > full:  # some key has a lack bit
-        # the arguments kept, then the defeats held, read entry-major from
-        # the defeats' columns
-        count = len(keys)
-        held = b"".join([column.to_bytes(count, "little") for column
-                         in _entry_columns(graph, keys)[n:]]
-                        ).translate(_DIGITS).decode()
-        digits = [bin((k & full) << 1 | 1)[:1:-1] + "21" +
-                  held[r::count].rstrip("0") + "2"
-                  for r, k in enumerate(keys)]
-    else:
-        digits = [bin(k << 1 | 1)[:1:-1] + "2" for k in keys]
-    return tuple(map(keys.__getitem__, sorted(
-        range(len(keys)), key=digits.__getitem__, reverse=True)))
+    sub-sequence of the graph's, so an argument mask sorts by its
+    ``_rank``, and two keys share an argument mask only when one has a
+    lack bit: then the rank of the defeats they hold breaks the tie.
+    The keys are packed once into fields as narrow as the ranks and keys
+    allow, the ranks are computed a column at a time over that packing,
+    each key goes into the low bits of its rank's field, and the fields
+    are sorted as plain integers.  The sorted fields, packed again, give
+    the keys' columns in member order."""
+    n, d, count = len(graph.args), len(graph.defeats), len(keys)
+    top = max(keys, default=0).bit_length()
+    ties = d if top > n else 0  # some key has a lack bit
+    field = _field_size(n + ties + top)
+    packed = int.from_bytes(_field_bytes(keys, field), "little")
+    ones = _ones(count, field)
+    held = _held(graph, [packed >> i & ones for i in range(n + ties)])
+    rank = _rank(held[:n]) << ties | _rank(held[n:])
+    data = _field_bytes(sorted(_fields((rank << top | packed).to_bytes(
+        field * count, "little"), field)), field)
+    low = int.from_bytes(data, "little") & ones * ((1 << top) - 1)
+    return _Ordered(tuple(_fields(low.to_bytes(field * count, "little"),
+                                  field)),
+                    _held(graph, _row_columns(data, field, n + d, 1, top)))
 
 
 def _induced_completions(full_af: AbstractAF, load: dict[str, int],
-                         masks: Iterable[int]) -> CompletionSet:
+                         masks: Collection[int]) -> CompletionSet:
     """One restriction of ``full_af`` per mask over the uncertain elements:
     argument a is kept under mask m iff ``load[a] & ~m == 0``, and a
     defeat iff both its endpoints are.  Defeats are induced, so masks
     keeping the same arguments share one member, and the set is the part
     of ``full_af`` they hold with one argument mask per member.
 
-    ``drop[b]`` holds the arguments whose load has bit b; a mask drops the
-    union of ``drop[b]`` over its clear bits.
-    """
-    args = full_af.args
-    drop: dict[int, int] = {}
-    for i, a in enumerate(args):
-        need = load[a]
+    The masks are packed once, side by side; a's column, holding 1 in
+    the fields of the masks that keep a, is the AND of the columns of
+    the elements of ``load[a]``.  The arguments kept somewhere are the
+    non-zero columns, the union's defeats are those whose endpoints'
+    columns meet, and the columns of the kept arguments, renumbered,
+    sum to the members' keys."""
+    args, count = full_af.args, len(masks)
+    field = _field_size(max(max(masks, default=0).bit_length(), len(args)))
+    packed = int.from_bytes(_field_bytes(masks, field), "little")
+    ones = _ones(count, field)
+    element = [packed >> b & ones for b in
+               range(max(load.values(), default=0).bit_length())]
+    columns = []
+    for a in args:
+        column, need = ones, load[a]
         while need:
             low = need & -need
             need ^= low
-            drop[low] = drop.get(low, 0) | 1 << i
-    bits = sum(drop)
-    dropped = set(_or_images(
-        [drop.get(1 << b, 0) for b in range(bits.bit_length())],
-        [bits & ~m for m in masks]))
-    full = (1 << len(args)) - 1
-    masks = frozenset(map(full.__xor__, dropped))
-    if full not in masks:
+            column &= element[low.bit_length() - 1]
+        columns.append(column)
+    kept = [column for column in columns if column]
+    keys = frozenset(_fields(sum(column << k for k, column in enumerate(
+        kept)).to_bytes(field * count, "little"), field))
+    if len(kept) < len(args) or (1 << len(args)) - 1 not in keys:
         # no member holds the whole graph, so it may hold more than the
         # union
-        full_af, masks = _union_of(full_af, masks)
-    return CompletionSet._keyed(full_af, masks)
+        held = dict(zip(args, columns))
+        full_af = AbstractAF._canonical(
+            tuple(compress(args, columns)),
+            tuple((s, t) for s, t in full_af.defeats if held[s] & held[t]))
+    return CompletionSet._keyed(full_af, keys)
 
 
 class _Model(NamedTuple):

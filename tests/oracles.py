@@ -11,9 +11,12 @@ check the search counters too,
 ``scanned_dependency_masks`` and ``fixpoint_horn_closed_masks`` take the
 (pos, neg) clauses of ``uarg.kernels.dependency_masks`` and
 ``uarg.incomplete._horn_closed_masks`` and return the same mask lists,
-``dict_induced_completions`` takes the arguments of
-``uarg.incomplete._induced_completions`` (a graph and a load, as the
-completion model ``uarg.incomplete._Model`` holds them, and any masks),
+``dict_induced_completions`` and ``table_induced_completions`` take the
+arguments of ``uarg.incomplete._induced_completions`` (a graph and a
+load, as the completion model ``uarg.incomplete._Model`` holds them, and
+any masks), the second through ``uarg.incomplete._or_images`` one mask
+at a time, ``digit_member_order`` sorts keys as
+``uarg.incomplete._member_order`` does, by one digit string per key,
 ``regenerated_completion_items`` regenerates each completion of a
 structured framework from its own theory, and returns what
 ``uarg.isaf._completion_items`` reads from the load model, under the
@@ -92,6 +95,7 @@ from uarg.errors import (
     UndeclaredArgumentError,
 )
 from uarg.incomplete import (
+    _entry_columns,
     _key_coder,
     _or_images,
     serialize_dependency,
@@ -489,6 +493,70 @@ def dict_induced_completions(full_af: AbstractAF, load: dict[str, int],
     return sorted_completion_set(graphs.values())
 
 
+def table_induced_completions(full_af: AbstractAF, load: dict[str, int],
+                              masks) -> CompletionSet:
+    """``uarg.incomplete._induced_completions`` one mask at a time:
+    ``drop[b]`` holds the arguments whose load has bit b, a mask drops
+    the union of ``drop[b]`` over its clear bits (``_or_images``), and
+    when no mask keeps every argument the union graph is rescanned from
+    the argument masks' entry columns and the kept arguments' bits
+    renumbered."""
+    args = full_af.args
+    masks = list(masks)
+    drop: dict[int, int] = {}
+    for i, a in enumerate(args):
+        need = load[a]
+        while need:
+            low = need & -need
+            need ^= low
+            drop[low] = drop.get(low, 0) | 1 << i
+    bits = sum(drop)
+    dropped = set(_or_images(
+        [drop.get(1 << b, 0) for b in range(bits.bit_length())],
+        [bits & ~m for m in masks]))
+    full = (1 << len(args)) - 1
+    kept_masks = frozenset(map(full.__xor__, dropped))
+    if full not in kept_masks:
+        column = _entry_columns(full_af, kept_masks)
+        kept = tuple(compress(args, column))
+        if len(kept) < len(args):  # renumber the bits of the kept args
+            place = dict.fromkeys(args, 0)
+            place.update((a, 1 << k) for k, a in enumerate(kept))
+            kept_masks = _or_images([place[a] for a in args], kept_masks)
+        full_af = AbstractAF._canonical(kept, tuple(
+            compress(full_af.defeats, column[len(args):])))
+    return CompletionSet._keyed(full_af, kept_masks)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def digit_member_order(graph: AbstractAF, keys) -> tuple[int, ...]:
+    """The distinct ``keys`` over ``graph`` in member order, each sorted
+    by a digit string: its argument mask's binary digits from entry 0 up
+    to its last kept entry (1 kept, 0 dropped), behind a constant 1 that
+    keeps the empty mask first and before a closing 2, in descending
+    order.  A kept entry comes before a dropped one, and a mask that
+    closes before one that goes on, just as a tuple that ends sorts
+    first.  Keys with a lack bit append the digits of the defeats held,
+    read entry-major from the defeats' columns."""
+    n = len(graph.args)
+    full = (1 << n) - 1
+    keys = [*keys]
+    if max(keys, default=0) > full:  # some key has a lack bit
+        count = len(keys)
+        held = b"".join([column.to_bytes(count, "little") for column
+                         in _entry_columns(graph, keys)[n:]]
+                        ).translate(_DIGITS).decode()
+        digits = [bin((k & full) << 1 | 1)[:1:-1] + "21" +
+                  held[r::count].rstrip("0") + "2"
+                  for r, k in enumerate(keys)]
+    else:
+        digits = [bin(k << 1 | 1)[:1:-1] + "2" for k in keys]
+    return tuple(map(keys.__getitem__, sorted(
+        range(len(keys)), key=digits.__getitem__, reverse=True)))
+
+
 def regenerated_completion_items(x, limits=DEFAULT_LIMITS) -> list:
     """One (completion, generated arguments) pair per uncertainty subset,
     in subset-mask order, each generated from its own theory, with
@@ -595,7 +663,7 @@ def gone_selectors(completions: CompletionSet):
     return ((every ^ lost).to_bytes(width, "big")
             for lost in _or_images([*gone.values()],
                                    [full ^ k for k in
-                                    completions._member_keys()]))
+                                    completions._ordered().keys]))
 
 
 def per_member_serialize_completion_set(completions: CompletionSet) -> str:

@@ -485,7 +485,7 @@ class TestKeyedConstructor:
             got = CompletionSet._keyed(cs._graph, keys)
             assert got._graph == expected._graph
             assert got._keys == expected._keys
-            assert got._member_keys() == _cached_member_keys(expected)
+            assert got._ordered().keys == _cached_member_keys(expected)
             assert list(got) == list(expected)
             assert serialize_completion_set(got) == \
                 serialize_completion_set(expected)
@@ -505,7 +505,7 @@ class TestKeyedConstructor:
         # member order is the order of the distinct members' (args,
         # defeats) pairs
         key = _key_coder(given._graph)
-        assert given._member_keys() == tuple(starmap(key, sorted(
+        assert given._ordered().keys == tuple(starmap(key, sorted(
             {(af.args, af.defeats) for af in members})))
         assert hash(given) == hash(expected)
         assert list(given) == list(expected)

@@ -40,7 +40,14 @@ from uarg.errors import (
 )
 from uarg import incomplete, isaf, kernels
 from uarg.documents import parse_completion_set, serialize_completion_set
-from uarg.incomplete import _arg_model, _horn_closed_masks, _induced_completions
+from uarg.incomplete import (
+    _arg_model,
+    _entry_columns,
+    _horn_closed_masks,
+    _induced_completions,
+    _key_coder,
+    _member_order,
+)
 
 from framework_gen import (
     GEN_LIMITS,
@@ -54,12 +61,14 @@ from oracles import (
     applied_check_witness,
     as_pairs,
     dict_induced_completions,
+    digit_member_order,
     fixpoint_horn_closed_masks,
     minimized_by_completions,
     naive_completions,
     naive_dep_completions,
     powerset,
     satisfies,
+    table_induced_completions,
 )
 
 EX1 = ArgIAF(["a"], ["b", "c"], [("b", "a"), ("c", "a")])
@@ -785,6 +794,165 @@ class TestMemberOrderRuns:
             before = member_orders[0]
             assert list(back) == list(back)
             assert member_orders[0] == before + 1
+
+
+def _random_deps(rng: random.Random, uncertain) -> list:
+    """Up to three random dependencies over ``uncertain``."""
+    deps = []
+    for _ in range(rng.randint(0, 3) if uncertain else 0):
+        first, second = (rng.sample(uncertain, rng.randint(1, len(uncertain)))
+                         for _ in range(2))
+        deps.append(rng.choice([ImplyDisj(first, second), Or(first),
+                                Nand(first)]))
+    return deps
+
+
+def _column_restriction_cases():
+    """(graph, load, masks) triples from the completion models of all
+    four kinds of ``framework_gen`` framework: every mask the model
+    admits, and a random part of them without the full subset, so that
+    no member need hold the whole graph.  Structured loads need several
+    elements each.  Then 70 arguments, so a member's key is wider than 64
+    bits: one uncertain argument each, and loads of up to three of eight
+    elements."""
+    rng = random.Random(71)
+    models = []
+    for i in range(30):
+        iaf = random_arg_iaf(rng, max_args=6)
+        models.append(_arg_model(iaf.full_af(), iaf.uncertain_args))
+        iaf = random_arg_iaf(rng, max_args=6)
+        models.append(_arg_model(iaf.full_af(), iaf.uncertain_args,
+                                 _random_deps(rng, iaf.uncertain_args)))
+        x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
+        models.append(isaf._model(x, GEN_LIMITS).record)
+    names = [f"w{i:02d}" for i in range(70)]
+    chain = AbstractAF(names, zip(names, names[1:]))
+    models.append(_arg_model(chain, tuple(rng.sample(names, 6))))
+    load = {a: sum(1 << b for b in rng.sample(range(8), rng.randint(0, 3)))
+            for a in names}
+    models.append(incomplete._Model(chain, load, 8))
+    cases = []
+    for model in models:
+        masks = list(incomplete._masks(model, GEN_LIMITS))
+        full = (1 << model.width) - 1
+        cases.append((model.graph, model.load, masks))
+        cases.append((model.graph, model.load, [
+            m for m in masks if m != full and rng.random() < 0.5]))
+    return cases
+
+
+class TestColumnRestriction:
+    """The column restriction keeps the members and the union graph of
+    the one-mask-at-a-time restriction, renumbering and dropped defeats
+    included."""
+
+    def test_cases_reach_every_shape(self):
+        cases = _column_restriction_cases()
+        assert any(bin(need).count("1") > 1
+                   for _, load, _ in cases for need in load.values())
+        assert max(len(graph.args) for graph, _, _ in cases) == 70
+        unions = [table_induced_completions(*case)._graph for case in cases]
+        # arguments that no mask keeps, so keys are renumbered
+        assert any(len(union.args) < len(graph.args)
+                   for union, (graph, _, _) in zip(unions, cases))
+        # every argument kept, but a defeat between two that no member
+        # holds together
+        assert any(len(union.args) == len(graph.args)
+                   and len(union.defeats) < len(graph.defeats)
+                   for union, (graph, _, _) in zip(unions, cases))
+        assert any(not masks for _, _, masks in cases)
+
+    def test_matches_table_restriction(self):
+        for graph, load, masks in _column_restriction_cases():
+            got = _induced_completions(graph, load, masks)
+            expected = table_induced_completions(graph, load, masks)
+            with no_member_built():
+                assert got._graph == expected._graph
+                assert got._keys == expected._keys
+                assert got == expected and hash(got) == hash(expected)
+                assert serialize_completion_set(got) == \
+                    serialize_completion_set(expected)
+            assert got.members == dict_induced_completions(
+                graph, load, masks).members
+
+
+def _sorted_keys(members) -> tuple[AbstractAF, tuple[int, ...]]:
+    """The union graph of ``members``, and the keys of the distinct ones
+    over it in the order of their sorted (args, defeats) pairs."""
+    graph = CompletionSet(members)._graph
+    key = _key_coder(graph)
+    pairs = sorted({(af.args, af.defeats) for af in members})
+    ordered = tuple(key(*pair) for pair in pairs)
+    return graph, ordered
+
+
+def _member_order_cases() -> list[list[AbstractAF]]:
+    """Member lists: none; only the empty member; members sharing their
+    arguments and differing in defeats (lack-bit ties); a 40-argument
+    chain, so a rank and its key need more than 64 bits; nine arguments
+    defeating one another (81 defeats), members lacking some, so a
+    lack-bit key needs more than 64 bits; and random small sets with
+    and without lack bits."""
+    rng = random.Random(73)
+    cases = [[], [AbstractAF()]]
+    cases.append([AbstractAF(["a", "b"], held) for held in
+                  powerset([("a", "b"), ("b", "a"), ("a", "a")])]
+                 + [AbstractAF(["a"], [("a", "a")]), AbstractAF(["a"]),
+                    AbstractAF(["b"])])
+    names = [f"c{i:02d}" for i in range(40)]
+    chain = AbstractAF(names, zip(names, names[1:]))
+    cases.append([chain, AbstractAF(), AbstractAF(names[-1:])]
+                 + [restrict(chain, rng.sample(names, rng.randint(0, 40)))
+                    for _ in range(30)])
+    names = [f"d{i}" for i in range(9)]
+    every = [(s, t) for s in names for t in names]
+    cases.append([AbstractAF(names, every)]
+                 + [AbstractAF(names, rng.sample(every, rng.randint(0, 81)))
+                    for _ in range(20)]
+                 + [AbstractAF(names[:4], [(s, t) for s, t in every
+                                           if s in names[:4] and t < s])])
+    for _ in range(40):
+        args = rng.sample("abcdef", rng.randint(1, 6))
+        members = []
+        for _ in range(rng.randint(1, 12)):
+            kept = rng.sample(args, rng.randint(0, len(args)))
+            pairs = [(s, t) for s in kept for t in kept]
+            members.append(AbstractAF(kept, rng.sample(
+                pairs, rng.randint(0, len(pairs)))))
+        cases.append(members)
+        iaf = random_arg_iaf(rng, max_args=6)
+        cases.append(list(completions_arg_iaf(iaf)))
+    return cases
+
+
+class TestMemberOrder:
+    """Members sort by the rank of their argument masks, and lack-bit
+    ties by the rank of the defeats held: the same order as the
+    digit-string sort and as sorting the members' (args, defeats)
+    pairs, whatever the order the keys were inserted in."""
+
+    def test_cases_reach_every_shape(self):
+        cases = _member_order_cases()
+        graphs = [_sorted_keys(members)[0] for members in cases]
+        assert max(2 * len(graph.args) for graph in graphs) > 64
+        assert any(len(graph.defeats) > 64 and any(
+            key >> len(graph.args) for key in _sorted_keys(members)[1])
+            for graph, members in zip(graphs, cases))
+
+    def test_matches_digit_order_and_sorted_members(self):
+        for members in _member_order_cases():
+            graph, expected = _sorted_keys(members)
+            ascending = sorted(expected)
+            shuffled = ascending[:]
+            random.Random(len(expected)).shuffle(shuffled)
+            for inserted in (ascending, ascending[::-1], shuffled):
+                keys = frozenset(inserted)
+                with no_member_built():
+                    ordered = _member_order(graph, keys)
+                assert ordered.keys == expected
+                assert digit_member_order(graph, keys) == expected
+                # the columns are those of the keys in that order
+                assert ordered.columns == _entry_columns(graph, expected)
 
 
 class TestKeyColumns:
