@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF
+from .core import AbstractAF, _trusted
 from .errors import (
     ArgumentNotOfTheoryError,
     GenerationLimitExceededError,
@@ -96,7 +96,8 @@ class Rule:
 class ArgumentationTheory:
     """Language, contrariness, rules, rule naming, and the split knowledge
     base (axioms are not underminable; ordinary premises are).  Validated
-    when built, also by ``dataclasses.replace``."""
+    when built, also by ``dataclasses.replace``; ``_canonical`` builds one
+    unchecked, for theories valid by construction."""
 
     formulas: frozenset[str]
     contraries: frozenset[tuple[str, str]]  # (phi, psi): phi in contrary-set of psi
@@ -107,6 +108,8 @@ class ArgumentationTheory:
 
     def __post_init__(self):
         validate_theory(self)
+
+    _canonical = classmethod(_trusted)
 
     @property
     def knowledge_base(self) -> frozenset[str]:
@@ -406,7 +409,28 @@ def defeats(saf: SAF, arguments: tuple[StructuredArgument, ...] | None = None,
     theory = saf.theory
     if arguments is None:
         arguments = generate_arguments(theory, limits)
+    contrary = theory._contrary_map
+    by_conc: dict[str, list[StructuredArgument]] = {}
+    for arg in arguments:
+        by_conc.setdefault(arg.conc, []).append(arg)
+    attackers: dict[str, list[StructuredArgument]] = {}
+
+    def attackers_of(guard: str) -> list[StructuredArgument]:
+        """The arguments concluding a contrary of ``guard``, found once
+        per guard."""
+        out = attackers.get(guard)
+        if out is None:
+            out = attackers[guard] = [
+                arg for phi in contrary.get(guard, ())
+                for arg in by_conc.get(phi, ())]
+        return out
+
     pref = saf.preferences
+    if not pref:  # every attack defeats
+        return frozenset({
+            (attacker, attacked) for attacked in arguments
+            for _, _, guard in _vulnerable_loci(theory, attacked)
+            for attacker in attackers_of(guard)})
     texts = {arg.text for arg in arguments}
     missing = {name for a, b in pref for name in (a, b) if name not in texts}
     if missing:
@@ -416,17 +440,6 @@ def defeats(saf: SAF, arguments: tuple[StructuredArgument, ...] | None = None,
 
     def strictly_less(a: str, b: str) -> bool:
         return (a, b) in pref and (b, a) not in pref
-
-    contrary = theory._contrary_map
-    by_conc: dict[str, list[StructuredArgument]] = {}
-    for arg in arguments:
-        by_conc.setdefault(arg.conc, []).append(arg)
-
-    def attackers_of(guard: str) -> list[StructuredArgument]:
-        out = []
-        for phi in contrary.get(guard, ()):
-            out.extend(by_conc.get(phi, ()))
-        return out
 
     result = set()
     for attacked in arguments:

@@ -35,9 +35,8 @@ from .errors import (
 _HORN_THRESHOLD = 14
 
 # Packed fields of 1, 2, 4 or 8 bytes are written and read as machine
-# integers, of these array typecodes, and wider ones as 64-bit words.
+# integers, of these array typecodes, and wider ones read as 64-bit words.
 _CELLS = {array(code).itemsize: code for code in "BHILQ"}
-_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,9 @@ class CompletionSet:
     writing a document: it sorts the keys by the rank of their argument
     masks (``_member_order``) and reads both from the columns of that
     sorted packing.  Every set is built by ``_keyed``, and a restricted
-    one from its masks' columns (``_induced_completions``)."""
+    one from one table of ORs when every subset is kept
+    (``_all_subset_completions``), else from its masks' columns
+    (``_induced_completions``)."""
 
     __slots__ = ("_graph", "_keys", "_members", "_coder")
 
@@ -295,19 +296,24 @@ def _field_size(bits: int) -> int:
 
 def _field_bytes(values: Collection[int], field: int) -> bytes:
     """``values``, in the order they iterate, side by side in fields of
-    ``field`` bytes (``_field_size``), little-endian, the first value
-    first.  Each value must fit its field."""
-    if field <= 8:
-        cells = array(_CELLS[field], values)
-    else:
-        words = field // 8
-        cells = array("Q", bytes(field * len(values)))
-        for j in range(words):
-            cells[j::words] = array("Q", [v >> 64 * j & _WORD
-                                          for v in values])
+    ``field`` bytes, little-endian, the first value first.  Each value
+    must fit its field.  A field of at most 8 bytes is written through
+    the narrowest machine integer cell that holds it (``_field_size``),
+    taking the cell's low bytes; a wider one is written a value at a
+    time, which is faster than splitting the values into 64-bit words."""
+    cell = _field_size(8 * field)
+    if cell > 8:
+        return b"".join(map(int.to_bytes, values, repeat(field),
+                            repeat("little")))
+    cells = array(_CELLS[cell], values)
     if sys.byteorder == "big":
         cells.byteswap()
-    return cells.tobytes()
+    if cell == field:
+        return cells.tobytes()
+    data, out = cells.tobytes(), bytearray(field * len(values))
+    for b in range(field):
+        out[b::field] = data[b::cell]
+    return bytes(out)
 
 
 def _fields(data: bytes, field: int, read: int | None = None
@@ -340,19 +346,17 @@ def _key_columns(keys: Collection[int], bits: int, field: int = 1,
     ``field``-byte field per key, in the order ``keys`` iterates, holding
     1 where that key has the bit, else 0.  ``top`` is the bit length of
     the widest key, taken here unless the caller has it.  Keys are packed
-    once.  When every key fits its field, they are packed into the
-    fields, and column i is that integer shifted by i.  Otherwise they
-    are packed as few bytes each as the widest key needs, and read by
-    ``_row_columns``."""
+    once, by ``_field_bytes``.  When every key fits its field, they are
+    packed into the fields, and column i is that integer shifted by i.
+    Otherwise they are packed as few bytes each as the widest key needs,
+    and read by ``_row_columns``."""
     if top is None:
         top = max(keys, default=0).bit_length()  # at most bits
     if top > 8 * field:
         width = (top + 7) // 8
-        return _row_columns(b"".join(map(int.to_bytes, keys, repeat(width),
-                                         repeat("little"))),
-                            width, bits, field, top)
-    packed = int.from_bytes(b"".join(map(
-        int.to_bytes, keys, repeat(field), repeat("little"))), "little")
+        return _row_columns(_field_bytes(keys, width), width, bits, field,
+                            top)
+    packed = int.from_bytes(_field_bytes(keys, field), "little")
     ones = _ones(len(keys), field)
     return [packed >> i & ones for i in range(top)] + [0] * (bits - top)
 
@@ -643,9 +647,36 @@ def _masks(model: _Model, limits: Limits) -> Collection[int]:
 
 
 def _complete(model: _Model, limits: Limits) -> CompletionSet:
-    """The completion set of ``model``: its graph under each mask."""
-    return _induced_completions(model.graph, model.load,
-                                _masks(model, limits))
+    """The completion set of ``model``: its graph under each mask.  A
+    model with no clause keeps every subset of its elements, once
+    ``_masks`` has checked their number against the bound, and those are
+    read from one table (``_all_subset_completions``): at every width
+    measured, 0 to 18, it took less time and memory than the packed
+    restriction."""
+    masks = _masks(model, limits)
+    if not model.clauses:
+        return _all_subset_completions(model)
+    return _induced_completions(model.graph, model.load, masks)
+
+
+def _all_subset_completions(model: _Model) -> CompletionSet:
+    """``_induced_completions`` over every mask of the model's elements:
+    ``drop[e]`` holds the arguments that need element e, so the subsets
+    of elements drop exactly the ORs of subsets of ``drop``
+    (``_subset_ors``), and each member's key is the full argument mask
+    without them.  The full subset keeps every argument, so the union is
+    the model's own graph."""
+    args, load = model.graph.args, model.load
+    drop = [0] * model.width
+    for i, a in enumerate(args):
+        need = load[a]
+        while need:
+            low = need & -need
+            need ^= low
+            drop[low.bit_length() - 1] |= 1 << i
+    full = (1 << len(args)) - 1
+    return CompletionSet._keyed(model.graph, map(full.__xor__,
+                                                 _subset_ors(drop)))
 
 
 def completions_dep(diaf: DepArgIAF,

@@ -38,7 +38,7 @@ from .aspic import (
     generate_arguments,
 )
 from .config import DEFAULT_LIMITS, Limits
-from .core import AbstractAF
+from .core import AbstractAF, _trusted
 from .errors import InvalidTheoryError
 from .incomplete import (
     ArgIAF,
@@ -67,6 +67,8 @@ class RulISAF:
             raise InvalidTheoryError(
                 f"uncertain rules not in the rule set: {sorted(map(repr, stray))}")
 
+    _canonical = classmethod(_trusted)
+
     @property
     def fixed_rules(self) -> frozenset[Rule]:
         return self.theory.rules - self.uncertain_rules
@@ -88,6 +90,8 @@ class PremISAF:
         if stray:
             raise InvalidTheoryError(
                 f"uncertain knowledge not in the knowledge base: {sorted(stray)}")
+
+    _canonical = classmethod(_trusted)
 
     @property
     def fixed_axioms(self) -> frozenset[str]:

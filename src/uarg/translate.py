@@ -4,6 +4,11 @@ Each translation returns the target framework together with an explicit
 witness: the bijection between the argument universes of the two completion
 sets that certifies their equivalence.  Witnesses are materialized tables,
 so certification is replayable without re-running the construction.
+
+The two encodings of an argument-incomplete framework build their theory
+unchecked: ``_formula_names`` makes every argument's token, and its
+negation, a valid formula, and the rest of the theory's validity follows
+from its construction.  Every other theory built here is validated.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .aspic import (
     StructuredArgument,
     inference_argument,
     is_valid_formula,
-    make_theory,
 )
 from .config import DEFAULT_LIMITS, Limits
 from .core import AbstractAF, check_argument_id
@@ -108,53 +112,70 @@ def _formula_names(names: Iterable[str]) -> dict[str, str]:
     return {name: f"p{i}" for i, name in enumerate(ordered)}
 
 
-def _lifted_contraries(iaf: ArgIAF, token: dict[str, str],
-                       ) -> set[tuple[str, str]]:
-    # Classical pairs keep every formula contradicted; defeat pairs encode
-    # the graph: token(x) is a contrary of token(y) iff x defeats y.
-    contraries: set[tuple[str, str]] = set()
-    for name in iaf.all_args:
-        contraries.add((token[name], "~" + token[name]))
-        contraries.add(("~" + token[name], token[name]))
-    for s, t in iaf.defeats:
-        contraries.add((token[s], token[t]))
-    return contraries
+def _encoded_theory(token: dict[str, str],
+                    defeats: Iterable[tuple[str, str]],
+                    rules: frozenset[Rule] = frozenset(),
+                    premises: Iterable[str] = ()) -> ArgumentationTheory:
+    """The theory of an arg-IAF encoding, ``token`` naming each argument's
+    formula.  Each token and its negation ~token form the language and
+    contradict each other, which keeps every formula contradicted, and
+    token(s) is a contrary of token(t) iff s defeats t, which encodes the
+    graph.
+
+    It is built trusted, with its contrary sets cached: ``_formula_names``
+    makes every token and its negation a valid formula, and the rule heads
+    and premises are tokens."""
+    contrary = {}
+    for phi in token.values():
+        contrary[phi] = {"~" + phi}
+        contrary["~" + phi] = {phi}
+    for s, t in defeats:
+        contrary[token[t]].add(token[s])
+    theory = ArgumentationTheory._canonical(
+        frozenset(contrary),
+        frozenset((phi, psi) for psi, phis in contrary.items()
+                  for phi in phis),
+        rules, {}, frozenset(), frozenset(premises))
+    theory.__dict__["_contrary_map"] = {
+        psi: frozenset(phis) for psi, phis in contrary.items()}
+    return theory
 
 
 def arg_iaf_to_rul_isaf(iaf: ArgIAF) -> tuple[RulISAF, Witness]:
     """Encode fixed arguments as ordinary premises and uncertain arguments
-    as uncertain empty-bodied defeasible rules."""
-    token = _formula_names(iaf.all_args)
+    as uncertain empty-bodied defeasible rules.  The theory is valid by
+    construction (``_encoded_theory``), and the uncertain rules are its
+    rules, so both are built unchecked."""
+    names = iaf.all_args
+    token = _formula_names(names)
     uncertain_rules = frozenset(Rule((), token[name], DEFEASIBLE)
                                 for name in iaf.uncertain_args)
-    theory = make_theory(
-        contraries=_lifted_contraries(iaf, token),
-        rules=uncertain_rules,
-        premises=[token[name] for name in iaf.fixed_args],
-    )
-    target = RulISAF(theory, uncertain_rules)
+    theory = _encoded_theory(
+        token, iaf.defeats, rules=uncertain_rules,
+        premises=[token[name] for name in iaf.fixed_args])
+    target = RulISAF._canonical(theory, uncertain_rules, frozenset())
     fixed = set(iaf.fixed_args)
     witness = Witness({
         name: token[name] if name in fixed else f"[]=d>{token[name]}"
-        for name in iaf.all_args
+        for name in names
     })
     return target, witness
 
 
 def arg_iaf_to_prem_isaf(iaf: ArgIAF) -> tuple[PremISAF, Witness]:
     """Encode fixed arguments as certain and uncertain arguments as
-    uncertain ordinary premises; no rules at all."""
-    token = _formula_names(iaf.all_args)
-    theory = make_theory(
-        contraries=_lifted_contraries(iaf, token),
-        premises=[token[name] for name in iaf.all_args],
-    )
-    target = PremISAF(
-        theory,
-        uncertain_premises=frozenset(token[name]
-                                     for name in iaf.uncertain_args),
-    )
-    witness = Witness({name: token[name] for name in iaf.all_args})
+    uncertain ordinary premises; no rules at all.  As for
+    ``arg_iaf_to_rul_isaf``, the theory and the framework are built
+    unchecked: every argument's token is a premise."""
+    names = iaf.all_args
+    token = _formula_names(names)
+    theory = _encoded_theory(token, iaf.defeats,
+                             premises=[token[name] for name in names])
+    target = PremISAF._canonical(
+        theory, frozenset(), frozenset(token[name]
+                                       for name in iaf.uncertain_args),
+        frozenset())
+    witness = Witness({name: token[name] for name in names})
     return target, witness
 
 

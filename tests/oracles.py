@@ -39,6 +39,7 @@ and build through the public constructors,
 ``walked_sub_arguments``, ``walked_rules_used``,
 ``walked_argument_of_theory`` and ``leaf_built_attacks`` walk the
 inference tree of a ``uarg.StructuredArgument`` that the library builds,
+``definitional_defeats`` filters those attacks by preference,
 and ``generated_tidy`` and ``two_pass_prem_isaf_to_rul_isaf`` tidy by
 generating the tidied theory's arguments and convert premises to rules by
 a second rewrite over them, composing the two witnesses.
@@ -909,6 +910,24 @@ def leaf_built_attacks(theory, attacker, attacked) -> frozenset:
     return frozenset(AttackInstance(attacker, attacked, kind, locus)
                      for kind, locus, guard in loci
                      if attacker.conc in contrary.get(guard, ()))
+
+
+def definitional_defeats(saf, arguments) -> frozenset:
+    """The defeats among ``arguments`` by definition: A defeats B iff some
+    attack instance of A on B (``leaf_built_attacks``) is an undercut, or
+    its attacker is not strictly less preferred than its locus."""
+    pref = saf.preferences
+
+    def strictly_less(a: str, b: str) -> bool:
+        return (a, b) in pref and (b, a) not in pref
+
+    return frozenset(
+        (attacker, attacked) for attacker in arguments
+        for attacked in arguments
+        if any(attack.kind == "undercut"
+               or not strictly_less(attacker.text, attack.locus.text)
+               for attack in leaf_built_attacks(saf.theory, attacker,
+                                                attacked)))
 
 
 def _called_leaf_rewrite(arguments, leaf) -> dict[str, str]:

@@ -36,6 +36,7 @@ from uarg.errors import (
 
 from framework_gen import random_prem_isaf, random_rul_isaf
 from oracles import (
+    definitional_defeats,
     is_premiseless,
     is_simple,
     leaf_built_attacks,
@@ -325,6 +326,32 @@ class TestDefeats:
                 env={**os.environ, "PYTHONPATH": src,
                      "PYTHONHASHSEED": seed})
             assert result.stdout == expected, result.stdout + result.stderr
+
+    def test_against_the_definition(self):
+        # named rules give undercuts, which no preference filters; random
+        # preference sets, some symmetric, filter rebuts and undermines
+        rng = random.Random(43)
+        filtered = 0
+        for i in range(120):
+            x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
+            arguments = generate_arguments(x.theory)
+            texts = [arg.text for arg in arguments]
+            pairs = [(a, b) for a in texts for b in texts]
+            chosen = rng.sample(pairs, min(len(pairs), rng.randint(1, 40)))
+            chosen += [(b, a) for a, b in chosen[::3]]
+            for prefs in (frozenset(), x.preferences, frozenset(chosen)):
+                saf = SAF(x.theory, prefs)
+                found = defeats(saf, arguments)
+                assert found == definitional_defeats(saf, arguments)
+                filtered += len(found) < len(defeats(SAF(x.theory),
+                                                     arguments))
+        assert filtered > 20
+        # a preference on an argument the theory does not generate still
+        # raises, whatever the other preferences
+        known = (texts[0], texts[-1])
+        with pytest.raises(PreferenceUnknownArgumentError):
+            defeats(SAF(x.theory, frozenset({known, ("ghost", texts[0])})),
+                    arguments)
 
     def test_defeats_restrict_under_rule_growth(self):
         rng = random.Random(31)

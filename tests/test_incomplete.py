@@ -876,6 +876,83 @@ class TestColumnRestriction:
                 graph, load, masks).members
 
 
+def _table_models():
+    """Clause-free models of widths 0 to 10: random graphs whose
+    arguments need up to three elements each, some none, and the models
+    of ``framework_gen`` rule and premise frameworks."""
+    rng = random.Random(79)
+    models = []
+    for width in range(11):
+        for _ in range(8):
+            names = [f"a{i}" for i in range(rng.randint(0, 10))]
+            graph = AbstractAF(names, [(s, t) for s in names for t in names
+                                       if rng.random() < 0.3])
+            load = {a: sum(1 << b for b in rng.sample(
+                range(width), rng.randint(0, min(3, width))))
+                for a in names}
+            models.append(incomplete._Model(graph, load, width))
+    for i in range(30):
+        x = (random_rul_isaf if i % 2 else random_prem_isaf)(rng)
+        models.append(isaf._model(x, GEN_LIMITS).record)
+    return models
+
+
+class TestAllSubsetTable:
+    """A clause-free model completes from one table of ORs, to the set
+    that the packed restriction and the one-mask-at-a-time restriction
+    give over every mask, and only after the uncertainty bound is
+    checked; a model with clauses is restricted on packed columns."""
+
+    def test_matches_restrictions(self):
+        models = _table_models()
+        assert any(bin(need).count("1") > 1
+                   for model in models for need in model.load.values())
+        assert {model.width for model in models} == set(range(11))
+        for model in models:
+            masks = range(1 << model.width)
+            with no_member_built():
+                got = incomplete._complete(model, GEN_LIMITS)
+                for expected in (
+                        _induced_completions(model.graph, model.load, masks),
+                        table_induced_completions(model.graph, model.load,
+                                                  masks)):
+                    assert got._graph == expected._graph
+                    assert got._keys == expected._keys
+                    assert serialize_completion_set(got) == \
+                        serialize_completion_set(expected)
+
+    def test_table_without_clauses_and_packed_with(self, monkeypatch):
+        packed = []
+        original = incomplete._induced_completions
+
+        def counting(graph, load, masks):
+            packed.append(len(masks))
+            return original(graph, load, masks)
+
+        monkeypatch.setattr(incomplete, "_induced_completions", counting)
+        for width in (0, 8, 9, 12):
+            names = [f"u{i}" for i in range(width)]
+            completions = completions_arg_iaf(ArgIAF(["f"], names))
+            assert len(completions) == 1 << width
+        assert packed == []
+        completions_dep(DepArgIAF(ArgIAF([], ["a", "b"]), [Or(["a", "b"])]))
+        assert packed == [3]
+
+    def test_bound_checked_before_the_table(self):
+        names = [f"u{i}" for i in range(6)]
+        iaf = ArgIAF(["f"], names, [("f", "u0")])
+        bound, exceeded = Limits(max_uncertain=5), "6 uncertain elements"
+        with pytest.raises(UncertaintyBoundExceededError, match=exceeded):
+            completions_arg_iaf(iaf, bound)
+        for encode, complete in ((arg_iaf_to_rul_isaf, completions_rul),
+                                 (arg_iaf_to_prem_isaf, completions_prem)):
+            target, _ = encode(iaf)
+            with pytest.raises(UncertaintyBoundExceededError,
+                               match=exceeded):
+                complete(target, bound)
+            assert len(complete(target, Limits(max_uncertain=6))) == 64
+
+
 def _sorted_keys(members) -> tuple[AbstractAF, tuple[int, ...]]:
     """The union graph of ``members``, and the keys of the distinct ones
     over it in the order of their sorted (args, defeats) pairs."""
@@ -976,3 +1053,26 @@ class TestKeyColumns:
                     assert incomplete._key_columns(keys, bits, field) == want
                     assert incomplete._key_columns(
                         keys, bits, field, top) == want
+
+    def test_every_field_size_against_per_key_bytes(self):
+        """Keys are packed through ``_field_bytes`` at every field size,
+        in whole array cells, in the low bytes of wider cells, and a key
+        at a time, fitting their field or wider than it: the bytes are
+        each key's own little-endian bytes, and field k of column i holds
+        bit i of key k."""
+        rng = random.Random(71)
+        for field in (1, 2, 4, 8, 16, 3, 5, 12):
+            for wide in (1, 2, 3):
+                for count in (1, 2, 7, 40):
+                    top = rng.randint(8 * field * (wide - 1) + 1,
+                                      8 * field * wide)
+                    keys = [rng.getrandbits(top) for _ in range(count)]
+                    keys[-1] |= 1 << top - 1  # the widest key has top bits
+                    width = (top + 7) // 8
+                    assert incomplete._field_bytes(keys, width) == b"".join(
+                        key.to_bytes(width, "little") for key in keys)
+                    bits = top + rng.randint(0, 3)
+                    want = [int.from_bytes(b"".join(
+                        (key >> i & 1).to_bytes(field, "little")
+                        for key in keys), "little") for i in range(bits)]
+                    assert incomplete._key_columns(keys, bits, field) == want

@@ -1,6 +1,6 @@
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -23,7 +23,6 @@ from uarg import (
     check_witness,
     completion_set_of,
     completions_dep,
-    completions_rul,
     fixtures,
     generate_arguments,
     is_implicative,
@@ -145,27 +144,6 @@ class TestArgIafToRulIsaf:
             target, witness = arg_iaf_to_rul_isaf(iaf)
             assert certify(iaf, target, witness)
 
-    def test_theory_validated_once_per_encoding(self, monkeypatch):
-        # make_theory builds the encoded theory, which validates it; the
-        # completion set of that framework validates nothing again
-        calls = []
-        original = aspic.validate_theory
-
-        def counting(theory):
-            calls.append(theory)
-            return original(theory)
-
-        # patch every binding: a module importing the name would bypass a
-        # patch of aspic alone
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("uarg") and \
-                    getattr(module, "validate_theory", None) is original:
-                monkeypatch.setattr(module, "validate_theory", counting)
-        target, _ = arg_iaf_to_rul_isaf(fixtures.get("example1"))
-        assert len(calls) == 1
-        assert len(completions_rul(target)) == 4
-        assert calls == [target.theory]
-
 
 class TestArgIafToPremIsaf:
     def test_example1_construction(self):
@@ -190,6 +168,70 @@ class TestArgIafToPremIsaf:
             iaf = random_arg_iaf(rng)
             target, witness = arg_iaf_to_prem_isaf(iaf)
             assert certify(iaf, target, witness)
+
+
+class TestTrustedEncodedTheories:
+    """Both arg-IAF encodings build their theory and framework unchecked;
+    each is the one the validating constructors build from the same
+    inputs."""
+
+    @staticmethod
+    def validated(iaf, target):
+        """The encoded framework as the public constructors build it from
+        the argument names, the defeats and the kind of encoding."""
+        token = translate._formula_names(iaf.all_args)
+        contraries = {(token[s], token[t]) for s, t in iaf.defeats}
+        for name in iaf.all_args:
+            contraries |= {(token[name], "~" + token[name]),
+                           ("~" + token[name], token[name])}
+        uncertain = [token[name] for name in iaf.uncertain_args]
+        if isinstance(target, RulISAF):
+            rules = frozenset(Rule((), phi, DEFEASIBLE) for phi in uncertain)
+            theory = make_theory(
+                contraries=contraries, rules=rules,
+                premises=[token[name] for name in iaf.fixed_args])
+            return RulISAF(theory, rules)
+        theory = make_theory(contraries=contraries, rules=(),
+                             premises=[token[name] for name in iaf.all_args])
+        return PremISAF(theory, uncertain_premises=frozenset(uncertain))
+
+    def test_unvalidated_yet_equal_to_validated(self, monkeypatch):
+        calls = []
+        original = aspic.validate_theory
+
+        def counting(theory):
+            calls.append(theory)
+            return original(theory)
+
+        # patch every binding: a module importing the name would bypass a
+        # patch of aspic alone
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("uarg") and \
+                    getattr(module, "validate_theory", None) is original:
+                monkeypatch.setattr(module, "validate_theory", counting)
+        rng = random.Random(67)
+        # names that are not formula tokens, as in TestPositionalFormulaTokens
+        iafs = [TestPositionalFormulaTokens.IAF, ArgIAF(),
+                ArgIAF([], ["a[1]", "b"], [("b", "a[1]")])]
+        iafs += [random_arg_iaf(rng, max_args=5) for _ in range(60)]
+        built = []
+        for iaf in iafs:
+            for encode in (arg_iaf_to_rul_isaf, arg_iaf_to_prem_isaf):
+                target, _ = encode(iaf)
+                seeded = vars(target.theory).get("_contrary_map")
+                completion_set_of(target)
+                built.append((iaf, target, seeded))
+        assert calls == []
+        monkeypatch.undo()
+        for iaf, target, seeded in built:
+            theory = target.theory
+            original(theory)  # valid, though never validated
+            expected = self.validated(iaf, target)
+            for f in fields(aspic.ArgumentationTheory):
+                assert getattr(theory, f.name) == \
+                    getattr(expected.theory, f.name), f.name
+            assert target == expected
+            assert seeded == theory.contrary_sets()
 
 
 class TestPositionalFormulaTokens:
